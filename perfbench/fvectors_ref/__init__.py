@@ -1,0 +1,49 @@
+"""Exact-arithmetic toolkit for comparing face-count vectors of simplicial
+polytopes and homology spheres.
+
+The package is organized around:
+
+  exact       -- arbitrary-precision binomials and determinants
+  transforms  -- f/h/g-vector model, the M_d matrix, all conversions
+  families    -- cyclic, stacked, and cs-stacked extremal families
+  macaulay    -- Macaulay expansion and sequence predicates
+  comparison  -- the crossing-pattern comparison theorem and bound search
+  lattice     -- NE-lattice paths, Gessel-Viennot counts, the injection phi
+  minors      -- 2x2 and all-order minor scans of M_d
+  cli         -- JSON command-line frontend
+"""
+
+from .exact import binomial, binom_det, det
+from .transforms import (
+    FVector, HVector, GVector,
+    build_md, md_entry, delta,
+    f_to_h, h_to_f, h_to_g, g_to_f, f_to_g, f_from_g,
+    is_dehn_sommerville,
+)
+from .families import (
+    FamilySpec, CYCLIC, STACKED, CS_STACKED,
+    g_cyclic, g_stacked, g_cs_stacked, g_of_family, f_of_family,
+    stanley_cs_floor,
+)
+from .macaulay import (
+    MacaulayExpansion, macaulay_expand, del_k,
+    is_m_sequence_upper, is_M_sequence, is_nonnegative,
+)
+from .comparison import (
+    CrossingWitness, ComparisonReport, BoundConclusion,
+    NoCrossingError, BelowFloorError,
+    find_crossing, compare, ratio_chain,
+    sandwich_simplicial, lower_bound_cs,
+)
+from .lattice import (
+    LatticePath, PathPair, PathFamilySpec, PhiReport,
+    enumerate_paths, enumerate_disjoint_pairs, count_disjoint_pairs,
+    gv_identity_check, phi, phi_with_case, verify_phi,
+    disjointness_margin_2c, paths_disjoint,
+)
+from .minors import (
+    MinorReport, phi_minor, verify_lemma3,
+    verify_total_nonnegativity, step1_ratio_equiv,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,317 @@
+"""JSON command-line frontend.
+
+Subcommands: transform, family, check, compare, bounds, verify.  Every
+invocation prints a single JSON document on stdout; human-readable
+diagnostics go to stderr.  Exit codes: 0 = success / property holds,
+1 = check failed or counterexample found, 2 = usage or validation error.
+
+Integers whose magnitude exceeds 2**53 - 1 are emitted as decimal strings
+so that lossy JSON consumers cannot corrupt them.
+"""
+
+import argparse
+import json
+import sys
+from dataclasses import asdict, is_dataclass
+
+from . import (
+    FVector, HVector, GVector,
+    f_to_h, h_to_f, h_to_g, g_to_f, f_to_g, f_from_g,
+    is_dehn_sommerville,
+    FamilySpec, g_of_family, f_of_family,
+    is_m_sequence_upper, is_M_sequence, is_nonnegative, del_k,
+    compare, sandwich_simplicial, lower_bound_cs, ratio_chain,
+    NoCrossingError, BelowFloorError,
+    verify_lemma3, verify_total_nonnegativity, verify_phi,
+    gv_identity_check, PathFamilySpec,
+    delta,
+)
+
+_SAFE_MAX = 2**53 - 1
+
+EXIT_OK = 0
+EXIT_FAIL = 1
+EXIT_USAGE = 2
+
+
+def _jsonable(obj):
+    """Recursively convert to JSON-safe values, stringifying big ints."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > _SAFE_MAX else obj
+    return obj
+
+
+def _emit(doc, code):
+    print(json.dumps(_jsonable(doc)))
+    return code
+
+
+def _parse_vec(args) -> list:
+    if getattr(args, "file", None):
+        with open(args.file) as fh:
+            payload = json.load(fh)
+    else:
+        if args.vec is None:
+            raise ValueError("a vector is required (--vec or --file)")
+        payload = json.loads(args.vec)
+    if isinstance(payload, dict):
+        for key in ("f", "h", "g", "vec"):
+            if key in payload:
+                payload = payload[key]
+                break
+        else:
+            raise ValueError("JSON object payload must carry an f/h/g/vec field")
+    if not isinstance(payload, list):
+        raise ValueError("vector payload must be a JSON array")
+    return [int(x) for x in payload]
+
+
+_VEC_TYPES = {"f": FVector, "h": HVector, "g": GVector}
+
+_TRANSFORMS = {
+    ("f", "h"): f_to_h,
+    ("f", "g"): f_to_g,
+    ("h", "f"): h_to_f,
+    ("h", "g"): h_to_g,
+    ("g", "f"): g_to_f,
+    ("f", "f"): lambda v: v,
+    ("h", "h"): lambda v: v,
+    ("g", "g"): lambda v: v,
+}
+
+
+def _cmd_transform(args):
+    src, dst = args.src, args.to
+    if (src, dst) not in _TRANSFORMS:
+        if (src, dst) == ("g", "h"):
+            raise ValueError("g-to-h is not invertible; convert g to f instead")
+        raise ValueError(f"unsupported transform {src} -> {dst}")
+    vec = _VEC_TYPES[src](args.d, _parse_vec(args))
+    out = _TRANSFORMS[(src, dst)](vec)
+    return _emit({"d": args.d, dst: list(out.entries)}, EXIT_OK)
+
+
+def _cmd_family(args):
+    family = args.which.replace("-", "_")
+    spec = FamilySpec(family, args.n, args.d)
+    if args.emit == "g":
+        out = g_of_family(spec)
+        return _emit({"d": args.d, "g": list(out.entries)}, EXIT_OK)
+    out = f_of_family(spec)
+    return _emit({"d": args.d, "f": list(out.entries)}, EXIT_OK)
+
+
+def _cmd_check(args):
+    vec = _parse_vec(args)
+    kind = args.which
+    if kind == "dehn-sommerville":
+        if args.d is None:
+            raise ValueError("check dehn-sommerville requires --d")
+        h = HVector(args.d, vec)
+        result = is_dehn_sommerville(h)
+        doc = {"result": result}
+    elif kind == "nonnegative":
+        result = is_nonnegative(vec)
+        doc = {"result": result}
+    elif kind == "m-sequence":
+        result = is_m_sequence_upper(vec)
+        doc = {"result": result}
+    else:  # M-sequence
+        result = is_M_sequence(vec)
+        doc = {"result": result}
+        if not result and all(x >= 0 for x in vec):
+            for k in range(2, len(vec)):
+                cut = del_k(vec[k], k)
+                if cut > vec[k - 1]:
+                    doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
+                    break
+    return _emit(doc, EXIT_OK if result else EXIT_FAIL)
+
+
+def _report_doc(report):
+    doc = {
+        "d": report.d,
+        "r": report.r,
+        "premise_holds": report.premise_holds,
+        "guaranteed": report.guaranteed,
+        "conclusions": {
+            str(s): {"bound_holds": c.bound_holds, "lhs": c.lhs, "rhs": c.rhs}
+            for s, c in report.conclusions.items()
+        },
+    }
+    if report.witness is not None:
+        doc["witness"] = {"t": report.witness.t, "diffs": list(report.witness.diffs)}
+    if report.family_params is not None:
+        doc["family_params"] = list(report.family_params)
+    return doc
+
+
+def _cmd_compare(args):
+    g1 = GVector(args.d, json.loads(args.g1))
+    g2 = GVector(args.d, json.loads(args.g2))
+    report = compare(g1, g2, args.r)
+    ok = report.premise_holds and all(
+        c.bound_holds for c in report.conclusions.values()
+    )
+    return _emit(_report_doc(report), EXIT_OK if ok else EXIT_FAIL)
+
+
+def _cmd_bounds(args):
+    if args.which == "simplicial":
+        report = sandwich_simplicial(args.d, args.r, args.value)
+    else:
+        report = lower_bound_cs(args.d, args.r, args.value)
+    return _emit(_report_doc(report), EXIT_OK)
+
+
+def _cmd_verify(args):
+    which = args.which
+    if which == "minors":
+        order = args.order if args.order == "all" else int(args.order)
+        report = verify_total_nonnegativity(args.d, order)
+        doc = {
+            "d": report.d,
+            "order": report.order,
+            "minors_checked": report.minors_checked,
+            "min_value": report.min_value,
+            "min_witness": list(map(list, report.min_witness)),
+            "all_nonnegative": report.all_nonnegative,
+            "beyond_verified_range": report.beyond_verified_range,
+        }
+        return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
+    if which == "lemma3":
+        report = verify_lemma3(args.d)
+        doc = {
+            "d": report.d,
+            "minors_checked": report.minors_checked,
+            "min_value": report.min_value,
+            "all_nonnegative": report.all_nonnegative,
+        }
+        return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
+    if which == "gv":
+        bound = args.max
+        bad = [
+            [p, q, t, u]
+            for p in range(bound + 1)
+            for q in range(bound + 1)
+            for t in range(bound + 1)
+            for u in range(bound + 1)
+            if not gv_identity_check(PathFamilySpec(p, q, t, u))
+        ]
+        doc = {"max": bound, "instances": (bound + 1) ** 4, "failures": bad}
+        return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
+    if which == "phi":
+        report = verify_phi(args.d)
+        doc = {
+            "d": report.d,
+            "instances": report.instances,
+            "pairs_checked": report.pairs_checked,
+            "injective": report.injective,
+            "cases_partition": report.cases_partition,
+            "membership_ok": report.membership_ok,
+            "anchors_ok": report.anchors_ok,
+            "counts_consistent": report.counts_consistent,
+            "failures": [list(map(str, f)) for f in report.failures],
+        }
+        return _emit(doc, EXIT_OK if report.all_ok else EXIT_FAIL)
+    # ratio-chain
+    d = args.d
+    bad = []
+    for r in range(d - 1):
+        for s in range(r + 1, d):
+            chain = ratio_chain(d, r, s)
+            if not chain.all_hold:
+                bad.append([r, s])
+    doc = {"d": d, "pairs": d * (d - 1) // 2, "failures": bad}
+    return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fvectors",
+        description="Exact f/h/g-vector transforms, extremal-family bounds, "
+        "and combinatorial verifications for simplicial polytopes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("transform", help="convert between f/h/g vectors")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--from", dest="src", choices=["f", "h", "g"], required=True)
+    p.add_argument("--to", choices=["f", "h", "g"], required=True)
+    p.add_argument("--vec")
+    p.add_argument("--file")
+    p.set_defaults(func=_cmd_transform)
+
+    p = sub.add_parser("family", help="f/g-vector of an extremal family member")
+    p.add_argument("which", choices=["cyclic", "stacked", "cs-stacked"])
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--emit", choices=["f", "g"], default="f")
+    p.set_defaults(func=_cmd_family)
+
+    p = sub.add_parser("check", help="sequence predicates")
+    p.add_argument(
+        "which",
+        choices=["m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"],
+    )
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--vec")
+    p.add_argument("--file")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("compare", help="comparison theorem on two g-vectors")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--g1", required=True)
+    p.add_argument("--g2", required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.set_defaults(func=_cmd_compare)
+
+    p = sub.add_parser("bounds", help="family sandwich bounds from one face count")
+    p.add_argument("which", choices=["simplicial", "cs"])
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--value", type=int, required=True)
+    p.set_defaults(func=_cmd_bounds)
+
+    p = sub.add_parser("verify", help="exhaustive verification suites")
+    p.add_argument(
+        "which", choices=["minors", "lemma3", "gv", "phi", "ratio-chain"]
+    )
+    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--order", default="all")
+    p.add_argument("--max", type=int, default=6)
+    p.set_defaults(func=_cmd_verify)
+
+    return parser
+
+
+def run(argv) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage and 0 on --help; keep its code
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except (ValueError, NoCrossingError, BelowFloorError, OSError,
+            json.JSONDecodeError) as exc:
+        print(json.dumps({"error": str(exc)}))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def main() -> None:
+    sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

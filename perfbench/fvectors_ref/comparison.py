@@ -1,0 +1,248 @@
+"""The f-vector comparison machinery.
+
+The core result: if two g-vectors exhibit a crossing pattern -- the
+differences v_i = g_i(Delta) - g_i(Gamma) are nonnegative up to some
+index t and nonpositive after it -- then a single inequality
+f_r(Delta) <= f_r(Gamma) propagates to f_s(Delta) <= f_s(Gamma) for every
+s > r.  Applying this against the extremal families gives sandwich bounds:
+from one known face count f_r, all later face counts are pinned between a
+stacked lower bound and a cyclic upper bound (and, for centrally-symmetric
+polytopes, bounded below by the cs-stacked family).
+
+One caveat: the propagation is certified only when the smallest crossing
+index t is at most r + 1.  The argument scales the comparison by the
+ratio m[t][r] / m[t][s], and m[t][r] = 0 as soon as t >= r + 2; in that
+regime every column through r annihilates the positive differences, the
+premise f_r(Delta) <= f_r(Gamma) can only hold with equality, and the
+conclusion can genuinely fail.  The smallest witness: d = 4 with
+g(Delta) = (1, 1, 1) and g(Gamma) = (1, 1, 0).  Both have six vertices,
+so the premise holds at r = 0, yet Delta has strictly more faces in every
+higher dimension.  A strict premise f_r(Delta) < f_r(Gamma) is impossible
+when t >= r + 2, so strict inequalities always propagate.  Reports carry
+a `guaranteed` flag distinguishing the two regimes.
+"""
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .transforms import GVector, build_md, check_dim, delta, f_from_g
+from .families import (
+    FamilySpec, CYCLIC, STACKED, CS_STACKED,
+    f_of_family, g_cs_stacked, stanley_cs_floor,
+)
+
+
+class NoCrossingError(ValueError):
+    """The two g-vectors do not satisfy the crossing hypothesis."""
+
+
+class BelowFloorError(ValueError):
+    """The given face count is below the minimal family member's count."""
+
+
+@dataclass(frozen=True)
+class CrossingWitness:
+    """Index t and the differences v_i = g_i(Delta) - g_i(Gamma):
+    v_i >= 0 for 1 <= i <= t and v_i <= 0 for t < i <= delta."""
+
+    t: int
+    diffs: tuple
+
+
+@dataclass(frozen=True)
+class BoundConclusion:
+    bound_holds: bool
+    lhs: int
+    rhs: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    d: int
+    r: int
+    premise_holds: bool
+    conclusions: dict = field(default_factory=dict)
+    witness: Optional[CrossingWitness] = None
+    family_params: Optional[tuple] = None
+    # True when the propagation argument certifies every conclusion:
+    # the premise holds and the crossing index satisfies t <= r + 1.
+    guaranteed: bool = True
+
+
+def find_crossing(g_delta: GVector, g_gamma: GVector) -> Optional[CrossingWitness]:
+    """Smallest t splitting the differences into a nonnegative prefix and a
+    nonpositive suffix over indices 1..delta, or None if no t works."""
+    if g_delta.d != g_gamma.d:
+        raise ValueError("g-vectors must share a dimension")
+    diffs = tuple(a - b for a, b in zip(g_delta.entries, g_gamma.entries))
+    dl = len(diffs) - 1
+    for t in range(dl + 1):
+        if all(diffs[i] >= 0 for i in range(1, t + 1)) and all(
+            diffs[i] <= 0 for i in range(t + 1, dl + 1)
+        ):
+            return CrossingWitness(t, diffs)
+    return None
+
+
+def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
+    """Apply the comparison propagation to a pair of g-vectors at index r.
+
+    Requires a crossing witness.  If f_r(Delta) <= f_r(Gamma) and the
+    crossing index satisfies t <= r + 1, every conclusion
+    f_s(Delta) <= f_s(Gamma) for r < s < d is certified (and asserted:
+    a failure there is an arithmetic bug, not an input condition).  If the
+    premise holds only through the degenerate equality corner (t >= r + 2,
+    which forces f_r(Delta) = f_r(Gamma)), the report carries the actual
+    truth value of each conclusion with guaranteed = False.  If the
+    premise fails, premise_holds is False and nothing is claimed.
+    """
+    d = g_delta.d
+    if not 0 <= r <= d - 2:
+        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    witness = find_crossing(g_delta, g_gamma)
+    if witness is None:
+        raise NoCrossingError(
+            "no crossing pattern: the comparison hypothesis is unmet"
+        )
+    f_delta = f_from_g(d, g_delta.entries)
+    f_gamma = f_from_g(d, g_gamma.entries)
+    if f_delta[r] > f_gamma[r]:
+        return ComparisonReport(d, r, False, {}, witness, guaranteed=False)
+    guaranteed = witness.t <= r + 1
+    if not guaranteed and f_delta[r] != f_gamma[r]:
+        # t >= r+2 zeroes every m[i][r] weighting a positive difference,
+        # so the premise can then only hold with equality
+        raise RuntimeError(
+            f"strict premise with crossing index t={witness.t} > r+1 at "
+            f"d={d}, r={r}: impossible by the column-vanishing pattern"
+        )
+    conclusions = {}
+    for s in range(r + 1, d):
+        holds = f_delta[s] <= f_gamma[s]
+        conclusions[s] = BoundConclusion(holds, f_delta[s], f_gamma[s])
+        if guaranteed and not holds:
+            raise RuntimeError(
+                f"certified comparison violated at d={d}, r={r}, s={s}: "
+                f"{f_delta[s]} > {f_gamma[s]}"
+            )
+    return ComparisonReport(d, r, True, conclusions, witness,
+                            guaranteed=guaranteed)
+
+
+@dataclass(frozen=True)
+class AdjacentRatio:
+    """Cross-multiplied comparison m[i][r]*m[j][s] >= m[i][s]*m[j][r]
+    between consecutive rows i and j = i+1 of M_d."""
+
+    i: int
+    j: int
+    lhs: int
+    rhs: int
+    holds: bool
+
+
+@dataclass(frozen=True)
+class RatioChainReport:
+    d: int
+    r: int
+    s: int
+    comparisons: tuple
+    tail_start: Optional[int]  # first row index with m[i][s] = 0, if any
+    tail_ok: bool
+    all_hold: bool
+
+
+def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
+    """Verify the descending ratio chain down columns r < s of M_d:
+
+        m[0][r]/m[0][s] >= m[1][r]/m[1][s] >= ... >= 0
+
+    checked by cross-multiplication.  Rows where m[i][s] = 0 form the
+    chain's tail: once m[k][s] = 0 every later m[i][s] vanishes too, and
+    m[i][r] = 0 already from row k-1 on, which is what makes the chain
+    degenerate gracefully.
+    """
+    check_dim(d)
+    if not 0 <= r < s <= d - 1:
+        raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
+    md = build_md(d)
+    dl = delta(d)
+    comparisons = tuple(
+        AdjacentRatio(
+            i, i + 1,
+            md[i][r] * md[i + 1][s],
+            md[i][s] * md[i + 1][r],
+            md[i][r] * md[i + 1][s] >= md[i][s] * md[i + 1][r],
+        )
+        for i in range(dl)
+    )
+    tail_start = next((i for i in range(dl + 1) if md[i][s] == 0), None)
+    tail_ok = True
+    if tail_start is not None:
+        tail_ok = (
+            all(md[i][s] == 0 for i in range(tail_start, dl + 1))
+            and all(md[i][r] == 0 for i in range(max(tail_start - 1, 0), dl + 1))
+            and all(md[i][s] > 0 for i in range(tail_start))
+        )
+    # Final chain element >= 0: entries of M_d are nonnegative.
+    nonneg_tail = md[dl][r] >= 0 and md[dl][s] >= 0
+    all_hold = all(c.holds for c in comparisons) and tail_ok and nonneg_tail
+    return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
+
+
+def _f_r(family: str, n: int, d: int, r: int) -> int:
+    return f_of_family(FamilySpec(family, n, d))[r]
+
+
+def _largest_n_below(family: str, d: int, r: int, value: int, n_floor: int) -> int:
+    """Largest n with f_r(family(n, d)) <= value; f_r is strictly increasing
+    in n, so a linear scan from the floor terminates at the first overshoot."""
+    if _f_r(family, n_floor, d, r) > value:
+        raise BelowFloorError(
+            f"f_{r} = {value} is below the minimal {family} value for d={d}"
+        )
+    n = n_floor
+    while _f_r(family, n + 1, d, r) <= value:
+        n += 1
+    return n
+
+
+def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
+    """Bounds for simplicial d-polytopes with f_r = f_r_value.
+
+    Finds the largest n1 with f_r(S(n1,d)) <= f_r_value and the smallest
+    n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
+    guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].
+    """
+    check_dim(d)
+    if not 0 <= r <= d - 2:
+        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    n1 = _largest_n_below(STACKED, d, r, f_r_value, d + 1)
+    n2 = d + 1
+    while _f_r(CYCLIC, n2, d, r) < f_r_value:
+        n2 += 1
+    f_low = f_of_family(FamilySpec(STACKED, n1, d))
+    f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
+    conclusions = {
+        s: BoundConclusion(True, f_low[s], f_high[s]) for s in range(r + 1, d)
+    }
+    return ComparisonReport(d, r, True, conclusions, None, (n1, n2))
+
+
+def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
+    """Lower bounds for centrally-symmetric simplicial d-polytopes with
+    f_r = f_r_value: f_s >= f_s(CS(2n,d)) for the largest admissible n.
+
+    The crossing hypothesis is certified against the Stanley floor, which
+    every centrally-symmetric simplicial polytope's g-vector dominates.
+    """
+    check_dim(d)
+    if not 0 <= r <= d - 2:
+        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    n = _largest_n_below(CS_STACKED, d, r, f_r_value, d)
+    witness = find_crossing(g_cs_stacked(n, d), stanley_cs_floor(d))
+    if witness is None:  # diffs vanish beyond index 1, so this cannot happen
+        raise NoCrossingError("cs-stacked g-vector does not cross the Stanley floor")
+    f_low = f_of_family(FamilySpec(CS_STACKED, n, d))
+    conclusions = {s: BoundConclusion(True, f_low[s]) for s in range(r + 1, d)}
+    return ComparisonReport(d, r, True, conclusions, witness, (n,))

@@ -1,0 +1,55 @@
+"""Exact integer arithmetic: binomials, binomial determinants, matrix determinants.
+
+Everything here is pure integer arithmetic on Python's arbitrary-precision
+ints.  No floating point is used anywhere in the package; inequalities
+between ratios are always decided by cross-multiplication.
+"""
+
+import math
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) with the vanishing convention.
+
+    Returns 0 whenever k < 0, n < 0 or k > n.  Several of the closed-form
+    expressions in this package rely on out-of-range binomials silently
+    vanishing, so this is the single binomial used everywhere.
+    """
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def binom_det(p: int, q: int, t: int, u: int) -> int:
+    """The 2x2 binomial determinant C(p,t)*C(q,u) - C(p,u)*C(q,t)."""
+    return binomial(p, t) * binomial(q, u) - binomial(p, u) * binomial(q, t)
+
+
+def det(m) -> int:
+    """Exact determinant of a square integer matrix (sequence of rows).
+
+    Uses fraction-free (Bareiss) elimination, so every intermediate value
+    is an exact integer.
+    """
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("det requires a non-empty square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]

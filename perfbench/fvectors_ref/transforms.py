@@ -1,0 +1,172 @@
+"""f-vector / h-vector / g-vector data model and the conversions among them.
+
+For a (d-1)-dimensional simplicial complex the f-vector lists face counts
+(f_0, ..., f_{d-1}) with the implicit f_{-1} = 1.  The h-vector is the
+linear transform defined by
+
+    sum_i f_{i-1} x^{d-i}  =  sum_i h_i (x+1)^{d-i}
+
+and the g-vector is g_0 = 1, g_i = h_i - h_{i-1} for 1 <= i <= delta(d).
+When the Dehn-Sommerville equations h_i = h_{d-i} hold (homology spheres),
+the whole f-vector is recovered from the g-vector by the row-vector /
+matrix product f = g * M_d, where M_d is the (delta+1) x d integer matrix
+with entries
+
+    m[i][j] = C(d+1-i, d-j) - C(i, d-j).
+"""
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .exact import binomial
+
+MIN_DIM = 3
+
+
+def delta(d: int) -> int:
+    """delta = floor(d/2), the last meaningful g-index."""
+    return d // 2
+
+
+def check_dim(d: int) -> None:
+    if d < MIN_DIM:
+        raise ValueError(f"dimension d must be >= {MIN_DIM}, got {d}")
+
+
+@dataclass(frozen=True)
+class FVector:
+    """Face-count vector (f_0, ..., f_{d-1}); f_{-1} = 1 is implicit."""
+
+    d: int
+    entries: tuple
+
+    def __post_init__(self):
+        check_dim(self.d)
+        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        if len(self.entries) != self.d:
+            raise ValueError(f"f-vector for d={self.d} needs {self.d} entries")
+        if any(x < 0 for x in self.entries):
+            raise ValueError("f-vector entries must be nonnegative")
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+@dataclass(frozen=True)
+class HVector:
+    """h-vector (h_0, ..., h_d) with h_0 = 1."""
+
+    d: int
+    entries: tuple
+
+    def __post_init__(self):
+        check_dim(self.d)
+        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        if len(self.entries) != self.d + 1:
+            raise ValueError(f"h-vector for d={self.d} needs {self.d + 1} entries")
+        if self.entries[0] != 1:
+            raise ValueError("h-vector must start with h_0 = 1")
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+@dataclass(frozen=True)
+class GVector:
+    """g-vector (g_0, ..., g_delta) with g_0 = 1.
+
+    Entries beyond g_0 are arbitrary integers: the comparison machinery is
+    purely linear-algebraic and accepts raw numeric input.  Validity tests
+    (nonnegativity, M-sequence) live in the macaulay module and are applied
+    only where a caller asks for them.
+    """
+
+    d: int
+    entries: tuple
+
+    def __post_init__(self):
+        check_dim(self.d)
+        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        if len(self.entries) != delta(self.d) + 1:
+            raise ValueError(
+                f"g-vector for d={self.d} needs {delta(self.d) + 1} entries"
+            )
+        if self.entries[0] != 1:
+            raise ValueError("g-vector must start with g_0 = 1")
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+def md_entry(d: int, i: int, j: int) -> int:
+    """Entry m[i][j] = C(d+1-i, d-j) - C(i, d-j) of M_d."""
+    return binomial(d + 1 - i, d - j) - binomial(i, d - j)
+
+
+@lru_cache(maxsize=None)
+def build_md(d: int):
+    """The (delta+1) x d matrix M_d as a tuple of row tuples."""
+    check_dim(d)
+    return tuple(
+        tuple(md_entry(d, i, j) for j in range(d)) for i in range(delta(d) + 1)
+    )
+
+
+def f_from_g(d: int, g) -> tuple:
+    """Raw row-vector product g * M_d on a plain integer sequence."""
+    md = build_md(d)
+    if len(g) != len(md):
+        raise ValueError("g sequence has wrong length for g * M_d")
+    return tuple(
+        sum(g[i] * md[i][j] for i in range(len(g))) for j in range(d)
+    )
+
+
+def g_to_f(g: GVector) -> FVector:
+    """f = g * M_d (valid when g came from a Dehn-Sommerville h-vector)."""
+    return FVector(g.d, f_from_g(g.d, g.entries))
+
+
+def f_to_h(f: FVector) -> HVector:
+    """Invert the defining polynomial identity:
+
+    h_k = sum_{i=0}^{k} (-1)^{k-i} C(d-i, k-i) f_{i-1},  with f_{-1} = 1.
+    """
+    d = f.d
+    ext = (1,) + f.entries  # ext[i] = f_{i-1}
+    h = tuple(
+        sum((-1) ** (k - i) * binomial(d - i, k - i) * ext[i] for i in range(k + 1))
+        for k in range(d + 1)
+    )
+    return HVector(d, h)
+
+
+def h_to_f(h: HVector) -> FVector:
+    """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d."""
+    d = h.d
+    f = tuple(
+        sum(binomial(d - k, i - k) * h[k] for k in range(i + 1))
+        for i in range(1, d + 1)
+    )
+    return FVector(d, f)
+
+
+def h_to_g(h: HVector) -> GVector:
+    """g_0 = 1, g_i = h_i - h_{i-1} for 1 <= i <= delta."""
+    g = (1,) + tuple(h[i] - h[i - 1] for i in range(1, delta(h.d) + 1))
+    return GVector(h.d, g)
+
+
+def f_to_g(f: FVector) -> GVector:
+    """Composition h_to_g(f_to_h(f)).
+
+    Total on any f-vector; the truncation at delta loses information
+    unless the underlying h-vector is palindromic, which the caller can
+    check with is_dehn_sommerville.
+    """
+    return h_to_g(f_to_h(f))
+
+
+def is_dehn_sommerville(h: HVector) -> bool:
+    """True iff h_i = h_{d-i} for all i (palindromic h-vector)."""
+    return h.entries == h.entries[::-1]
