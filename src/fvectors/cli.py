@@ -69,9 +69,23 @@ def _parse_vec(args) -> list:
                 break
         else:
             raise ValueError("JSON object payload must carry an f/h/g/vec field")
+    return _int_list(payload)
+
+
+def _int_list(payload) -> list:
+    """The entries of a JSON array, each a JSON integer or a decimal-integer
+    string (the form big integers are emitted in); nothing is truncated."""
     if not isinstance(payload, list):
         raise ValueError("vector payload must be a JSON array")
-    return [int(x) for x in payload]
+    out = []
+    for x in payload:
+        if isinstance(x, int) and not isinstance(x, bool):
+            out.append(x)
+        elif isinstance(x, str) and x.isascii() and x.removeprefix("-").isdigit():
+            out.append(int(x))
+        else:
+            raise ValueError(f"vector entries must be integers, got {json.dumps(x)}")
+    return out
 
 
 _VEC_TYPES = {"f": FVector, "h": HVector, "g": GVector}
@@ -155,8 +169,8 @@ def _report_doc(report):
 
 
 def _cmd_compare(args):
-    g1 = GVector(args.d, json.loads(args.g1))
-    g2 = GVector(args.d, json.loads(args.g2))
+    g1 = GVector(args.d, _int_list(json.loads(args.g1)))
+    g2 = GVector(args.d, _int_list(json.loads(args.g2)))
     report = compare(g1, g2, args.r)
     ok = report.premise_holds and all(
         c.bound_holds for c in report.conclusions.values()
@@ -234,8 +248,16 @@ def _cmd_verify(args):
     return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse would print usage to stderr and exit 2 with nothing on
+    # stdout; raising lets run() report bad usage as a JSON error like any
+    # other bad input.  Subparsers inherit this class.
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvectors",
         description="Exact f/h/g-vector transforms, extremal-family bounds, "
         "and combinatorial verifications for simplicial polytopes.",
@@ -297,11 +319,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage and 0 on --help; keep its code
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:
+        # only --help exits from argparse; bad usage raises ValueError
+        return int(exc.code or 0)
     except (ValueError, NoCrossingError, BelowFloorError, OSError,
             json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}))

@@ -25,6 +25,7 @@ a `guaranteed` flag distinguishing the two regimes.
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .exact import largest_true
 from .transforms import GVector, build_md, check_dim, delta, f_from_g
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
@@ -196,15 +197,12 @@ def _f_r(family: str, n: int, d: int, r: int) -> int:
 
 def _largest_n_below(family: str, d: int, r: int, value: int, n_floor: int) -> int:
     """Largest n with f_r(family(n, d)) <= value; f_r is strictly increasing
-    in n, so a linear scan from the floor terminates at the first overshoot."""
+    in n, so `largest_true` finds it with O(log n) f-vector evaluations."""
     if _f_r(family, n_floor, d, r) > value:
         raise BelowFloorError(
             f"f_{r} = {value} is below the minimal {family} value for d={d}"
         )
-    n = n_floor
-    while _f_r(family, n + 1, d, r) <= value:
-        n += 1
-    return n
+    return largest_true(lambda n: _f_r(family, n, d, r) <= value, n_floor)
 
 
 def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
@@ -219,8 +217,8 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
         raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
     n1 = _largest_n_below(STACKED, d, r, f_r_value, d + 1)
     n2 = d + 1
-    while _f_r(CYCLIC, n2, d, r) < f_r_value:
-        n2 += 1
+    if _f_r(CYCLIC, n2, d, r) < f_r_value:
+        n2 = largest_true(lambda n: _f_r(CYCLIC, n, d, r) < f_r_value, n2) + 1
     f_low = f_of_family(FamilySpec(STACKED, n1, d))
     f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
     conclusions = {

@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: binomials, binomial determinants, matrix determinants.
+"""Exact integer arithmetic: binomials, binomial determinants, matrix
+determinants, and the monotone integer search every parameter lookup uses.
 
 Everything here is pure integer arithmetic on Python's arbitrary-precision
 ints.  No floating point is used anywhere in the package; inequalities
@@ -53,3 +54,24 @@ def det(m) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def largest_true(pred, lo: int) -> int:
+    """Largest integer x >= lo with pred(x), for pred true at lo and
+    monotone (true up to some point, false from there on).
+
+    Gallops with doubling steps to bracket the last true value, then
+    bisects the bracket, so pred is evaluated O(log(x - lo + 2)) times.
+    """
+    step = 1
+    while pred(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step  # pred(lo) holds and pred(hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -19,7 +19,7 @@ entry is 1, so truncations can be validated too.
 
 from dataclasses import dataclass
 
-from .exact import binomial
+from .exact import binomial, largest_true
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,11 @@ class MacaulayExpansion:
 
 
 def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
-    """Unique greedy expansion: largest a_k with C(a_k, k) <= n, then recurse."""
+    """Unique greedy expansion: largest a_k with C(a_k, k) <= n, then recurse.
+
+    Each a_j is found by `largest_true`, which C(a, j) being strictly
+    increasing in a >= j permits, so the cost grows with k log(n).
+    """
     if n <= 0:
         raise ValueError(f"macaulay_expand needs n >= 1, got {n}")
     if k < 1:
@@ -44,9 +48,7 @@ def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
     rem = n
     j = k
     while rem > 0:
-        a = j
-        while binomial(a + 1, j) <= rem:
-            a += 1
+        a = largest_true(lambda a: binomial(a, j) <= rem, j)
         terms.append((a, j))
         rem -= binomial(a, j)
         j -= 1
@@ -92,9 +94,7 @@ def is_m_sequence_upper(v) -> bool:
         nj = entries[j]
         if nj == 0:
             continue
-        m = j
-        while binomial(m + 1, j) <= nj:
-            m += 1
+        m = largest_true(lambda m: binomial(m, j) <= nj, j)
         if entries[j - 1] < binomial(m - 1, j - 1):
             return False
     return True

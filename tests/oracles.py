@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 cofactor determinants, direct polynomial expansion, Gale-evenness face
 enumeration for cyclic polytopes, stellar-subdivision face-count updates
-for stacked polytopes, and exhaustive search for Macaulay expansions.
+for stacked polytopes, closed-form h-vectors of the extremal families,
+exhaustive search for Macaulay expansions, and the one-step-at-a-time
+linear scans that the library's monotone search replaced.
 """
 
 import math
@@ -114,3 +116,55 @@ def macaulay_expansions_by_search(n, k):
         a_max += 1
     rec(n, k, a_max + 1, [])
     return results
+
+
+def family_f_r(family, n, d, r):
+    """f_r of a cyclic C(n, d), stacked S(n, d) or cs-stacked CS(2n, d)
+    polytope, from the closed form of its h-vector (symmetric, h_i for
+    i <= d/2 given below) as the x^(d-r-1) coefficient of
+    sum_i h_i (x+1)^(d-i); the library's g-vectors and M_d are not used."""
+    half = d // 2
+    if family == "cyclic":
+        low = [math.comb(n - d - 1 + i, i) for i in range(half + 1)]
+    elif family == "stacked":
+        low = [1] + [n - d] * half
+    else:  # cs_stacked
+        low = [1] + [2 * n - 2 * d + math.comb(d, i) for i in range(1, half + 1)]
+    h = [low[min(i, d - i)] for i in range(d + 1)]
+    return sum(hi * math.comb(d - i, d - r - 1) for i, hi in enumerate(h))
+
+
+def largest_n_below_by_scan(family, d, r, value, n_floor):
+    """Largest n >= n_floor with f_r(family(n, d)) <= value, walking up one
+    n at a time; None when the floor member already exceeds value."""
+    if family_f_r(family, n_floor, d, r) > value:
+        return None
+    n = n_floor
+    while family_f_r(family, n + 1, d, r) <= value:
+        n += 1
+    return n
+
+
+def sandwich_params_by_scan(d, r, value):
+    """(n1, n2) of the simplicial sandwich: the largest stacked n1 with
+    f_r <= value and the smallest cyclic n2 with f_r >= value."""
+    n1 = largest_n_below_by_scan("stacked", d, r, value, d + 1)
+    n2 = d + 1
+    while family_f_r("cyclic", n2, d, r) < value:
+        n2 += 1
+    return n1, n2
+
+
+def macaulay_terms_by_scan(n, k):
+    """The greedy Macaulay expansion of n >= 1, each a_j found by walking
+    up from j while C(a_j + 1, j) <= the remainder."""
+    terms = []
+    rem, j = n, k
+    while rem > 0:
+        a = j
+        while math.comb(a + 1, j) <= rem:
+            a += 1
+        terms.append((a, j))
+        rem -= math.comb(a, j)
+        j -= 1
+    return tuple(terms)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,3 +152,48 @@ def test_big_integers_emitted_as_strings(capsys):
 
     expected = lib_f_to_h(FVector(12, [10**15] * 12)).entries
     assert tuple(int(x) for x in doc["h"]) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    # entries that int() used to truncate, read as 1, or crash on
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[7.9,21,28,14]"],
+    ["compare", "--d", "3", "--g1", "[1,2.5]", "--g2", "[1,3]", "--r", "0"],
+    ["compare", "--d", "3", "--g1", "[1,2]", "--g2", "[1,true]", "--r", "0"],
+    ["check", "m-sequence", "--vec", "[true,2,3]"],
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[[1],2,3,4]"],
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", '["7.0",21,28,14]'],
+    # argparse usage errors
+    ["family", "cyclic", "--d", "three", "--n", "8"],
+    ["family", "cyclic", "--d", "4.5", "--n", "8"],
+    ["family", "cyclic", "--d", "1e1", "--n", "8"],
+    ["family", "cyclic", "--d", "4"],
+    ["frobnicate"],
+    [],
+])
+def test_malformed_input_is_a_json_error(capsys, argv):
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert set(doc) == {"error"}
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == EXIT_OK
+    assert run(["family", "--help"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_decimal_string_entries_round_trip(capsys):
+    # big integers are emitted as decimal strings and read back as such
+    _, doc = invoke(capsys, "transform", "--d", "12", "--from", "f",
+                    "--to", "h", "--vec", json.dumps([10**15] * 12))
+    code, back = invoke(capsys, "transform", "--d", "12", "--from", "h",
+                        "--to", "f", "--vec", json.dumps(doc["h"]))
+    assert code == EXIT_OK
+    assert back["f"] == [10**15] * 12
+
+
+def test_huge_m_sequence_check_is_fast(capsys):
+    start = time.perf_counter()
+    code, doc = invoke(capsys, "check", "m-sequence", "--vec", "[1,2,100000000000000000000]")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FAIL and doc == {"result": False}

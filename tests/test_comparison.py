@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ from fvectors.comparison import (
 )
 from fvectors.families import FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family
 from fvectors.transforms import GVector, build_md, delta, f_from_g
+
+from oracles import family_f_r, largest_n_below_by_scan, sandwich_params_by_scan
 
 
 def random_crossing_pair(rng, d):
@@ -264,3 +267,53 @@ def test_lower_bound_cs_witness_certified():
 def test_lower_bound_cs_below_floor():
     with pytest.raises(BelowFloorError):
         lower_bound_cs(3, 0, 5)
+
+
+def _boundary_values(family, d, r, n_floor, count=20):
+    """f_r of the first `count` family members and their neighbours."""
+    out = set()
+    for n in range(n_floor, n_floor + count):
+        x = family_f_r(family, n, d, r)
+        out |= {x - 1, x, x + 1}
+    return out
+
+
+def test_bound_searches_match_linear_scan_oracle():
+    for d in range(3, 9):
+        for r in range(d - 1):
+            # keep the stacked scan short: values up to f_r(S(d + 21, d))
+            cap = family_f_r("stacked", d + 21, d, r)
+            values = _boundary_values("stacked", d, r, d + 1) | {
+                v for v in _boundary_values("cyclic", d, r, d + 1) if v <= cap
+            }
+            for v in sorted(values):
+                n1, n2 = sandwich_params_by_scan(d, r, v)
+                if n1 is None:
+                    with pytest.raises(BelowFloorError):
+                        sandwich_simplicial(d, r, v)
+                else:
+                    assert sandwich_simplicial(d, r, v).family_params == (n1, n2)
+            for v in sorted(_boundary_values("cs_stacked", d, r, d)):
+                n = largest_n_below_by_scan("cs_stacked", d, r, v, d)
+                if n is None:
+                    with pytest.raises(BelowFloorError):
+                        lower_bound_cs(d, r, v)
+                else:
+                    assert lower_bound_cs(d, r, v).family_params == (n,)
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - start < 1.0, f"{fn.__name__}{args[:2]} took over 1 s"
+    return out
+
+
+@pytest.mark.parametrize("d, r", [(3, 0), (4, 0), (7, 2), (12, 3), (12, 10)])
+def test_bounds_at_huge_values(d, r):
+    v = 10**60
+    n1, n2 = _timed(sandwich_simplicial, d, r, v).family_params
+    assert family_f_r("stacked", n1, d, r) <= v < family_f_r("stacked", n1 + 1, d, r)
+    assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
+    (n,) = _timed(lower_bound_cs, d, r, v).family_params
+    assert family_f_r("cs_stacked", n, d, r) <= v < family_f_r("cs_stacked", n + 1, d, r)

@@ -8,7 +8,7 @@ from fvectors.families import (
 )
 from fvectors.transforms import delta
 
-from oracles import cyclic_fvector_gale, stacked_fvector_subdivision
+from oracles import cyclic_fvector_gale, family_f_r, stacked_fvector_subdivision
 
 
 def test_g_cyclic_examples():
@@ -60,6 +60,15 @@ def test_cross_polytope_fvector():
         assert f.entries == tuple(
             2 ** (j + 1) * binomial(d, j + 1) for j in range(d)
         )
+        assert tuple(family_f_r("cs_stacked", d, d, j) for j in range(d)) == f.entries
+        # CS(2n+2, d) stacks two antipodal facets of CS(2n, d): twice the
+        # face-count increments of one stacking
+        one = [a - b for a, b in zip(stacked_fvector_subdivision(d + 2, d),
+                                     stacked_fvector_subdivision(d + 1, d))]
+        for n in range(d, d + 10):
+            for j in range(d):
+                step = family_f_r("cs_stacked", n + 1, d, j) - family_f_r("cs_stacked", n, d, j)
+                assert step == 2 * one[j]
 
 
 def test_octahedron():
@@ -99,19 +108,17 @@ def test_strict_monotonicity_in_n():
 def test_cyclic_against_gale_evenness_oracle():
     for d in range(3, 7):
         for n in range(d + 1, 11):
-            assert (
-                f_of_family(FamilySpec(CYCLIC, n, d)).entries
-                == cyclic_fvector_gale(n, d)
-            )
+            gale = cyclic_fvector_gale(n, d)
+            assert f_of_family(FamilySpec(CYCLIC, n, d)).entries == gale
+            assert tuple(family_f_r("cyclic", n, d, r) for r in range(d)) == gale
 
 
 def test_stacked_against_subdivision_oracle():
     for d in range(3, 9):
         for n in range(d + 1, 20):
-            assert (
-                f_of_family(FamilySpec(STACKED, n, d)).entries
-                == stacked_fvector_subdivision(n, d)
-            )
+            sub = stacked_fvector_subdivision(n, d)
+            assert f_of_family(FamilySpec(STACKED, n, d)).entries == sub
+            assert tuple(family_f_r("stacked", n, d, r) for r in range(d)) == sub
 
 
 def test_stacked_facet_count_closed_form():

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from fvectors.macaulay import (
     is_m_sequence_upper, is_M_sequence, is_nonnegative,
 )
 
-from oracles import macaulay_expansions_by_search
+from oracles import macaulay_expansions_by_search, macaulay_terms_by_scan
 
 
 def test_expansion_examples():
@@ -170,3 +172,52 @@ def test_predicates_accept_gvectors():
     assert is_m_sequence_upper(g)
     assert not is_M_sequence(g)
     assert is_nonnegative(g)
+
+
+def test_search_matches_linear_scan_oracle():
+    for k in range(1, 7):
+        # at k = 1 the expansion is ((n, 1),) and its scan takes n steps
+        for n in range(1, 1001 if k == 1 else 5001):
+            terms = macaulay_terms_by_scan(n, k)
+            assert macaulay_expand(n, k).terms == terms
+            assert del_k(n, k) == sum(math.comb(a - 1, j - 1) for a, j in terms)
+
+
+def test_m_sequence_threshold_matches_linear_scan_oracle():
+    # the scan's top term is the largest m with C(m, j) <= v_j, so in
+    # (1, c, ..., c, c + e, v_j) position j binds exactly at
+    # c = C(m - 1, j - 1); the constant prefix passes every earlier position
+    for j in range(2, 7):
+        for nj in range(1, 5001):
+            m = macaulay_terms_by_scan(nj, j)[0][0]
+            c = math.comb(m - 1, j - 1)
+            v = (1,) + (c,) * (j - 1) + (nj,)
+            assert is_m_sequence_upper(v)
+            assert not is_m_sequence_upper(v[:-2] + (c - 1, nj))
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - start < 1.0, f"{fn.__name__} took over 1 s"
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 20])
+def test_huge_inputs(k):
+    n = 10**100
+    terms = _timed(macaulay_expand, n, k).terms
+    assert sum(binomial(a, j) for a, j in terms) == n
+    assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
+    assert all(a >= j >= 1 for a, j in terms)
+    assert [j for _, j in terms] == list(range(k, k - len(terms), -1))
+    assert _timed(del_k, n, k) == sum(binomial(a - 1, j - 1) for a, j in terms)
+    m = 10**30
+    assert _timed(del_k, binomial(m, k), k) == binomial(m - 1, k - 1)
+    # the binding m at a 10^100 entry: C(m, k) <= 10^100 < C(m + 1, k)
+    if k >= 2:
+        top = terms[0][0]
+        c = binomial(top - 1, k - 1)
+        v = (1,) + (c,) * (k - 1) + (n,)
+        assert _timed(is_m_sequence_upper, v)
+        assert not is_m_sequence_upper(v[:-2] + (c - 1, n))
