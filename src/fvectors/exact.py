@@ -1,5 +1,6 @@
 """Exact integer arithmetic: binomials, binomial determinants, matrix
-determinants, and the monotone integer search every parameter lookup uses.
+determinants, the monotone integer search every parameter lookup uses, and
+the integer check every vector entry passes.
 
 Everything here is pure integer arithmetic on Python's arbitrary-precision
 ints.  No floating point is used anywhere in the package; inequalities
@@ -19,6 +20,16 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def int_entries(values) -> tuple:
+    """values as a tuple, each an int; a float, a bool or any other value
+    raises ValueError instead of being truncated or read as 0/1."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise ValueError(f"vector entries must be integers, got {x!r}")
+    return out
 
 
 def binom_det(p: int, q: int, t: int, u: int) -> int:

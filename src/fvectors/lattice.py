@@ -24,6 +24,7 @@ that keep the cases from colliding.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import countOf
 
 from .exact import binom_det, binomial
 from .transforms import check_dim, delta
@@ -67,6 +68,9 @@ def paths_disjoint(p: LatticePath, q: LatticePath) -> bool:
     return not set(p.vertices()) & set(q.vertices())
 
 
+_INTERSECTING = "paths in a PathPair must be vertex-disjoint"
+
+
 @dataclass(frozen=True)
 class PathPair:
     """A vertex-disjoint pair of NE-lattice paths."""
@@ -76,7 +80,7 @@ class PathPair:
 
     def __post_init__(self):
         if not paths_disjoint(self.p, self.q):
-            raise ValueError("paths in a PathPair must be vertex-disjoint")
+            raise ValueError(_INTERSECTING)
 
 
 @dataclass(frozen=True)
@@ -110,39 +114,64 @@ def enumerate_paths(start: tuple, end: tuple) -> list:
     return [LatticePath(start, w) for w in _step_words(dx, dy)]
 
 
+def _vertex_bit(x: int, y: int) -> int:
+    """A distinct bit index for every lattice point with x >= 0, which is
+    every point of a path starting on the y-axis: the Cantor pairing of x
+    with y folded onto the naturals (0, -1, -2, ... to even, 1, 2, ... to
+    odd numbers)."""
+    n = x + (-2 * y if y <= 0 else 2 * y - 1)
+    return n * (n + 1) // 2 + x
+
+
+def _walk(start: tuple, steps: str) -> int:
+    """Vertex bitmask of the path from start (on the y-axis) along steps."""
+    x, y = start
+    mask = 1 << _vertex_bit(x, y)
+    for c in steps:
+        if c == "E":
+            x += 1
+        elif c == "N":
+            y += 1
+        else:
+            raise ValueError(f"steps must be a word over N/E, got {steps!r}")
+        mask |= 1 << _vertex_bit(x, y)
+    return mask
+
+
 @lru_cache(maxsize=None)
-def _paths_with_vertex_sets(start: tuple, end: tuple) -> tuple:
-    return tuple(
-        (path, frozenset(path.vertices())) for path in enumerate_paths(start, end)
-    )
+def _paths_with_masks(start: tuple, end: tuple) -> dict:
+    """Every monotone NE-path from start to end as {step word: vertex
+    bitmask}, words in lexicographic order.  Two paths are vertex-disjoint
+    exactly when their masks share no bit.  The dict is shared by every
+    caller and must not be modified."""
+    words = _step_words(end[0] - start[0], end[1] - start[1])
+    return {w: _walk(start, w) for w in words}
 
 
-def _family_endpoints(spec: PathFamilySpec):
+def _family_paths(spec: PathFamilySpec):
+    """The P and Q path dicts of L(p, q, t, u)."""
     return (
-        ((0, -spec.p), (spec.t, -spec.t)),
-        ((0, -spec.q), (spec.u, -spec.u)),
+        _paths_with_masks((0, -spec.p), (spec.t, -spec.t)),
+        _paths_with_masks((0, -spec.q), (spec.u, -spec.u)),
     )
 
 
 def enumerate_disjoint_pairs(spec: PathFamilySpec) -> list:
     """All of L(p, q, t, u) by exhaustive pairing."""
-    (p_start, p_end), (q_start, q_end) = _family_endpoints(spec)
-    out = []
-    for p_path, p_verts in _paths_with_vertex_sets(p_start, p_end):
-        for q_path, q_verts in _paths_with_vertex_sets(q_start, q_end):
-            if not p_verts & q_verts:
-                out.append(PathPair(p_path, q_path))
-    return out
+    p_paths, q_paths = _family_paths(spec)
+    p_start, q_start = (0, -spec.p), (0, -spec.q)
+    return [
+        PathPair(LatticePath(p_start, pw), LatticePath(q_start, qw))
+        for pw, pm in p_paths.items()
+        for qw, qm in q_paths.items()
+        if not pm & qm
+    ]
 
 
 def count_disjoint_pairs(spec: PathFamilySpec) -> int:
-    (p_start, p_end), (q_start, q_end) = _family_endpoints(spec)
-    return sum(
-        1
-        for _, p_verts in _paths_with_vertex_sets(p_start, p_end)
-        for _, q_verts in _paths_with_vertex_sets(q_start, q_end)
-        if not p_verts & q_verts
-    )
+    p_paths, q_paths = _family_paths(spec)
+    q_masks = tuple(q_paths.values())
+    return sum(countOf(map(pm.__and__, q_masks), 0) for pm in p_paths.values())
 
 
 def count_crossed_disjoint_pairs(spec: PathFamilySpec) -> int:
@@ -166,24 +195,41 @@ def gv_identity_check(spec: PathFamilySpec) -> bool:
     return binom_det(spec.p, spec.q, spec.t, spec.u) == signed
 
 
-def _classify(pair: PathPair, d: int, a: int, r: int, s: int) -> str:
-    """Which construction case applies to a domain pair."""
-    sb, rb, at = d - s, d - r, d + 1 - a
+def _in_first_domain(pair: PathPair, d: int, a: int, r: int, s: int) -> bool:
+    """True for a pair of L(a, a+1), False for one of L(a+1, A); a pair
+    starting anywhere else is not in the domain."""
     p_start, q_start = pair.p.start, pair.q.start
     if p_start == (0, -a) and q_start == (0, -(a + 1)):
-        return CASE_1
-    if p_start != (0, -(a + 1)) or q_start != (0, -at):
+        return True
+    if p_start != (0, -(a + 1)) or q_start != (0, -(d + 1 - a)):
         raise ValueError(
             f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}"
         )
-    if pair.q.steps.startswith("E"):
+    return False
+
+
+def _case(first: bool, p_steps: str, q_steps: str) -> str:
+    """Which construction case applies to a domain pair, from its family
+    (L(a, a+1) when first) and how its paths begin."""
+    if first:
+        return CASE_1
+    if q_steps.startswith("E"):
         return CASE_2B
-    if pair.p.steps.startswith("N"):
+    if p_steps.startswith("N"):
         return CASE_2A
     return CASE_2C
 
 
-def _factor_2c(pair: PathPair):
+def _image_starts(case: str, d: int, a: int) -> tuple:
+    """Start points of the image paths: L(a, A-1) for case 1 and subcase
+    2a, L(A-1, A) for subcases 2b and 2c."""
+    at = d + 1 - a
+    if case in (CASE_1, CASE_2A):
+        return (0, -a), (0, -(at - 1))
+    return (0, -(at - 1)), (0, -at)
+
+
+def _factor_2c(p_steps: str, q_steps: str):
     """Split P = E^k N P' and Q = N R E N^v E Q', the two E's being the
     k-th and (k+1)-st occurrences of E in Q.
 
@@ -191,7 +237,6 @@ def _factor_2c(pair: PathPair):
     endpoints force d - s = a + 1), P' is None and the image construction
     drops the north step that P could not supply.
     """
-    p_steps, q_steps = pair.p.steps, pair.q.steps
     k = len(p_steps) - len(p_steps.lstrip("E"))
     p_rest = p_steps[k + 1:] if "N" in p_steps else None
     e_positions = [i for i, c in enumerate(q_steps) if c == "E"]
@@ -203,6 +248,33 @@ def _factor_2c(pair: PathPair):
     q_rest = q_steps[i_k1 + 1:]
     h = r_word.count("N")
     return k, p_rest, r_word, v, q_rest, h
+
+
+def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
+    """The injection on step words: (case, image P word, image Q word) for
+    a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words.
+    The image start points follow from the case (see _image_starts)."""
+    at = d + 1 - a
+    case = _case(first, p_steps, q_steps)
+    lift = "N" * ((at - 1) - (a + 1))
+    if case == CASE_1:
+        return case, p_steps, lift + q_steps
+    if case == CASE_2A:
+        return case, p_steps[1:], q_steps[1:]
+    if case == CASE_2B:
+        return case, lift + p_steps, q_steps
+    k, p_rest, r_word, v, q_rest, h = _factor_2c(p_steps, q_steps)
+    prefix = at - a - h - 3
+    if prefix < 0:
+        raise ValueError(
+            f"negative north prefix in subcase 2c (a={a}, r={r}, s={s}, d={d})"
+        )
+    if p_rest is None:
+        p_bar = "N" * prefix + "E" + r_word + "N"
+    else:
+        p_bar = "N" * prefix + "E" + r_word + "NN" + p_rest
+    q_bar = "E" * k + "N" * v + "E" + "N" * (h + 1) + q_rest
+    return case, p_bar, q_bar
 
 
 def phi(pair: PathPair, d: int, a: int, r: int, s: int) -> PathPair:
@@ -219,33 +291,10 @@ def phi_with_case(pair: PathPair, d: int, a: int, r: int, s: int):
         raise ValueError(f"need 0 <= a < delta, got a={a}, d={d}")
     if not 0 <= r < s <= d - 1:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
-    at = d + 1 - a
-    case = _classify(pair, d, a, r, s)
-    if case == CASE_1:
-        lift = (at - 1) - (a + 1)
-        q_bar = LatticePath((0, -(at - 1)), "N" * lift + pair.q.steps)
-        return PathPair(pair.p, q_bar), case
-    if case == CASE_2A:
-        p_bar = LatticePath((0, -a), pair.p.steps[1:])
-        q_bar = LatticePath((0, -(at - 1)), pair.q.steps[1:])
-        return PathPair(p_bar, q_bar), case
-    if case == CASE_2B:
-        lift = (at - 1) - (a + 1)
-        p_bar = LatticePath((0, -(at - 1)), "N" * lift + pair.p.steps)
-        return PathPair(p_bar, pair.q), case
-    k, p_rest, r_word, v, q_rest, h = _factor_2c(pair)
-    prefix = at - a - h - 3
-    if prefix < 0:
-        raise ValueError(
-            f"negative north prefix in subcase 2c (a={a}, r={r}, s={s}, d={d})"
-        )
-    if p_rest is None:
-        p_bar_steps = "N" * prefix + "E" + r_word + "N"
-    else:
-        p_bar_steps = "N" * prefix + "E" + r_word + "NN" + p_rest
-    p_bar = LatticePath((0, -(at - 1)), p_bar_steps)
-    q_bar = LatticePath((0, -at), "E" * k + "N" * v + "E" + "N" * (h + 1) + q_rest)
-    return PathPair(p_bar, q_bar), case
+    first = _in_first_domain(pair, d, a, r, s)
+    case, p_steps, q_steps = _phi_words(first, pair.p.steps, pair.q.steps, d, a, r, s)
+    p_start, q_start = _image_starts(case, d, a)
+    return PathPair(LatticePath(p_start, p_steps), LatticePath(q_start, q_steps)), case
 
 
 def disjointness_margin_2c(pair: PathPair, d: int, a: int, r: int, s: int) -> int:
@@ -253,9 +302,10 @@ def disjointness_margin_2c(pair: PathPair, d: int, a: int, r: int, s: int) -> in
     subcase 2c input at the critical column x = k: the lowest reachable
     image-P point there is (k, -a-h-2) and the highest image-Q point is
     (k, -A+v).  Must be positive."""
-    if _classify(pair, d, a, r, s) != CASE_2C:
+    p_steps, q_steps = pair.p.steps, pair.q.steps
+    if _case(_in_first_domain(pair, d, a, r, s), p_steps, q_steps) != CASE_2C:
         raise ValueError("disjointness margin is defined for subcase 2c inputs")
-    k, _, _, v, _, h = _factor_2c(pair)
+    k, _, _, v, _, h = _factor_2c(p_steps, q_steps)
     at = d + 1 - a
     low_p = (k, -a - h - 2)
     high_q = (k, -at + v)
@@ -290,14 +340,21 @@ class PhiReport:
         )
 
 
-def _in_family(pair: PathPair, p: int, q: int, t: int, u: int) -> bool:
-    return (
-        pair.p.start == (0, -p)
-        and pair.p.end == (t, -t)
-        and pair.q.start == (0, -q)
-        and pair.q.end == (u, -u)
-        and paths_disjoint(pair.p, pair.q)
-    )
+def _image_masks(p_steps: str, q_steps: str, target, starts):
+    """(P mask, Q mask, in family) of an image pair with the given start
+    points: in family when each word is a path of the target family's P or
+    Q dict.  A word over other letters or two intersecting paths raise
+    ValueError, as building the PathPair would."""
+    p_paths, q_paths = target
+    p_mask, q_mask = p_paths.get(p_steps), q_paths.get(q_steps)
+    in_family = p_mask is not None and q_mask is not None
+    if p_mask is None:
+        p_mask = _walk(starts[0], p_steps)
+    if q_mask is None:
+        q_mask = _walk(starts[1], q_steps)
+    if p_mask & q_mask:
+        raise ValueError(_INTERSECTING)
+    return p_mask, q_mask, in_family
 
 
 def verify_phi(d: int) -> PhiReport:
@@ -313,7 +370,10 @@ def verify_phi(d: int) -> PhiReport:
       - #L(a, A-1) + #L(A-1, A) >= #L(a, a+1) + #L(a+1, A), with the
         difference equal to the consecutive-row minor of M_d.
 
-    Failures are collected in the report, never raised.
+    Pairs are carried as step words and vertex bitmasks: an image is in
+    its target family when each word is a path of that family's P or Q
+    dict and the two masks are disjoint.  Failures are collected in the
+    report, never raised.
     """
     check_dim(d)
     dl = delta(d)
@@ -323,47 +383,56 @@ def verify_phi(d: int) -> PhiReport:
     injective = cases_partition = membership_ok = anchors_ok = counts_ok = True
     for a in range(dl):
         at = d + 1 - a
+        anchor = 1 << _vertex_bit(0, -(a + 1))
         for r, s in combinations(range(d), 2):
             sb, rb = d - s, d - r
             instances += 1
-            domain = enumerate_disjoint_pairs(
-                PathFamilySpec(a, a + 1, sb, rb)
-            ) + enumerate_disjoint_pairs(PathFamilySpec(a + 1, at, sb, rb))
+            low_target = PathFamilySpec(a, at - 1, sb, rb)
+            high_target = PathFamilySpec(at - 1, at, sb, rb)
+            low_paths, high_paths = _family_paths(low_target), _family_paths(high_target)
             images = set()
-            for pair in domain:
-                pairs_checked += 1
-                tag = (a, r, s, pair.p.steps, pair.q.steps)
-                try:
-                    image, case = phi_with_case(pair, d, a, r, s)
-                except ValueError as exc:
-                    cases_partition = False
-                    failures.append((tag, f"construction failed: {exc}"))
-                    continue
-                if case in (CASE_1, CASE_2A):
-                    ok = _in_family(image, a, at - 1, sb, rb)
-                else:
-                    ok = _in_family(image, at - 1, at, sb, rb)
-                if not ok:
-                    membership_ok = False
-                    failures.append((tag, f"case {case} image in wrong family"))
-                anchor = (0, -(a + 1))
-                on_image = anchor in image.p.vertices() or anchor in image.q.vertices()
-                if on_image != (case in (CASE_1, CASE_2B)):
-                    anchors_ok = False
-                    failures.append((tag, f"case {case} anchor invariant broken"))
-                key = (image.p.start, image.p.steps, image.q.start, image.q.steps)
-                if key in images:
-                    injective = False
-                    failures.append((tag, "image collision"))
-                images.add(key)
-            target_total = count_disjoint_pairs(
-                PathFamilySpec(a, at - 1, sb, rb)
-            ) + count_disjoint_pairs(PathFamilySpec(at - 1, at, sb, rb))
+            domain_size = 0
+            for first, spec in (
+                (True, PathFamilySpec(a, a + 1, sb, rb)),
+                (False, PathFamilySpec(a + 1, at, sb, rb)),
+            ):
+                p_paths, q_paths = _family_paths(spec)
+                for pw, pm in p_paths.items():
+                    for qw, qm in q_paths.items():
+                        if pm & qm:
+                            continue
+                        domain_size += 1
+                        tag = (a, r, s, pw, qw)
+                        try:
+                            case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
+                            low = case in (CASE_1, CASE_2A)
+                            image_pm, image_qm, in_family = _image_masks(
+                                image_pw, image_qw, low_paths if low else high_paths,
+                                _image_starts(case, d, a),
+                            )
+                        except ValueError as exc:
+                            cases_partition = False
+                            failures.append((tag, f"construction failed: {exc}"))
+                            continue
+                        if not in_family:
+                            membership_ok = False
+                            failures.append((tag, f"case {case} image in wrong family"))
+                        on_image = bool((image_pm | image_qm) & anchor)
+                        if on_image != (case in (CASE_1, CASE_2B)):
+                            anchors_ok = False
+                            failures.append((tag, f"case {case} anchor invariant broken"))
+                        key = (low, image_pw, image_qw)
+                        if key in images:
+                            injective = False
+                            failures.append((tag, "image collision"))
+                        images.add(key)
+            pairs_checked += domain_size
+            target_total = count_disjoint_pairs(low_target) + count_disjoint_pairs(high_target)
             minor = phi_minor(d, a, a + 1, r, s)
-            if target_total - len(domain) != minor or minor < 0:
+            if target_total - domain_size != minor or minor < 0:
                 counts_ok = False
                 failures.append(
-                    ((a, r, s), f"count mismatch: {target_total} - {len(domain)} != {minor}")
+                    ((a, r, s), f"count mismatch: {target_total} - {domain_size} != {minor}")
                 )
     return PhiReport(
         d, instances, pairs_checked,

@@ -19,7 +19,7 @@ entry is 1, so truncations can be validated too.
 
 from dataclasses import dataclass
 
-from .exact import binomial, largest_true
+from .exact import binomial, int_entries, largest_true
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def del_k(n: int, k: int) -> int:
 
 
 def _entries(v):
-    entries = tuple(int(x) for x in getattr(v, "entries", v))
+    entries = int_entries(getattr(v, "entries", v))
     if not entries or entries[0] != 1:
         raise ValueError("sequence predicates require a first entry of 1")
     return entries
@@ -74,7 +74,7 @@ def _entries(v):
 
 def is_nonnegative(v) -> bool:
     """True iff all entries are >= 0."""
-    entries = tuple(int(x) for x in getattr(v, "entries", v))
+    entries = int_entries(getattr(v, "entries", v))
     return all(x >= 0 for x in entries)
 
 

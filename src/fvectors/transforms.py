@@ -18,7 +18,7 @@ with entries
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import binomial
+from .exact import binomial, int_entries
 
 MIN_DIM = 3
 
@@ -42,7 +42,7 @@ class FVector:
 
     def __post_init__(self):
         check_dim(self.d)
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", int_entries(self.entries))
         if len(self.entries) != self.d:
             raise ValueError(f"f-vector for d={self.d} needs {self.d} entries")
         if any(x < 0 for x in self.entries):
@@ -61,7 +61,7 @@ class HVector:
 
     def __post_init__(self):
         check_dim(self.d)
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", int_entries(self.entries))
         if len(self.entries) != self.d + 1:
             raise ValueError(f"h-vector for d={self.d} needs {self.d + 1} entries")
         if self.entries[0] != 1:
@@ -76,9 +76,9 @@ class GVector:
     """g-vector (g_0, ..., g_delta) with g_0 = 1.
 
     Entries beyond g_0 are arbitrary integers: the comparison machinery is
-    purely linear-algebraic and accepts raw numeric input.  Validity tests
-    (nonnegativity, M-sequence) live in the macaulay module and are applied
-    only where a caller asks for them.
+    purely linear-algebraic and accepts any int, negative ones included.
+    Validity tests (nonnegativity, M-sequence) live in the macaulay module
+    and are applied only where a caller asks for them.
     """
 
     d: int
@@ -86,7 +86,7 @@ class GVector:
 
     def __post_init__(self):
         check_dim(self.d)
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", int_entries(self.entries))
         if len(self.entries) != delta(self.d) + 1:
             raise ValueError(
                 f"g-vector for d={self.d} needs {delta(self.d) + 1} entries"

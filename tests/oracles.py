@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own computation paths:
-cofactor determinants, direct polynomial expansion, Gale-evenness face
+cofactor determinants, M_d from its closed form, k-major minor scans and a
+direct 2x2 minor scan, direct polynomial expansion, Gale-evenness face
 enumeration for cyclic polytopes, stellar-subdivision face-count updates
 for stacked polytopes, closed-form h-vectors of the extremal families,
 exhaustive search for Macaulay expansions, and the one-step-at-a-time
@@ -22,6 +23,57 @@ def cofactor_det(m):
         sub = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(sub)
     return total
+
+
+def md_by_closed_form(d):
+    """M_d as a list of rows, m[i][j] = C(d+1-i, d-j) - C(i, d-j) for
+    0 <= i <= d // 2 and 0 <= j < d, straight from math.comb."""
+    return [
+        [math.comb(d + 1 - i, d - j) - math.comb(i, d - j) for j in range(d)]
+        for i in range(d // 2 + 1)
+    ]
+
+
+def minors_by_order(md, det=cofactor_det):
+    """For each order k = 1, ..., len(md): (minors scanned, least minor,
+    its (rows, cols)), visiting the k x k submatrices by row tuple, then
+    column tuple, in lexicographic order and keeping the first least one.
+    Each minor is a fresh det of its submatrix."""
+    n_rows, n_cols = len(md), len(md[0])
+    out = []
+    for k in range(1, n_rows + 1):
+        count, low, witness = 0, None, None
+        for rows in combinations(range(n_rows), k):
+            for cols in combinations(range(n_cols), k):
+                value = det([[md[i][j] for j in cols] for i in rows])
+                count += 1
+                if low is None or value < low:
+                    low, witness = value, (rows, cols)
+        out.append((count, low, witness))
+    return out
+
+
+def fold_orders(per_order):
+    """(minors scanned, least minor, witness) of a k-major scan over the
+    orders in per_order: the witness comes from the lowest order that
+    attains the least minor."""
+    low = min(m for _, m, _ in per_order)
+    witness = next(w for _, m, w in per_order if m == low)
+    return sum(c for c, _, _ in per_order), low, witness
+
+
+def two_by_two_scan(md):
+    """(minors scanned, least minor, witness) over every 2x2 minor
+    m[a][r]*m[b][s] - m[a][s]*m[b][r], rows (a, b) then columns (r, s) in
+    lexicographic order, first least one kept."""
+    count, low, witness = 0, None, None
+    for a, b in combinations(range(len(md)), 2):
+        for r, s in combinations(range(len(md[0])), 2):
+            value = md[a][r] * md[b][s] - md[a][s] * md[b][r]
+            count += 1
+            if low is None or value < low:
+                low, witness = value, ((a, b), (r, s))
+    return count, low, witness
 
 
 def h_side_coefficients(d, h):

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,8 @@ def test_big_integers_emitted_as_strings(capsys):
     ["check", "m-sequence", "--vec", "[true,2,3]"],
     ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[[1],2,3,4]"],
     ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", '["7.0",21,28,14]'],
+    # a minor scan of no order ended in a TypeError traceback
+    ["verify", "minors", "--d", "5", "--order", "0"],
     # argparse usage errors
     ["family", "cyclic", "--d", "three", "--n", "8"],
     ["family", "cyclic", "--d", "4.5", "--n", "8"],
@@ -197,3 +200,19 @@ def test_huge_m_sequence_check_is_fast(capsys):
     code, doc = invoke(capsys, "check", "m-sequence", "--vec", "[1,2,100000000000000000000]")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_FAIL and doc == {"result": False}
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "minors", "--d", "13"), "verify_minors_d13.json"),
+    (("verify", "lemma3", "--d", "30"), "verify_lemma3_d30.json"),
+    (("verify", "phi", "--d", "8"), "verify_phi_d8.json"),
+    (("verify", "gv", "--max", "4"), "verify_gv_max4.json"),
+])
+def test_verify_output_matches_golden(capsys, argv, golden):
+    # the goldens were written by the CLI before the minor scanner and the
+    # lattice hot loop were rewritten; stdout must stay byte-identical
+    assert run(list(argv)) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDENS / golden).read_text()

@@ -1,5 +1,6 @@
 import pytest
 
+from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
     LatticePath, PathPair, PathFamilySpec,
@@ -257,3 +258,57 @@ def test_paths_disjoint_helper():
     assert paths_disjoint(a, b)
     c = LatticePath((0, 0), "NE")
     assert not paths_disjoint(a, c)
+
+
+def _messages(report):
+    return {message for _, message in report.failures}
+
+
+def test_verify_phi_catches_image_collision(monkeypatch):
+    # every case-1 pair of an instance maps to that instance's first image
+    real = lattice._phi_words
+    first_image = {}
+
+    def colliding(first, p_steps, q_steps, d, a, r, s):
+        image = real(first, p_steps, q_steps, d, a, r, s)
+        return first_image.setdefault((a, r, s), image) if first else image
+
+    monkeypatch.setattr(lattice, "_phi_words", colliding)
+    report = verify_phi(6)
+    assert not report.injective
+    assert _messages(report) == {"image collision"}
+    assert report.cases_partition and report.membership_ok and report.counts_consistent
+
+
+def test_verify_phi_catches_intersecting_image(monkeypatch):
+    # case 1 keeps P from (0, -a) and lets Q climb the y-axis onto P's start
+    real = lattice._phi_words
+
+    def intersecting(first, p_steps, q_steps, d, a, r, s):
+        if first:
+            return CASE_1, p_steps, "N" * (d - 2 * a) + p_steps
+        return real(first, p_steps, q_steps, d, a, r, s)
+
+    monkeypatch.setattr(lattice, "_phi_words", intersecting)
+    report = verify_phi(6)
+    assert not report.cases_partition
+    assert _messages(report) == {
+        "construction failed: paths in a PathPair must be vertex-disjoint"
+    }
+
+
+def test_verify_phi_catches_image_outside_target(monkeypatch):
+    # case 1 returns its input words, so Q starts at (0, 1-A) but keeps the
+    # length of a path from (0, -a-1) and misses the (u, -u) endpoint
+    real = lattice._phi_words
+
+    def identity_on_case_1(first, p_steps, q_steps, d, a, r, s):
+        if first:
+            return CASE_1, p_steps, q_steps
+        return real(first, p_steps, q_steps, d, a, r, s)
+
+    monkeypatch.setattr(lattice, "_phi_words", identity_on_case_1)
+    report = verify_phi(6)
+    assert not report.membership_ok
+    assert "case 1 image in wrong family" in _messages(report)
+    assert report.cases_partition and report.injective

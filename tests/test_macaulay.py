@@ -96,6 +96,16 @@ def test_nonnegative():
     assert not is_nonnegative((1, 5, -1))
 
 
+def test_predicates_reject_non_integer_entries():
+    # int() used to truncate -0.5 to 0, so the sequence passed as nonnegative
+    with pytest.raises(ValueError, match="vector entries must be integers, got -0.5"):
+        is_nonnegative([1, -0.5])
+    with pytest.raises(ValueError, match="got True"):
+        is_m_sequence_upper((1, True, 0))
+    with pytest.raises(ValueError, match="got 2.0"):
+        is_M_sequence((1, 2.0))
+
+
 def test_first_entry_rejected():
     with pytest.raises(ValueError):
         is_m_sequence_upper((2, 1))

@@ -1,12 +1,90 @@
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from fvectors import minors
 from fvectors.exact import det
 from fvectors.minors import (
-    phi_minor, verify_lemma3, verify_total_nonnegativity, step1_ratio_equiv,
+    MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,
+    step1_ratio_equiv,
 )
 from fvectors.transforms import build_md, delta
+
+from oracles import (
+    fold_orders, md_by_closed_form, minors_by_order, two_by_two_scan,
+)
+
+
+def _expected_reports(d, per_order):
+    """The MinorReport of every max_order in 1..delta+1 and "all", from an
+    oracle's per-order (count, least minor, witness)."""
+    top = delta(d) + 1
+    for max_order in [*range(1, top + 1), "all"]:
+        k = top if max_order == "all" else max_order
+        checked, low, witness = fold_orders(per_order[:k])
+        order = "all" if k == top else k
+        yield max_order, MinorReport(
+            d, order, checked, low, witness, low >= 0,
+            beyond_verified_range=d > 13,
+        )
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_scan_matches_cofactor_oracle(d):
+    per_order = minors_by_order(md_by_closed_form(d))
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+
+
+@pytest.mark.parametrize("d", range(11, 14))
+def test_scan_matches_bareiss_scan(d):
+    # the k-major scan taking a Bareiss det of every submatrix, which is
+    # how verify_total_nonnegativity computed its minors before the
+    # Laplace scanner
+    per_order = minors_by_order(build_md(d), det)
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+
+
+def test_lemma3_matches_direct_2x2_oracle():
+    for d in range(3, 31):
+        checked, low, witness = two_by_two_scan(md_by_closed_form(d))
+        assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, low >= 0)
+
+
+def test_total_nonnegativity_d14_exhaustive():
+    start = time.perf_counter()
+    report = verify_total_nonnegativity(14)
+    elapsed = time.perf_counter() - start
+    # every minor of every order of the 8 x 14 matrix M_14
+    assert report.minors_checked == 319769 == comb(22, 8) - 1
+    assert report.all_nonnegative
+    assert report.beyond_verified_range
+    assert elapsed < 5, elapsed
+
+
+def _planted(d, i, j, value):
+    md = md_by_closed_form(d)
+    md[i][j] = value
+    return tuple(map(tuple, md))
+
+
+def test_scanner_reports_planted_negative_entry(monkeypatch):
+    d = 9
+    planted = _planted(d, 2, 3, -5)
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    entries = verify_total_nonnegativity(d, 1)
+    assert not entries.all_nonnegative
+    assert (entries.min_value, entries.min_witness) == (-5, ((2,), (3,)))
+    per_order = minors_by_order(planted)
+    for max_order, expected in _expected_reports(d, per_order):
+        report = verify_total_nonnegativity(d, max_order)
+        assert report == expected and not report.all_nonnegative, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert low < 0
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
 
 
 def test_phi_minor_examples():

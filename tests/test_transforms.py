@@ -167,6 +167,24 @@ def test_vector_validation():
         FVector(2, (1, 2))  # dimension too small
 
 
+@pytest.mark.parametrize("cls, d, entries, bad", [
+    # int() used to truncate the float to f_0 = 7 and read True as 1
+    (FVector, 4, (7.9, 21, 28, 14), "7.9"),
+    (GVector, 4, (1, True, 0), "True"),
+    (HVector, 3, (1, 3, 3.0, 1), "3.0"),
+    (GVector, 4, (1, "2", 0), "'2'"),
+])
+def test_vector_entries_must_be_integers(cls, d, entries, bad):
+    with pytest.raises(ValueError, match=f"vector entries must be integers, got {bad}"):
+        cls(d, entries)
+
+
+def test_integer_entries_kept_exactly():
+    big = 10**40 + 1
+    assert FVector(3, [big, 2 * big, big]).entries == (big, 2 * big, big)
+    assert GVector(4, (1, -5, 0)).entries == (1, -5, 0)
+
+
 def test_f_from_g_raw():
     assert f_from_g(3, (1, 2)) == (6, 12, 8)
     with pytest.raises(ValueError):
