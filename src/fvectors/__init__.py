@@ -42,8 +42,7 @@ from .lattice import (
     disjointness_margin_2c, paths_disjoint,
 )
 from .minors import (
-    MinorReport, phi_minor, verify_lemma3,
-    verify_total_nonnegativity, step1_ratio_equiv,
+    MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,
 )
 
 __version__ = "0.1.0"

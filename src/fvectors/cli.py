@@ -12,7 +12,8 @@ so that lossy JSON consumers cannot corrupt them.
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
+from itertools import combinations, product
 
 from . import (
     FVector, HVector, GVector,
@@ -22,10 +23,10 @@ from . import (
     is_m_sequence_upper, is_M_sequence, is_nonnegative, del_k,
     compare, sandwich_simplicial, lower_bound_cs, ratio_chain,
     NoCrossingError, BelowFloorError,
-    verify_lemma3, verify_total_nonnegativity, verify_phi,
-    gv_identity_check, PathFamilySpec,
-    delta,
+    MinorReport, verify_lemma3, verify_total_nonnegativity,
+    PhiReport, verify_phi, gv_identity_check, PathFamilySpec,
 )
+from .transforms import check_dim
 
 _SAFE_MAX = 2**53 - 1
 
@@ -52,6 +53,22 @@ def _jsonable(obj):
 def _emit(doc, code):
     print(json.dumps(_jsonable(doc)))
     return code
+
+
+# The fields each report prints, in order.
+_COMPARISON_FIELDS = (
+    "d", "r", "premise_holds", "guaranteed", "conclusions", "witness", "family_params",
+)
+_MINORS_FIELDS = tuple(f.name for f in fields(MinorReport))
+_LEMMA3_FIELDS = ("d", "minors_checked", "min_value", "all_nonnegative")
+_PHI_FIELDS = tuple(f.name for f in fields(PhiReport))
+
+
+def _pick_fields(report, names) -> dict:
+    """The named fields of a report, in that order, leaving out a field
+    that is None; _emit makes the values JSON-safe."""
+    values = ((name, getattr(report, name)) for name in names)
+    return {name: value for name, value in values if value is not None}
 
 
 def _parse_vec(args) -> list:
@@ -116,11 +133,8 @@ def _cmd_transform(args):
 def _cmd_family(args):
     family = args.which.replace("-", "_")
     spec = FamilySpec(family, args.n, args.d)
-    if args.emit == "g":
-        out = g_of_family(spec)
-        return _emit({"d": args.d, "g": list(out.entries)}, EXIT_OK)
-    out = f_of_family(spec)
-    return _emit({"d": args.d, "f": list(out.entries)}, EXIT_OK)
+    out = g_of_family(spec) if args.emit == "g" else f_of_family(spec)
+    return _emit({"d": args.d, args.emit: list(out.entries)}, EXIT_OK)
 
 
 def _cmd_check(args):
@@ -129,43 +143,21 @@ def _cmd_check(args):
     if kind == "dehn-sommerville":
         if args.d is None:
             raise ValueError("check dehn-sommerville requires --d")
-        h = HVector(args.d, vec)
-        result = is_dehn_sommerville(h)
-        doc = {"result": result}
+        result = is_dehn_sommerville(HVector(args.d, vec))
     elif kind == "nonnegative":
         result = is_nonnegative(vec)
-        doc = {"result": result}
     elif kind == "m-sequence":
         result = is_m_sequence_upper(vec)
-        doc = {"result": result}
     else:  # M-sequence
         result = is_M_sequence(vec)
-        doc = {"result": result}
-        if not result and all(x >= 0 for x in vec):
-            for k in range(2, len(vec)):
-                cut = del_k(vec[k], k)
-                if cut > vec[k - 1]:
-                    doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
-                    break
+    doc = {"result": result}
+    if kind == "M-sequence" and not result and all(x >= 0 for x in vec):
+        for k in range(2, len(vec)):
+            cut = del_k(vec[k], k)
+            if cut > vec[k - 1]:
+                doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
+                break
     return _emit(doc, EXIT_OK if result else EXIT_FAIL)
-
-
-def _report_doc(report):
-    doc = {
-        "d": report.d,
-        "r": report.r,
-        "premise_holds": report.premise_holds,
-        "guaranteed": report.guaranteed,
-        "conclusions": {
-            str(s): {"bound_holds": c.bound_holds, "lhs": c.lhs, "rhs": c.rhs}
-            for s, c in report.conclusions.items()
-        },
-    }
-    if report.witness is not None:
-        doc["witness"] = {"t": report.witness.t, "diffs": list(report.witness.diffs)}
-    if report.family_params is not None:
-        doc["family_params"] = list(report.family_params)
-    return doc
 
 
 def _cmd_compare(args):
@@ -175,7 +167,7 @@ def _cmd_compare(args):
     ok = report.premise_holds and all(
         c.bound_holds for c in report.conclusions.values()
     )
-    return _emit(_report_doc(report), EXIT_OK if ok else EXIT_FAIL)
+    return _emit(_pick_fields(report, _COMPARISON_FIELDS), EXIT_OK if ok else EXIT_FAIL)
 
 
 def _cmd_bounds(args):
@@ -183,7 +175,7 @@ def _cmd_bounds(args):
         report = sandwich_simplicial(args.d, args.r, args.value)
     else:
         report = lower_bound_cs(args.d, args.r, args.value)
-    return _emit(_report_doc(report), EXIT_OK)
+    return _emit(_pick_fields(report, _COMPARISON_FIELDS), EXIT_OK)
 
 
 def _cmd_verify(args):
@@ -191,59 +183,33 @@ def _cmd_verify(args):
     if which == "minors":
         order = args.order if args.order == "all" else int(args.order)
         report = verify_total_nonnegativity(args.d, order)
-        doc = {
-            "d": report.d,
-            "order": report.order,
-            "minors_checked": report.minors_checked,
-            "min_value": report.min_value,
-            "min_witness": list(map(list, report.min_witness)),
-            "all_nonnegative": report.all_nonnegative,
-            "beyond_verified_range": report.beyond_verified_range,
-        }
+        doc = _pick_fields(report, _MINORS_FIELDS)
         return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
     if which == "lemma3":
         report = verify_lemma3(args.d)
-        doc = {
-            "d": report.d,
-            "minors_checked": report.minors_checked,
-            "min_value": report.min_value,
-            "all_nonnegative": report.all_nonnegative,
-        }
+        doc = _pick_fields(report, _LEMMA3_FIELDS)
         return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
     if which == "gv":
         bound = args.max
+        if bound < 0:
+            raise ValueError(f"--max must be >= 0, got {bound}")
         bad = [
-            [p, q, t, u]
-            for p in range(bound + 1)
-            for q in range(bound + 1)
-            for t in range(bound + 1)
-            for u in range(bound + 1)
-            if not gv_identity_check(PathFamilySpec(p, q, t, u))
+            list(pqtu) for pqtu in product(range(bound + 1), repeat=4)
+            if not gv_identity_check(PathFamilySpec(*pqtu))
         ]
         doc = {"max": bound, "instances": (bound + 1) ** 4, "failures": bad}
         return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
     if which == "phi":
         report = verify_phi(args.d)
-        doc = {
-            "d": report.d,
-            "instances": report.instances,
-            "pairs_checked": report.pairs_checked,
-            "injective": report.injective,
-            "cases_partition": report.cases_partition,
-            "membership_ok": report.membership_ok,
-            "anchors_ok": report.anchors_ok,
-            "counts_consistent": report.counts_consistent,
-            "failures": [list(map(str, f)) for f in report.failures],
-        }
+        # each failure record prints as strings: (tag tuple, message)
+        shown = replace(report, failures=[list(map(str, f)) for f in report.failures])
+        doc = _pick_fields(shown, _PHI_FIELDS)
         return _emit(doc, EXIT_OK if report.all_ok else EXIT_FAIL)
     # ratio-chain
     d = args.d
-    bad = []
-    for r in range(d - 1):
-        for s in range(r + 1, d):
-            chain = ratio_chain(d, r, s)
-            if not chain.all_hold:
-                bad.append([r, s])
+    check_dim(d)
+    bad = [[r, s] for r, s in combinations(range(d), 2)
+           if not ratio_chain(d, r, s).all_hold]
     doc = {"d": d, "pairs": d * (d - 1) // 2, "failures": bad}
     return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
 

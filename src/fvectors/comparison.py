@@ -168,15 +168,10 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
     md = build_md(d)
     dl = delta(d)
-    comparisons = tuple(
-        AdjacentRatio(
-            i, i + 1,
-            md[i][r] * md[i + 1][s],
-            md[i][s] * md[i + 1][r],
-            md[i][r] * md[i + 1][s] >= md[i][s] * md[i + 1][r],
-        )
-        for i in range(dl)
-    )
+    comparisons = []
+    for i in range(dl):
+        lhs, rhs = md[i][r] * md[i + 1][s], md[i][s] * md[i + 1][r]
+        comparisons.append(AdjacentRatio(i, i + 1, lhs, rhs, lhs >= rhs))
     tail_start = next((i for i in range(dl + 1) if md[i][s] == 0), None)
     tail_ok = True
     if tail_start is not None:
@@ -188,7 +183,7 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     # Final chain element >= 0: entries of M_d are nonnegative.
     nonneg_tail = md[dl][r] >= 0 and md[dl][s] >= 0
     all_hold = all(c.holds for c in comparisons) and tail_ok and nonneg_tail
-    return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
+    return RatioChainReport(d, r, s, tuple(comparisons), tail_start, tail_ok, all_hold)
 
 
 def _f_r(family: str, n: int, d: int, r: int) -> int:

@@ -132,37 +132,3 @@ def verify_total_nonnegativity(d: int, max_order: Union[int, str] = "all") -> Mi
         beyond_verified_range=d > 13,
     )
 
-
-def step1_ratio_equiv(d: int) -> bool:
-    """Two checks behind the reduction to consecutive-row minors.
-
-    (i) For all i < j, t < u with m[j][u] > 0, the minor being nonnegative
-    is equivalent to the cross-multiplied ratio comparison
-    m[i][t]*m[j][u] >= m[i][u]*m[j][t].
-
-    (ii) For each column pair, nonnegativity of all consecutive-row minors
-    implies nonnegativity of every (a, b) minor, by composing the ratio
-    inequalities down the rows.
-    """
-    check_dim(d)
-    md = build_md(d)
-    dl = delta(d)
-    for i, j in combinations(range(dl + 1), 2):
-        for t, u in combinations(range(d), 2):
-            if md[j][u] <= 0:
-                continue
-            minor_nonneg = md[i][t] * md[j][u] - md[i][u] * md[j][t] >= 0
-            ratio_holds = md[i][t] * md[j][u] >= md[i][u] * md[j][t]
-            if minor_nonneg != ratio_holds:
-                return False
-    for r, s in combinations(range(d), 2):
-        consecutive_ok = all(
-            phi_minor(d, a, a + 1, r, s) >= 0 for a in range(dl)
-        )
-        if not consecutive_ok:
-            continue
-        # Composing adjacent ratio inequalities must cover the general case.
-        for a, b in combinations(range(dl + 1), 2):
-            if phi_minor(d, a, b, r, s) < 0:
-                return False
-    return True

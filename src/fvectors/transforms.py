@@ -17,6 +17,7 @@ with entries
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .exact import binomial, int_entries
 
@@ -34,45 +35,54 @@ def check_dim(d: int) -> None:
 
 
 @dataclass(frozen=True)
-class FVector:
+class _Vector:
+    """Entries of an f-, h- or g-vector for dimension d.
+
+    A subclass states its length `size(d)` and its entry rule: the head
+    entry is 1 when `head_is_one`, and every entry is nonnegative when not.
+    The letter in error messages is the first letter of the class name.
+    """
+
+    d: int
+    entries: tuple
+
+    def __post_init__(self):
+        check_dim(self.d)
+        entries = int_entries(self.entries)
+        object.__setattr__(self, "entries", entries)
+        size = self.size(self.d)
+        if len(entries) != size:
+            raise ValueError(f"{self._name()}-vector for d={self.d} needs {size} entries")
+        if self.head_is_one:
+            if entries[0] != 1:
+                name = self._name()
+                raise ValueError(f"{name}-vector must start with {name}_0 = 1")
+        elif min(entries) < 0:
+            raise ValueError(f"{self._name()}-vector entries must be nonnegative")
+
+    @classmethod
+    def _name(cls) -> str:
+        return cls.__name__[0].lower()
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+class FVector(_Vector):
     """Face-count vector (f_0, ..., f_{d-1}); f_{-1} = 1 is implicit."""
 
-    d: int
-    entries: tuple
-
-    def __post_init__(self):
-        check_dim(self.d)
-        object.__setattr__(self, "entries", int_entries(self.entries))
-        if len(self.entries) != self.d:
-            raise ValueError(f"f-vector for d={self.d} needs {self.d} entries")
-        if any(x < 0 for x in self.entries):
-            raise ValueError("f-vector entries must be nonnegative")
-
-    def __getitem__(self, i):
-        return self.entries[i]
+    size = staticmethod(lambda d: d)
+    head_is_one = False
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(_Vector):
     """h-vector (h_0, ..., h_d) with h_0 = 1."""
 
-    d: int
-    entries: tuple
-
-    def __post_init__(self):
-        check_dim(self.d)
-        object.__setattr__(self, "entries", int_entries(self.entries))
-        if len(self.entries) != self.d + 1:
-            raise ValueError(f"h-vector for d={self.d} needs {self.d + 1} entries")
-        if self.entries[0] != 1:
-            raise ValueError("h-vector must start with h_0 = 1")
-
-    def __getitem__(self, i):
-        return self.entries[i]
+    size = staticmethod(lambda d: d + 1)
+    head_is_one = True
 
 
-@dataclass(frozen=True)
-class GVector:
+class GVector(_Vector):
     """g-vector (g_0, ..., g_delta) with g_0 = 1.
 
     Entries beyond g_0 are arbitrary integers: the comparison machinery is
@@ -81,21 +91,8 @@ class GVector:
     and are applied only where a caller asks for them.
     """
 
-    d: int
-    entries: tuple
-
-    def __post_init__(self):
-        check_dim(self.d)
-        object.__setattr__(self, "entries", int_entries(self.entries))
-        if len(self.entries) != delta(self.d) + 1:
-            raise ValueError(
-                f"g-vector for d={self.d} needs {delta(self.d) + 1} entries"
-            )
-        if self.entries[0] != 1:
-            raise ValueError("g-vector must start with g_0 = 1")
-
-    def __getitem__(self, i):
-        return self.entries[i]
+    size = staticmethod(lambda d: delta(d) + 1)
+    head_is_one = True
 
 
 def md_entry(d: int, i: int, j: int) -> int:
@@ -112,14 +109,37 @@ def build_md(d: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _columns(d: int) -> dict:
+    """The columns of the three conversion matrices for dimension d, keyed
+    by conversion: M_d, and the sums in the docstrings of f_to_h (acting on
+    f_{-1} = 1, f_0, ..., f_{d-1}) and h_to_f.  A column holds the
+    coefficients of one output entry, up to where the binomials vanish."""
+    return {
+        "g_to_f": tuple(zip(*build_md(d))),
+        "f_to_h": tuple(
+            tuple((-1 if (k - i) % 2 else 1) * binomial(d - i, k - i)
+                  for i in range(k + 1))
+            for k in range(d + 1)
+        ),
+        "h_to_f": tuple(
+            tuple(binomial(d - k, i - k) for k in range(i + 1))
+            for i in range(1, d + 1)
+        ),
+    }
+
+
+def _times(row, columns) -> tuple:
+    """The row vector times the matrix given by its columns."""
+    return tuple(sum(map(mul, row, column)) for column in columns)
+
+
 def f_from_g(d: int, g) -> tuple:
     """Raw row-vector product g * M_d on a plain integer sequence."""
-    md = build_md(d)
-    if len(g) != len(md):
+    columns = _columns(d)["g_to_f"]  # raises first for d < 3
+    if len(g) != delta(d) + 1:
         raise ValueError("g sequence has wrong length for g * M_d")
-    return tuple(
-        sum(g[i] * md[i][j] for i in range(len(g))) for j in range(d)
-    )
+    return _times(g, columns)
 
 
 def g_to_f(g: GVector) -> FVector:
@@ -132,23 +152,12 @@ def f_to_h(f: FVector) -> HVector:
 
     h_k = sum_{i=0}^{k} (-1)^{k-i} C(d-i, k-i) f_{i-1},  with f_{-1} = 1.
     """
-    d = f.d
-    ext = (1,) + f.entries  # ext[i] = f_{i-1}
-    h = tuple(
-        sum((-1) ** (k - i) * binomial(d - i, k - i) * ext[i] for i in range(k + 1))
-        for k in range(d + 1)
-    )
-    return HVector(d, h)
+    return HVector(f.d, _times((1,) + f.entries, _columns(f.d)["f_to_h"]))
 
 
 def h_to_f(h: HVector) -> FVector:
     """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d."""
-    d = h.d
-    f = tuple(
-        sum(binomial(d - k, i - k) * h[k] for k in range(i + 1))
-        for i in range(1, d + 1)
-    )
-    return FVector(d, f)
+    return FVector(h.d, _times(h.entries, _columns(h.d)["h_to_f"]))
 
 
 def h_to_g(h: HVector) -> GVector:

@@ -172,6 +172,11 @@ def test_big_integers_emitted_as_strings(capsys):
     ["family", "cyclic", "--d", "4"],
     ["frobnicate"],
     [],
+    # verify runs that checked nothing and exited 0
+    ["verify", "gv", "--max", "-3"],
+    ["verify", "gv", "--max", "-1"],
+    ["verify", "ratio-chain", "--d", "-5"],
+    ["verify", "ratio-chain", "--d", "1"],
 ])
 def test_malformed_input_is_a_json_error(capsys, argv):
     code, doc = invoke(capsys, *argv)
@@ -205,14 +210,35 @@ def test_huge_m_sequence_check_is_fast(capsys):
 GOLDENS = Path(__file__).parent / "goldens"
 
 
+# every golden exits EXIT_OK except these
+GOLDEN_EXIT_FAIL = {
+    "compare_uncertified.json", "compare_premise_false.json",
+    "check_M_sequence_witness.json",
+}
+
+
 @pytest.mark.parametrize("argv, golden", [
     (("verify", "minors", "--d", "13"), "verify_minors_d13.json"),
     (("verify", "lemma3", "--d", "30"), "verify_lemma3_d30.json"),
     (("verify", "phi", "--d", "8"), "verify_phi_d8.json"),
     (("verify", "gv", "--max", "4"), "verify_gv_max4.json"),
+    (("verify", "ratio-chain", "--d", "9"), "verify_ratio_chain_d9.json"),
+    (("compare", "--d", "3", "--g1", "[1,2]", "--g2", "[1,3]", "--r", "0"),
+     "compare_certified.json"),
+    (("compare", "--d", "4", "--g1", "[1,1,1]", "--g2", "[1,1,0]", "--r", "0"),
+     "compare_uncertified.json"),
+    (("compare", "--d", "6", "--g1", "[1,5,2,0]", "--g2", "[1,3,4,1]", "--r", "1"),
+     "compare_premise_false.json"),
+    (("bounds", "simplicial", "--d", "12", "--r", "3",
+      "--value", "100000000000000000000000000"), "bounds_simplicial_big.json"),
+    (("bounds", "cs", "--d", "3", "--r", "1", "--value", "12"), "bounds_cs_d3.json"),
+    (("check", "M-sequence", "--vec", "[1,1,2]"), "check_M_sequence_witness.json"),
+    (("transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[7,21,28,14]"),
+     "transform_f_to_h.json"),
 ])
 def test_verify_output_matches_golden(capsys, argv, golden):
-    # the goldens were written by the CLI before the minor scanner and the
-    # lattice hot loop were rewritten; stdout must stay byte-identical
-    assert run(list(argv)) == EXIT_OK
+    # the goldens were written by the CLI before the code behind them was
+    # rewritten; stdout and the exit code must stay byte-identical
+    code = EXIT_FAIL if golden in GOLDEN_EXIT_FAIL else EXIT_OK
+    assert run(list(argv)) == code
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()

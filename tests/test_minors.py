@@ -8,7 +8,6 @@ from fvectors import minors
 from fvectors.exact import det
 from fvectors.minors import (
     MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,
-    step1_ratio_equiv,
 )
 from fvectors.transforms import build_md, delta
 
@@ -114,6 +113,8 @@ def test_verify_lemma3_counts():
 
 
 def test_verify_lemma3_range():
+    # every 2x2 minor of M_d nonnegative: what the reduction to
+    # consecutive-row ratios rests on
     for d in range(3, 31):
         report = verify_lemma3(d)
         assert report.all_nonnegative, (d, report.min_witness)
@@ -180,11 +181,6 @@ def test_beyond_range_flagged():
     report = verify_total_nonnegativity(14, 2)
     assert report.beyond_verified_range
     assert report.all_nonnegative
-
-
-def test_step1_ratio_equiv():
-    for d in range(3, 14):
-        assert step1_ratio_equiv(d)
 
 
 def test_step1_composition_witness():
