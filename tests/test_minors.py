@@ -113,8 +113,6 @@ def test_verify_lemma3_counts():
 
 
 def test_verify_lemma3_range():
-    # every 2x2 minor of M_d nonnegative: what the reduction to
-    # consecutive-row ratios rests on
     for d in range(3, 31):
         report = verify_lemma3(d)
         assert report.all_nonnegative, (d, report.min_witness)
@@ -181,6 +179,20 @@ def test_beyond_range_flagged():
     report = verify_total_nonnegativity(14, 2)
     assert report.beyond_verified_range
     assert report.all_nonnegative
+
+
+def test_step1_ratio_equiv():
+    # the reduction to consecutive-row ratios: every 2x2 minor of M_d is
+    # nonnegative, and for each column pair the consecutive-row minors being
+    # nonnegative carries over to every row pair
+    for d in range(3, 14):
+        report = verify_lemma3(d)
+        assert report.all_nonnegative, (d, report.min_witness)
+        dl = delta(d)
+        for r, s in combinations(range(d), 2):
+            if all(phi_minor(d, a, a + 1, r, s) >= 0 for a in range(dl)):
+                for a, b in combinations(range(dl + 1), 2):
+                    assert phi_minor(d, a, b, r, s) >= 0, (d, a, b, r, s)
 
 
 def test_step1_composition_witness():
