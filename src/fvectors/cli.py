@@ -113,20 +113,15 @@ _TRANSFORMS = {
     ("h", "f"): h_to_f,
     ("h", "g"): h_to_g,
     ("g", "f"): g_to_f,
-    ("f", "f"): lambda v: v,
-    ("h", "h"): lambda v: v,
-    ("g", "g"): lambda v: v,
 }
 
 
 def _cmd_transform(args):
     src, dst = args.src, args.to
-    if (src, dst) not in _TRANSFORMS:
-        if (src, dst) == ("g", "h"):
-            raise ValueError("g-to-h is not invertible; convert g to f instead")
-        raise ValueError(f"unsupported transform {src} -> {dst}")
+    if (src, dst) == ("g", "h"):
+        raise ValueError("g-to-h is not invertible; convert g to f instead")
     vec = _VEC_TYPES[src](args.d, _parse_vec(args))
-    out = _TRANSFORMS[(src, dst)](vec)
+    out = vec if src == dst else _TRANSFORMS[(src, dst)](vec)
     return _emit({"d": args.d, dst: list(out.entries)}, EXIT_OK)
 
 

@@ -70,19 +70,24 @@ class ComparisonReport:
     guaranteed: bool = True
 
 
+def _check_r(d: int, r: int) -> None:
+    check_dim(d)
+    if not 0 <= r <= d - 2:
+        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+
+
 def find_crossing(g_delta: GVector, g_gamma: GVector) -> Optional[CrossingWitness]:
     """Smallest t splitting the differences into a nonnegative prefix and a
     nonpositive suffix over indices 1..delta, or None if no t works."""
     if g_delta.d != g_gamma.d:
         raise ValueError("g-vectors must share a dimension")
     diffs = tuple(a - b for a, b in zip(g_delta.entries, g_gamma.entries))
-    dl = len(diffs) - 1
-    for t in range(dl + 1):
-        if all(diffs[i] >= 0 for i in range(1, t + 1)) and all(
-            diffs[i] <= 0 for i in range(t + 1, dl + 1)
-        ):
-            return CrossingWitness(t, diffs)
-    return None
+    # t is at least the last positive difference, and that index works
+    # exactly when no difference before it is negative
+    t = max((i for i in range(1, len(diffs)) if diffs[i] > 0), default=0)
+    if any(v < 0 for v in diffs[1:t]):
+        return None
+    return CrossingWitness(t, diffs)
 
 
 def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
@@ -98,8 +103,7 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     premise fails, premise_holds is False and nothing is claimed.
     """
     d = g_delta.d
-    if not 0 <= r <= d - 2:
-        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    _check_r(d, r)
     witness = find_crossing(g_delta, g_gamma)
     if witness is None:
         raise NoCrossingError(
@@ -131,23 +135,11 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
 
 
 @dataclass(frozen=True)
-class AdjacentRatio:
-    """Cross-multiplied comparison m[i][r]*m[j][s] >= m[i][s]*m[j][r]
-    between consecutive rows i and j = i+1 of M_d."""
-
-    i: int
-    j: int
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-@dataclass(frozen=True)
 class RatioChainReport:
     d: int
     r: int
     s: int
-    comparisons: tuple
+    comparisons: tuple  # m[i][r]*m[i+1][s] - m[i][s]*m[i+1][r] for i < delta
     tail_start: Optional[int]  # first row index with m[i][s] = 0, if any
     tail_ok: bool
     all_hold: bool
@@ -168,10 +160,9 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
     md = build_md(d)
     dl = delta(d)
-    comparisons = []
-    for i in range(dl):
-        lhs, rhs = md[i][r] * md[i + 1][s], md[i][s] * md[i + 1][r]
-        comparisons.append(AdjacentRatio(i, i + 1, lhs, rhs, lhs >= rhs))
+    comparisons = tuple(
+        md[i][r] * md[i + 1][s] - md[i][s] * md[i + 1][r] for i in range(dl)
+    )
     tail_start = next((i for i in range(dl + 1) if md[i][s] == 0), None)
     tail_ok = True
     if tail_start is not None:
@@ -182,8 +173,8 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
         )
     # Final chain element >= 0: entries of M_d are nonnegative.
     nonneg_tail = md[dl][r] >= 0 and md[dl][s] >= 0
-    all_hold = all(c.holds for c in comparisons) and tail_ok and nonneg_tail
-    return RatioChainReport(d, r, s, tuple(comparisons), tail_start, tail_ok, all_hold)
+    all_hold = min(comparisons) >= 0 and tail_ok and nonneg_tail
+    return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
 def _f_r(family: str, n: int, d: int, r: int) -> int:
@@ -207,9 +198,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
     guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].
     """
-    check_dim(d)
-    if not 0 <= r <= d - 2:
-        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    _check_r(d, r)
     n1 = _largest_n_below(STACKED, d, r, f_r_value, d + 1)
     n2 = d + 1
     if _f_r(CYCLIC, n2, d, r) < f_r_value:
@@ -229,9 +218,7 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     The crossing hypothesis is certified against the Stanley floor, which
     every centrally-symmetric simplicial polytope's g-vector dominates.
     """
-    check_dim(d)
-    if not 0 <= r <= d - 2:
-        raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
+    _check_r(d, r)
     n = _largest_n_below(CS_STACKED, d, r, f_r_value, d)
     witness = find_crossing(g_cs_stacked(n, d), stanley_cs_floor(d))
     if witness is None:  # diffs vanish beyond index 1, so this cannot happen

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import countOf
 
-from .exact import binom_det, binomial
+from .exact import binom_det
 from .transforms import check_dim, delta
 from .minors import phi_minor
 

@@ -5,8 +5,9 @@ cofactor determinants, M_d from its closed form, k-major minor scans and a
 direct 2x2 minor scan, direct polynomial expansion, Gale-evenness face
 enumeration for cyclic polytopes, stellar-subdivision face-count updates
 for stacked polytopes, closed-form h-vectors of the extremal families,
-exhaustive search for Macaulay expansions, and the one-step-at-a-time
-linear scans that the library's monotone search replaced.
+exhaustive search for Macaulay expansions, the one-step-at-a-time
+linear scans that the library's monotone search replaced, and the
+try-every-t crossing scan that the library's one-pass search replaced.
 """
 
 import math
@@ -74,6 +75,18 @@ def two_by_two_scan(md):
             if low is None or value < low:
                 low, witness = value, ((a, b), (r, s))
     return count, low, witness
+
+
+def crossing_index_by_scan(diffs):
+    """Smallest t with diffs[i] >= 0 for 1 <= i <= t and diffs[i] <= 0 for
+    t < i < len(diffs), trying every t in turn; None if no t works."""
+    last = len(diffs) - 1
+    for t in range(last + 1):
+        if all(diffs[i] >= 0 for i in range(1, t + 1)) and all(
+            diffs[i] <= 0 for i in range(t + 1, last + 1)
+        ):
+            return t
+    return None
 
 
 def h_side_coefficients(d, h):

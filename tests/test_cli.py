@@ -177,11 +177,30 @@ def test_big_integers_emitted_as_strings(capsys):
     ["verify", "gv", "--max", "-1"],
     ["verify", "ratio-chain", "--d", "-5"],
     ["verify", "ratio-chain", "--d", "1"],
+    # error paths of the transform, check and bounds commands
+    ["transform", "--d", "4", "--from", "g", "--to", "h", "--vec", "[1,2,3]"],
+    ["transform", "--d", "4", "--from", "f", "--to", "h"],
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "5"],
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", '{"x":[1]}'],
+    ["check", "dehn-sommerville", "--vec", "[1,3,6,3,1]"],
+    ["bounds", "simplicial", "--d", "4", "--r", "3", "--value", "21"],
+    ["bounds", "cs", "--d", "4", "--r", "-1", "--value", "21"],
 ])
 def test_malformed_input_is_a_json_error(capsys, argv):
     code, doc = invoke(capsys, *argv)
     assert code == EXIT_USAGE
     assert set(doc) == {"error"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--d", "4", "--g1", "[1,2,3]", "--g2", "[1,2,3]", "--r", "3"],
+    ["bounds", "simplicial", "--d", "4", "--r", "3", "--value", "21"],
+    ["bounds", "cs", "--d", "4", "--r", "3", "--value", "21"],
+])
+def test_r_out_of_range_message(capsys, argv):
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": "need 0 <= r <= d-2, got r=3, d=4"}
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -8,10 +9,14 @@ from fvectors.comparison import (
     find_crossing, compare, ratio_chain,
     sandwich_simplicial, lower_bound_cs,
 )
+from fvectors.minors import phi_minor
 from fvectors.families import FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family
 from fvectors.transforms import GVector, build_md, delta, f_from_g
 
-from oracles import family_f_r, largest_n_below_by_scan, sandwich_params_by_scan
+from oracles import (
+    crossing_index_by_scan, family_f_r, largest_n_below_by_scan,
+    sandwich_params_by_scan,
+)
 
 
 def random_crossing_pair(rng, d):
@@ -35,6 +40,33 @@ def test_find_crossing_examples():
     w = find_crossing(GVector(4, (1, 5, 0)), GVector(4, (1, 2, 3)))
     assert w == CrossingWitness(1, (0, 3, -3))
     assert find_crossing(GVector(7, (1, 2, 0, 3)), GVector(7, (1, 1, 1, 1))) is None
+
+
+def _crossing_t(gd, gg):
+    w = find_crossing(gd, gg)
+    return None if w is None else w.t
+
+
+def test_find_crossing_matches_scan_on_every_sign_pattern():
+    # every difference vector in {-1, 0, 1}^delta, crossing or not
+    seen_none = 0
+    for d in range(3, 13):
+        gamma = (1,) * (delta(d) + 1)
+        for signs in product((-1, 0, 1), repeat=delta(d)):
+            diffs = (0,) + signs
+            gd = GVector(d, tuple(a + b for a, b in zip(gamma, diffs)))
+            expected = crossing_index_by_scan(diffs)
+            assert _crossing_t(gd, GVector(d, gamma)) == expected
+            seen_none += expected is None
+    assert seen_none > 0
+
+
+def test_find_crossing_matches_scan_on_random_pairs():
+    rng = random.Random(4242)
+    for _ in range(1000):
+        gd, gg = random_crossing_pair(rng, rng.randint(3, 12))
+        diffs = tuple(a - b for a, b in zip(gd.entries, gg.entries))
+        assert _crossing_t(gd, gg) == crossing_index_by_scan(diffs)
 
 
 def test_find_crossing_identical():
@@ -165,12 +197,22 @@ def test_key_proof_inequality():
 def test_ratio_chain_examples():
     chain = ratio_chain(10, 0, 1)
     assert chain.all_hold
-    assert chain.comparisons[0].lhs == 11 * 10 and chain.comparisons[0].rhs == 55 * 1
+    assert chain.comparisons[0] == 110 - 55
 
     chain = ratio_chain(4, 2, 3)
     assert chain.all_hold
     # rows 0,1 on columns 2,3 of M_4: 10*3 >= 5*6 with equality
-    assert chain.comparisons[0].lhs == 30 and chain.comparisons[0].rhs == 30
+    assert chain.comparisons[0] == 0
+
+
+def test_ratio_chain_comparisons_are_consecutive_row_minors():
+    for d in range(3, 14):
+        for r in range(d - 1):
+            for s in range(r + 1, d):
+                chain = ratio_chain(d, r, s)
+                assert chain.comparisons == tuple(
+                    phi_minor(d, i, i + 1, r, s) for i in range(delta(d))
+                )
 
 
 def test_ratio_chain_exhaustive():
