@@ -24,9 +24,8 @@ that keep the cases from colliding.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import countOf
 
-from .exact import binom_det
+from .exact import binom_det, int_entries
 from .transforms import check_dim, delta
 from .minors import phi_minor
 
@@ -91,6 +90,9 @@ class PathFamilySpec:
     q: int
     t: int
     u: int
+
+    def __post_init__(self):
+        int_entries((self.p, self.q, self.t, self.u))
 
 
 @lru_cache(maxsize=None)
@@ -168,10 +170,41 @@ def enumerate_disjoint_pairs(spec: PathFamilySpec) -> list:
     ]
 
 
+def _window(level: int, start: int, end: int) -> range:
+    """The x-coordinates on level x + y of a path from (0, -start) to
+    (end, -end): it has taken level + start steps and has -level left."""
+    return range(max(0, level + end), min(end, level + start) + 1)
+
+
 def count_disjoint_pairs(spec: PathFamilySpec) -> int:
-    p_paths, q_paths = _family_paths(spec)
-    q_masks = tuple(q_paths.values())
-    return sum(countOf(map(pm.__and__, q_masks), 0) for pm in p_paths.values())
+    """#L(p, q, t, u) by a walk over the levels x + y, on which every step
+    climbs by one.  Two paths are vertex-disjoint exactly when their
+    x-coordinates differ on every level they share.  The lower-starting
+    path walks alone, with a count per x, up to the other's start level,
+    where it must stand right of the other's start.  Then both walk in
+    lockstep, with a count per (x_P, x_Q).  NE paths cannot swap sides
+    without meeting, so the lower-starting one stays strictly right."""
+    p, q, t, u = spec.p, spec.q, spec.t, spec.u
+    if not (0 <= t <= p and 0 <= u <= q):
+        return 0
+    if p < q:
+        p, q, t, u = q, p, u, t
+    if t <= u:
+        return 0
+    ways = {0: 1}
+    for level in range(1 - p, 1 - q):
+        ways = {x: ways.get(x, 0) + ways.get(x - 1, 0) for x in _window(level, p, t)}
+    pairs = {(x, 0): n for x, n in ways.items() if x}
+    for level in range(1 - q, 1):
+        get, ys = pairs.get, _window(level, q, u)
+        pairs = {
+            (x, y): get((x, y), 0) + get((x - 1, y), 0) + get((x, y - 1), 0)
+            + get((x - 1, y - 1), 0)
+            for x in _window(level, p, t)
+            for y in ys
+            if x > y
+        }
+    return pairs.get((t, u), 0)
 
 
 def count_crossed_disjoint_pairs(spec: PathFamilySpec) -> int:

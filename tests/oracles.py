@@ -6,8 +6,10 @@ direct 2x2 minor scan, direct polynomial expansion, Gale-evenness face
 enumeration for cyclic polytopes, stellar-subdivision face-count updates
 for stacked polytopes, closed-form h-vectors of the extremal families,
 exhaustive search for Macaulay expansions, the one-step-at-a-time
-linear scans that the library's monotone search replaced, and the
-try-every-t crossing scan that the library's one-pass search replaced.
+linear scans that the library's monotone search replaced, the
+try-every-t crossing scan that the library's one-pass search replaced, and
+the every-pair scan that the library's level walk over disjoint lattice
+path pairs replaced.
 """
 
 import math
@@ -233,3 +235,33 @@ def macaulay_terms_by_scan(n, k):
         rem -= math.comb(a, j)
         j -= 1
     return tuple(terms)
+
+
+def _ne_path_masks(start, end_x, width):
+    """Vertex bitmasks of every NE path from (0, -start) to (end_x, -end_x),
+    the vertex (x, y) at bit (x + y + width) * width + x; empty when the
+    end is out of reach."""
+    if not 0 <= end_x <= start:
+        return []
+    masks = []
+    for east_at in combinations(range(start), end_x):
+        x, y = 0, -start
+        mask = 1 << (x + y + width) * width + x
+        for i in range(start):
+            if i in east_at:
+                x += 1
+            else:
+                y += 1
+            mask |= 1 << (x + y + width) * width + x
+        masks.append(mask)
+    return masks
+
+
+def disjoint_pairs_by_scan(p, q, t, u):
+    """#L(p, q, t, u): the pairs of an NE path from (0, -p) to (t, -t) and
+    one from (0, -q) to (u, -u) that share no vertex, testing every pair."""
+    width = max(p, q, 0) + 1
+    q_masks = _ne_path_masks(q, u, width)
+    return sum(
+        1 for pm in _ne_path_masks(p, t, width) for qm in q_masks if not pm & qm
+    )

@@ -105,6 +105,13 @@ def test_verify_gv(capsys):
     assert doc["instances"] == 5**4
 
 
+def test_verify_gv_max_12(capsys):
+    start = time.perf_counter()
+    assert run(["verify", "gv", "--max", "12"]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == '{"max": 12, "instances": 28561, "failures": []}\n'
+
+
 def test_verify_phi(capsys):
     code, doc = invoke(capsys, "verify", "phi", "--d", "4")
     assert code == EXIT_OK

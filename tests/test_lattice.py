@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from oracles import disjoint_pairs_by_scan
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
@@ -49,6 +52,19 @@ def test_count_disjoint_pairs_examples():
     for t in range(4):
         for u in range(4):
             assert count_disjoint_pairs(PathFamilySpec(2, 2, t, u)) == 0
+
+
+def test_count_disjoint_pairs_matches_pair_scan():
+    # empty families, negative parameters and shared starts (p == q) included
+    for pqtu in product(range(-2, 9), repeat=4):
+        assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_scan(*pqtu)
+
+
+@pytest.mark.parametrize("args", [(True, 2, 1, 1), (2.0, 3, 1, 2), (1, 2, 0, "1"), (1, None, 0, 1)])
+def test_path_family_spec_rejects_non_integers(args):
+    # a bool is not read as 0/1 and a float is not carried into the walk
+    with pytest.raises(ValueError, match="vector entries must be integers"):
+        PathFamilySpec(*args)
 
 
 def test_gv_identity_small_exhaustive():
@@ -312,3 +328,30 @@ def test_verify_phi_catches_image_outside_target(monkeypatch):
     assert not report.membership_ok
     assert "case 1 image in wrong family" in _messages(report)
     assert report.cases_partition and report.injective
+
+
+def _count_by_scan(spec):
+    return disjoint_pairs_by_scan(spec.p, spec.q, spec.t, spec.u)
+
+
+def test_verify_phi_reports_match_with_pair_scan_counts(monkeypatch):
+    walked = [repr(verify_phi(d)) for d in range(3, 12)]
+    monkeypatch.setattr(lattice, "count_disjoint_pairs", _count_by_scan)
+    assert [repr(verify_phi(d)) for d in range(3, 12)] == walked
+
+
+def test_verify_phi_catches_a_miscounted_target(monkeypatch):
+    # one pair too many in the L(A-1, A) target of d=6, a=0, r=2, s=3
+    real = lattice.count_disjoint_pairs
+    target = PathFamilySpec(6, 7, 3, 4)
+    assert real(target) > 0
+    monkeypatch.setattr(
+        lattice, "count_disjoint_pairs", lambda spec: real(spec) + (spec == target)
+    )
+    report = verify_phi(6)
+    assert report.counts_consistent is False
+    assert [(tag, message.split(":")[0]) for tag, message in report.failures] == [
+        ((0, 2, 3), "count mismatch")
+    ]
+    assert report.injective and report.cases_partition
+    assert report.membership_ok and report.anchors_ok
