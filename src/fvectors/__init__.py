@@ -3,17 +3,17 @@ polytopes and homology spheres.
 
 The package is organized around:
 
-  exact       -- arbitrary-precision binomials and determinants
+  exact       -- binomials, binomial determinants, integer search and check
   transforms  -- f/h/g-vector model, the M_d matrix, all conversions
   families    -- cyclic, stacked, and cs-stacked extremal families
   macaulay    -- Macaulay expansion and sequence predicates
   comparison  -- the crossing-pattern comparison theorem and bound search
-  lattice     -- NE-lattice paths, Gessel-Viennot counts, the injection phi
+  lattice     -- NE-lattice paths as step words, Gessel-Viennot counts, phi
   minors      -- 2x2 and all-order minor scans of M_d
   cli         -- JSON command-line frontend
 """
 
-from .exact import binomial, binom_det, det
+from .exact import binomial, binom_det
 from .transforms import (
     FVector, HVector, GVector,
     build_md, md_entry, delta,
@@ -36,10 +36,8 @@ from .comparison import (
     sandwich_simplicial, lower_bound_cs,
 )
 from .lattice import (
-    LatticePath, PathPair, PathFamilySpec, PhiReport,
-    enumerate_paths, enumerate_disjoint_pairs, count_disjoint_pairs,
-    gv_identity_check, phi, phi_with_case, verify_phi,
-    disjointness_margin_2c, paths_disjoint,
+    PathFamilySpec, PhiReport,
+    count_disjoint_pairs, gv_identity_check, phi, verify_phi,
 )
 from .minors import (
     MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,

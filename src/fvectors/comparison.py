@@ -25,7 +25,7 @@ a `guaranteed` flag distinguishing the two regimes.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exact import largest_true
+from .exact import int_entries, largest_true
 from .transforms import GVector, build_md, check_dim, delta, f_from_g
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
@@ -70,8 +70,9 @@ class ComparisonReport:
     guaranteed: bool = True
 
 
-def _check_r(d: int, r: int) -> None:
+def _check_r(d: int, r: int, *values: int) -> None:
     check_dim(d)
+    int_entries((r, *values), "parameters")
     if not 0 <= r <= d - 2:
         raise ValueError(f"need 0 <= r <= d-2, got r={r}, d={d}")
 
@@ -198,7 +199,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
     guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].
     """
-    _check_r(d, r)
+    _check_r(d, r, f_r_value)
     n1 = _largest_n_below(STACKED, d, r, f_r_value, d + 1)
     n2 = d + 1
     if _f_r(CYCLIC, n2, d, r) < f_r_value:
@@ -218,7 +219,7 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     The crossing hypothesis is certified against the Stanley floor, which
     every centrally-symmetric simplicial polytope's g-vector dominates.
     """
-    _check_r(d, r)
+    _check_r(d, r, f_r_value)
     n = _largest_n_below(CS_STACKED, d, r, f_r_value, d)
     witness = find_crossing(g_cs_stacked(n, d), stanley_cs_floor(d))
     if witness is None:  # diffs vanish beyond index 1, so this cannot happen

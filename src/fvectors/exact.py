@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: binomials, binomial determinants, matrix
-determinants, the monotone integer search every parameter lookup uses, and
-the integer check every vector entry passes.
+"""Exact integer arithmetic: binomials, binomial determinants, the
+monotone integer search every parameter lookup uses, and the integer check
+every vector entry and scalar parameter passes.
 
 Everything here is pure integer arithmetic on Python's arbitrary-precision
 ints.  No floating point is used anywhere in the package; inequalities
@@ -22,49 +22,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def int_entries(values) -> tuple:
+def int_entries(values, what: str = "vector entries") -> tuple:
     """values as a tuple, each an int; a float, a bool or any other value
-    raises ValueError instead of being truncated or read as 0/1."""
+    raises ValueError, naming them as `what`, instead of being truncated or
+    read as 0/1."""
     out = tuple(values)
     for x in out:
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-            raise ValueError(f"vector entries must be integers, got {x!r}")
+            raise ValueError(f"{what} must be integers, got {x!r}")
     return out
 
 
 def binom_det(p: int, q: int, t: int, u: int) -> int:
     """The 2x2 binomial determinant C(p,t)*C(q,u) - C(p,u)*C(q,t)."""
     return binomial(p, t) * binomial(q, u) - binomial(p, u) * binomial(q, t)
-
-
-def det(m) -> int:
-    """Exact determinant of a square integer matrix (sequence of rows).
-
-    Uses fraction-free (Bareiss) elimination, so every intermediate value
-    is an exact integer.
-    """
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ValueError("det requires a non-empty square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def largest_true(pred, lo: int) -> int:

@@ -34,52 +34,8 @@ CASE_2A = "2a"
 CASE_2B = "2b"
 CASE_2C = "2c"
 
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A start point in Z^2 and a word over {N, E}."""
-
-    start: tuple
-    steps: str
-
-    def __post_init__(self):
-        if any(c not in "NE" for c in self.steps):
-            raise ValueError(f"steps must be a word over N/E, got {self.steps!r}")
-
-    @property
-    def end(self) -> tuple:
-        x, y = self.start
-        return (x + self.steps.count("E"), y + self.steps.count("N"))
-
-    def vertices(self) -> tuple:
-        x, y = self.start
-        out = [(x, y)]
-        for c in self.steps:
-            if c == "E":
-                x += 1
-            else:
-                y += 1
-            out.append((x, y))
-        return tuple(out)
-
-
-def paths_disjoint(p: LatticePath, q: LatticePath) -> bool:
-    return not set(p.vertices()) & set(q.vertices())
-
-
+# how verify_phi reports an intersecting image; the text reaches CLI JSON
 _INTERSECTING = "paths in a PathPair must be vertex-disjoint"
-
-
-@dataclass(frozen=True)
-class PathPair:
-    """A vertex-disjoint pair of NE-lattice paths."""
-
-    p: LatticePath
-    q: LatticePath
-
-    def __post_init__(self):
-        if not paths_disjoint(self.p, self.q):
-            raise ValueError(_INTERSECTING)
 
 
 @dataclass(frozen=True)
@@ -107,13 +63,6 @@ def _step_words(dx: int, dy: int) -> tuple:
     return tuple("E" + w for w in _step_words(dx - 1, dy)) + tuple(
         "N" + w for w in _step_words(dx, dy - 1)
     )
-
-
-def enumerate_paths(start: tuple, end: tuple) -> list:
-    """All monotone NE-paths from start to end (empty if unreachable)."""
-    dx = end[0] - start[0]
-    dy = end[1] - start[1]
-    return [LatticePath(start, w) for w in _step_words(dx, dy)]
 
 
 def _vertex_bit(x: int, y: int) -> int:
@@ -158,25 +107,13 @@ def _family_paths(spec: PathFamilySpec):
     )
 
 
-def enumerate_disjoint_pairs(spec: PathFamilySpec) -> list:
-    """All of L(p, q, t, u) by exhaustive pairing."""
-    p_paths, q_paths = _family_paths(spec)
-    p_start, q_start = (0, -spec.p), (0, -spec.q)
-    return [
-        PathPair(LatticePath(p_start, pw), LatticePath(q_start, qw))
-        for pw, pm in p_paths.items()
-        for qw, qm in q_paths.items()
-        if not pm & qm
-    ]
-
-
 def _window(level: int, start: int, end: int) -> range:
     """The x-coordinates on level x + y of a path from (0, -start) to
     (end, -end): it has taken level + start steps and has -level left."""
     return range(max(0, level + end), min(end, level + start) + 1)
 
 
-def count_disjoint_pairs(spec: PathFamilySpec) -> int:
+def _count(p: int, q: int, t: int, u: int) -> int:
     """#L(p, q, t, u) by a walk over the levels x + y, on which every step
     climbs by one.  Two paths are vertex-disjoint exactly when their
     x-coordinates differ on every level they share.  The lower-starting
@@ -184,7 +121,6 @@ def count_disjoint_pairs(spec: PathFamilySpec) -> int:
     where it must stand right of the other's start.  Then both walk in
     lockstep, with a count per (x_P, x_Q).  NE paths cannot swap sides
     without meeting, so the lower-starting one stays strictly right."""
-    p, q, t, u = spec.p, spec.q, spec.t, spec.u
     if not (0 <= t <= p and 0 <= u <= q):
         return 0
     if p < q:
@@ -207,38 +143,25 @@ def count_disjoint_pairs(spec: PathFamilySpec) -> int:
     return pairs.get((t, u), 0)
 
 
-def count_crossed_disjoint_pairs(spec: PathFamilySpec) -> int:
-    """Disjoint pairs with the connections swapped: P from (0,-p) to the
-    (u,-u) endpoint and Q from (0,-q) to (t,-t)."""
-    return count_disjoint_pairs(PathFamilySpec(spec.p, spec.q, spec.u, spec.t))
+def count_disjoint_pairs(spec: PathFamilySpec) -> int:
+    """#L(p, q, t, u), the vertex-disjoint pairs of the family."""
+    return _count(spec.p, spec.q, spec.t, spec.u)
 
 
 def gv_identity_check(spec: PathFamilySpec) -> bool:
     """Gessel-Viennot: the binomial determinant equals the signed count of
     vertex-disjoint path pairs,
 
-        B(p,q,t,u) = #L(p,q,t,u) - #crossed(p,q,t,u).
+        B(p,q,t,u) = #L(p,q,t,u) - #L(p,q,u,t),
 
+    the second term counting the pairs with the endpoints swapped.
     Whenever p <= q and t <= u (the only configuration the minor
-    decomposition ever produces) every crossed pair would have to
-    intersect, so the crossed term vanishes and the determinant counts
+    decomposition ever produces) every swapped pair would have to
+    intersect, so that term vanishes and the determinant counts
     L(p,q,t,u) outright.
     """
-    signed = count_disjoint_pairs(spec) - count_crossed_disjoint_pairs(spec)
-    return binom_det(spec.p, spec.q, spec.t, spec.u) == signed
-
-
-def _in_first_domain(pair: PathPair, d: int, a: int, r: int, s: int) -> bool:
-    """True for a pair of L(a, a+1), False for one of L(a+1, A); a pair
-    starting anywhere else is not in the domain."""
-    p_start, q_start = pair.p.start, pair.q.start
-    if p_start == (0, -a) and q_start == (0, -(a + 1)):
-        return True
-    if p_start != (0, -(a + 1)) or q_start != (0, -(d + 1 - a)):
-        raise ValueError(
-            f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}"
-        )
-    return False
+    p, q, t, u = spec.p, spec.q, spec.t, spec.u
+    return binom_det(p, q, t, u) == _count(p, q, t, u) - _count(p, q, u, t)
 
 
 def _case(first: bool, p_steps: str, q_steps: str) -> str:
@@ -310,44 +233,24 @@ def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, 
     return case, p_bar, q_bar
 
 
-def phi(pair: PathPair, d: int, a: int, r: int, s: int) -> PathPair:
-    image, _ = phi_with_case(pair, d, a, r, s)
-    return image
-
-
-def phi_with_case(pair: PathPair, d: int, a: int, r: int, s: int):
-    """Apply the injection to a pair in L(a, a+1) or L(a+1, A) and return
-    (image pair, case label).  The image lands in L(a, A-1) for case 1 and
-    subcase 2a, and in L(A-1, A) for subcases 2b and 2c."""
+def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
+    """Apply the injection to the pair of L(a, a+1) (first) or of L(a+1, A)
+    given by its two step words and return (case label, image P word,
+    image Q word).  The image lands in L(a, A-1) for case 1 and subcase 2a,
+    and in L(A-1, A) for subcases 2b and 2c."""
     check_dim(d)
     if not 0 <= a < delta(d):
         raise ValueError(f"need 0 <= a < delta, got a={a}, d={d}")
     if not 0 <= r < s <= d - 1:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
-    first = _in_first_domain(pair, d, a, r, s)
-    case, p_steps, q_steps = _phi_words(first, pair.p.steps, pair.q.steps, d, a, r, s)
-    p_start, q_start = _image_starts(case, d, a)
-    return PathPair(LatticePath(p_start, p_steps), LatticePath(q_start, q_steps)), case
-
-
-def disjointness_margin_2c(pair: PathPair, d: int, a: int, r: int, s: int) -> int:
-    """Vertical gap A - a - h - v - 2 separating the image paths of a
-    subcase 2c input at the critical column x = k: the lowest reachable
-    image-P point there is (k, -a-h-2) and the highest image-Q point is
-    (k, -A+v).  Must be positive."""
-    p_steps, q_steps = pair.p.steps, pair.q.steps
-    if _case(_in_first_domain(pair, d, a, r, s), p_steps, q_steps) != CASE_2C:
-        raise ValueError("disjointness margin is defined for subcase 2c inputs")
-    k, _, _, v, _, h = _factor_2c(p_steps, q_steps)
-    at = d + 1 - a
-    low_p = (k, -a - h - 2)
-    high_q = (k, -at + v)
-    margin = low_p[1] - high_q[1]
-    if margin <= 0:
+    low, high = (a, a + 1) if first else (a + 1, d + 1 - a)
+    p_paths, q_paths = _family_paths(PathFamilySpec(low, high, d - s, d - r))
+    p_mask, q_mask = p_paths.get(p_word), q_paths.get(q_word)
+    if p_mask is None or q_mask is None or p_mask & q_mask:
         raise ValueError(
-            f"nonpositive 2c margin {margin} at a={a}, r={r}, s={s}, d={d}"
+            f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}"
         )
-    return margin
+    return _phi_words(first, p_word, q_word, d, a, r, s)
 
 
 @dataclass(frozen=True)
@@ -377,7 +280,7 @@ def _image_masks(p_steps: str, q_steps: str, target, starts):
     """(P mask, Q mask, in family) of an image pair with the given start
     points: in family when each word is a path of the target family's P or
     Q dict.  A word over other letters or two intersecting paths raise
-    ValueError, as building the PathPair would."""
+    ValueError."""
     p_paths, q_paths = target
     p_mask, q_mask = p_paths.get(p_steps), q_paths.get(q_steps)
     in_family = p_mask is not None and q_mask is not None

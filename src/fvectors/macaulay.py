@@ -40,6 +40,7 @@ def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
     Each a_j is found by `largest_true`, which C(a, j) being strictly
     increasing in a >= j permits, so the cost grows with k log(n).
     """
+    int_entries((n, k), "parameters")
     if n <= 0:
         raise ValueError(f"macaulay_expand needs n >= 1, got {n}")
     if k < 1:
@@ -57,6 +58,7 @@ def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
 
 def del_k(n: int, k: int) -> int:
     """del^k(n): shift every expansion term down by one in both arguments."""
+    int_entries((n, k), "parameters")
     if n < 0:
         raise ValueError(f"del_k needs n >= 0, got {n}")
     if n == 0:

@@ -12,6 +12,7 @@ from itertools import combinations
 from operator import add, itemgetter, mul
 from typing import Optional, Union
 
+from .exact import int_entries
 from .transforms import build_md, check_dim, delta
 
 
@@ -122,7 +123,9 @@ def verify_total_nonnegativity(d: int, max_order: Union[int, str] = "all") -> Mi
     """
     check_dim(d)
     dl = delta(d)
-    top = dl + 1 if max_order == "all" else min(int(max_order), dl + 1)
+    if max_order != "all":
+        int_entries((max_order,), "parameters")
+    top = dl + 1 if max_order == "all" else min(max_order, dl + 1)
     if top < 1:
         raise ValueError(f"max_order must be >= 1 or 'all', got {max_order!r}")
     checked, min_value, min_witness = _scan(d, range(1, top + 1))

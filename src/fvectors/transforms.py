@@ -30,6 +30,8 @@ def delta(d: int) -> int:
 
 
 def check_dim(d: int) -> None:
+    if type(d) is not int:  # skips the general check on the hot path
+        int_entries((d,), "parameters")
     if d < MIN_DIM:
         raise ValueError(f"dimension d must be >= {MIN_DIM}, got {d}")
 

@@ -1,18 +1,20 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own computation paths:
-cofactor determinants, M_d from its closed form, k-major minor scans and a
-direct 2x2 minor scan, direct polynomial expansion, Gale-evenness face
-enumeration for cyclic polytopes, stellar-subdivision face-count updates
-for stacked polytopes, closed-form h-vectors of the extremal families,
-exhaustive search for Macaulay expansions, the one-step-at-a-time
-linear scans that the library's monotone search replaced, the
-try-every-t crossing scan that the library's one-pass search replaced, and
-the every-pair scan that the library's level walk over disjoint lattice
-path pairs replaced.
+cofactor and fraction-free (Bareiss) determinants, M_d from its closed
+form, k-major minor scans and a direct 2x2 minor scan, direct polynomial
+expansion, Gale-evenness face enumeration for cyclic polytopes,
+stellar-subdivision face-count updates for stacked polytopes, closed-form
+h-vectors of the extremal families, exhaustive search for Macaulay
+expansions, the one-step-at-a-time linear scans that the library's
+monotone search replaced, the try-every-t crossing scan that the
+library's one-pass search replaced, and the vertex-disjoint lattice path
+pairs of a family as step-word pairs, found by testing the vertex sets of
+every pair, which the library's level walk counts.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -26,6 +28,34 @@ def cofactor_det(m):
         sub = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(sub)
     return total
+
+
+def bareiss_det(m):
+    """Exact determinant of a square integer matrix (sequence of rows) by
+    fraction-free (Bareiss) elimination: every intermediate value is an
+    exact integer."""
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("det requires a non-empty square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def md_by_closed_form(d):
@@ -237,31 +267,49 @@ def macaulay_terms_by_scan(n, k):
     return tuple(terms)
 
 
-def _ne_path_masks(start, end_x, width):
-    """Vertex bitmasks of every NE path from (0, -start) to (end_x, -end_x),
-    the vertex (x, y) at bit (x + y + width) * width + x; empty when the
-    end is out of reach."""
+def path_vertices(start, word):
+    """The vertices, in order, of the NE path from start along word, whose
+    letters step by E = (1, 0) and N = (0, 1)."""
+    x, y = start
+    out = [(x, y)]
+    for c in word:
+        x, y = (x + 1, y) if c == "E" else (x, y + 1)
+        out.append((x, y))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ne_paths(start, end_x, width):
+    """(word, vertex bitmask) of every NE path from (0, -start) to
+    (end_x, -end_x), the vertex (x, y) at bit (x + y + width) * width + x:
+    the words of length start with end_x E's, none when the end is out of
+    reach."""
     if not 0 <= end_x <= start:
-        return []
-    masks = []
+        return ()
+    out = []
     for east_at in combinations(range(start), end_x):
-        x, y = 0, -start
-        mask = 1 << (x + y + width) * width + x
-        for i in range(start):
-            if i in east_at:
-                x += 1
-            else:
-                y += 1
+        word = "".join("E" if i in east_at else "N" for i in range(start))
+        mask = 0
+        for x, y in path_vertices((0, -start), word):
             mask |= 1 << (x + y + width) * width + x
-        masks.append(mask)
-    return masks
+        out.append((word, mask))
+    return tuple(out)
+
+
+def disjoint_word_pairs(p, q, t, u):
+    """L(p, q, t, u) as (P word, Q word) pairs: an NE path from (0, -p) to
+    (t, -t) and one from (0, -q) to (u, -u) that share no vertex, testing
+    every pair."""
+    width = max(p, q, 0) + 1
+    q_paths = _ne_paths(q, u, width)
+    return [
+        (pw, qw)
+        for pw, pm in _ne_paths(p, t, width)
+        for qw, qm in q_paths
+        if not pm & qm
+    ]
 
 
 def disjoint_pairs_by_scan(p, q, t, u):
-    """#L(p, q, t, u): the pairs of an NE path from (0, -p) to (t, -t) and
-    one from (0, -q) to (u, -u) that share no vertex, testing every pair."""
-    width = max(p, q, 0) + 1
-    q_masks = _ne_path_masks(q, u, width)
-    return sum(
-        1 for pm in _ne_path_masks(p, t, width) for qm in q_masks if not pm & qm
-    )
+    """#L(p, q, t, u), testing every pair."""
+    return len(disjoint_word_pairs(p, q, t, u))

@@ -2,47 +2,59 @@ from itertools import product
 
 import pytest
 
-from oracles import disjoint_pairs_by_scan
+from oracles import disjoint_pairs_by_scan, disjoint_word_pairs, path_vertices
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
-    LatticePath, PathPair, PathFamilySpec,
-    enumerate_paths, enumerate_disjoint_pairs, count_disjoint_pairs,
-    gv_identity_check, phi, phi_with_case, verify_phi,
-    disjointness_margin_2c, paths_disjoint,
+    PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_phi,
+    _paths_with_masks, _vertex_bit, _walk,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
 from fvectors.transforms import delta
 
 
+def _mask(*vertices):
+    return sum(1 << _vertex_bit(x, y) for x, y in set(vertices))
+
+
 def test_path_geometry():
-    p = LatticePath((0, -2), "NE")
-    assert p.end == (1, -1)
-    assert p.vertices() == ((0, -2), (0, -1), (1, -1))
+    assert _walk((0, -2), "NE") == _mask((0, -2), (0, -1), (1, -1))
+    assert _walk((0, 1), "") == _mask((0, 1))
     with pytest.raises(ValueError):
-        LatticePath((0, 0), "NX")
+        _walk((0, 0), "NX")
 
 
 def test_enumerate_paths_examples():
-    paths = enumerate_paths((0, -2), (1, -1))
-    assert sorted(p.steps for p in paths) == ["EN", "NE"]
-    assert enumerate_paths((0, 0), (1, -1)) == []
-    assert len(enumerate_paths((0, 0), (0, 0))) == 1
+    paths = _paths_with_masks((0, -2), (1, -1))
+    assert paths == {
+        "EN": _mask((0, -2), (1, -2), (1, -1)),
+        "NE": _mask((0, -2), (0, -1), (1, -1)),
+    }
+    assert _paths_with_masks((0, 0), (1, -1)) == {}
+    assert _paths_with_masks((0, 0), (0, 0)) == {"": _mask((0, 0))}
 
 
 def test_enumerate_paths_counts_are_binomial():
+    # the uncached builder, so no mask of these 2^17 paths stays cached
+    paths = _paths_with_masks.__wrapped__
     for total in range(17):
         for dx in range(total + 1):
             dy = total - dx
-            assert len(enumerate_paths((0, 0), (dx, dy))) == binomial(total, dx)
+            assert len(paths((0, 0), (dx, dy))) == binomial(total, dx)
 
 
-def test_path_pair_rejects_intersecting():
-    p = LatticePath((0, -1), "E")
-    q = LatticePath((0, -1), "EE")
-    with pytest.raises(ValueError):
-        PathPair(p, q)
+def test_paths_disjoint_helper():
+    assert not _walk((0, 0), "EN") & _walk((0, 1), "NE")
+    assert _walk((0, 0), "EN") & _walk((0, 0), "NE")
+    assert _walk((0, -1), "E") & _walk((0, -1), "EE")
+    for start in range(5):
+        for dx in range(start + 1):
+            for pw, pm in _paths_with_masks((0, -start), (dx, -dx)).items():
+                for qw, qm in _paths_with_masks((0, -4), (2, -2)).items():
+                    meet = set(path_vertices((0, -start), pw)) & set(
+                        path_vertices((0, -4), qw))
+                    assert bool(pm & qm) == bool(meet)
 
 
 def test_count_disjoint_pairs_examples():
@@ -76,18 +88,16 @@ def test_gv_identity_small_exhaustive():
 
 
 def test_gv_ordered_parameters_count_directly():
-    # with p <= q and t <= u no crossed pair survives, so the determinant
-    # counts the disjoint pairs outright; this is the only configuration
-    # the minor decomposition produces
-    from fvectors.lattice import count_crossed_disjoint_pairs
-
+    # with p <= q and t <= u no pair with swapped endpoints survives, so the
+    # determinant counts the disjoint pairs outright; this is the only
+    # configuration the minor decomposition produces
     for p in range(7):
         for q in range(p, 7):
             for t in range(7):
                 for u in range(t, 7):
-                    spec = PathFamilySpec(p, q, t, u)
-                    assert count_crossed_disjoint_pairs(spec) == 0
-                    assert binom_det(p, q, t, u) == count_disjoint_pairs(spec)
+                    assert count_disjoint_pairs(PathFamilySpec(p, q, u, t)) == 0
+                    assert binom_det(p, q, t, u) == count_disjoint_pairs(
+                        PathFamilySpec(p, q, t, u))
 
 
 def test_gv_identity_degenerate():
@@ -96,44 +106,68 @@ def test_gv_identity_degenerate():
 
 
 def test_phi_case1_hand_traced():
-    # d=4, a=1, r=2, s=3: P="E" from (0,-1), Q="EE" from (0,-2)
-    pair = PathPair(LatticePath((0, -1), "E"), LatticePath((0, -2), "EE"))
-    image, case = phi_with_case(pair, 4, 1, 2, 3)
-    assert case == CASE_1
-    assert image.p == pair.p
-    assert image.q == LatticePath((0, -3), "NEE")
+    # d=4, a=1, r=2, s=3: P="E" from (0,-1), Q="EE" from (0,-2); the image
+    # keeps P and lifts Q to start at (0,-3)
+    assert phi(True, "E", "EE", 4, 1, 2, 3) == (CASE_1, "E", "NEE")
+
+
+def _domain_pairs(d, first):
+    """(a, r, s, P word, Q word) over every pair of L(a, a+1) (first) or
+    of L(a+1, A), from the oracle."""
+    for a in range(delta(d)):
+        at = d + 1 - a
+        for r in range(d - 1):
+            for s in range(r + 1, d):
+                low, high = (a, a + 1) if first else (a + 1, at)
+                for pw, qw in disjoint_word_pairs(low, high, d - s, d - r):
+                    yield a, r, s, pw, qw
 
 
 def test_phi_case2a_is_step_removal():
     # any domain pair with both paths starting N maps by dropping the first
     # step; prepending N to the image members recovers the input
     d = 6
-    for a in range(delta(d)):
-        at = d + 1 - a
-        for r in range(d - 1):
-            for s in range(r + 1, d):
-                spec = PathFamilySpec(a + 1, at, d - s, d - r)
-                for pair in enumerate_disjoint_pairs(spec):
-                    if not (pair.p.steps.startswith("N") and pair.q.steps.startswith("N")):
-                        continue
-                    image, case = phi_with_case(pair, d, a, r, s)
-                    assert case == CASE_2A
-                    assert "N" + image.p.steps == pair.p.steps
-                    assert "N" + image.q.steps == pair.q.steps
+    seen = 0
+    for a, r, s, pw, qw in _domain_pairs(d, False):
+        if not (pw.startswith("N") and qw.startswith("N")):
+            continue
+        case, image_pw, image_qw = phi(False, pw, qw, d, a, r, s)
+        assert case == CASE_2A
+        assert "N" + image_pw == pw
+        assert "N" + image_qw == qw
+        seen += 1
+    assert seen > 0
 
 
 def test_phi_rejects_foreign_pairs():
-    pair = PathPair(LatticePath((0, -9), "E"), LatticePath((0, -7), "EE"))
-    with pytest.raises(ValueError):
-        phi(pair, 4, 1, 2, 3)
+    # d=4, a=1, r=2, s=3: L(1, 2) holds only ("E", "EE"), and L(2, 4) only
+    # pairs whose P runs from (0,-2) to (1,-1)
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(True, "N", "EE", 4, 1, 2, 3)  # P misses its endpoint
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(True, "E", "NEE", 4, 1, 2, 3)  # Q starts elsewhere
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(False, "E", "EE", 4, 1, 2, 3)  # a pair of the other family
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(True, "E", "EX", 4, 1, 2, 3)
+
+
+def test_path_pair_rejects_intersecting():
+    # at d=4, a=1, r=2, s=3 both words are paths of L(2, 4), P = "EN" from
+    # (0,-2) and Q = "ENNE" from (0,-4), but both pass through (1,-2)
+    assert _walk((0, -2), "EN") & _walk((0, -4), "ENNE")
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(False, "EN", "ENNE", 4, 1, 2, 3)
+    assert phi(False, "EN", "EENN", 4, 1, 2, 3)[0] == CASE_2B
 
 
 def test_phi_rejects_bad_parameters():
-    pair = PathPair(LatticePath((0, -1), "E"), LatticePath((0, -2), "EE"))
     with pytest.raises(ValueError):
-        phi(pair, 4, 2, 2, 3)  # a = delta not admissible
+        phi(True, "E", "EE", 4, 2, 2, 3)  # a = delta not admissible
     with pytest.raises(ValueError):
-        phi(pair, 4, 1, 3, 2)  # r >= s
+        phi(True, "E", "EE", 4, 1, 3, 2)  # r >= s
+    with pytest.raises(ValueError):
+        phi(True, "E", "EE", 2, 1, 2, 3)  # d < 3
 
 
 def test_verify_phi_small_dimensions():
@@ -153,56 +187,32 @@ def test_phi_images_match_domain_cardinality():
     assert report.injective and report.pairs_checked > 0
 
 
-def _all_2c_instances(d):
-    for a in range(delta(d)):
-        at = d + 1 - a
-        for r in range(d - 1):
-            for s in range(r + 1, d):
-                spec = PathFamilySpec(a + 1, at, d - s, d - r)
-                for pair in enumerate_disjoint_pairs(spec):
-                    if pair.q.steps.startswith("N") and pair.p.steps.startswith("E"):
-                        yield pair, a, r, s
-
-
 def test_disjointness_margin_2c_positive():
-    for d in (3, 4, 5, 6, 7, 8):
-        for pair, a, r, s in _all_2c_instances(d):
-            assert disjointness_margin_2c(pair, d, a, r, s) >= 1
-
-
-def test_disjointness_margin_matches_geometry():
-    # margin = vertical distance between the cited extreme points
-    for d in (5, 6, 7):
-        for pair, a, r, s in _all_2c_instances(d):
+    # subcase 2c splits P = E^k N P' and Q = N R E N^v E Q' (the k-th and
+    # (k+1)-st E of Q), h being the number of N's in R.  On the column
+    # x = k the image Q from (0,-A) rises exactly to (k, -A+v), and the
+    # image P from (0,-(A-1)) stays at or above (k, -a-h-2), strictly above
+    # the image Q.  The P bound is an inequality: some images sit higher.
+    inputs = attained = 0
+    for d in range(3, 11):
+        for a, r, s, pw, qw in _domain_pairs(d, False):
+            if not (pw.startswith("E") and qw.startswith("N")):
+                continue
             at = d + 1 - a
-            k = len(pair.p.steps) - len(pair.p.steps.lstrip("E"))
-            q = pair.q.steps
-            e_pos = [i for i, c in enumerate(q) if c == "E"]
-            i_k, i_k1 = e_pos[k - 1], e_pos[k]
-            h = q[1:i_k].count("N")
-            v = i_k1 - i_k - 1
-            low_p_y = -a - h - 2
-            high_q_y = -at + v
-            assert disjointness_margin_2c(pair, d, a, r, s) == low_p_y - high_q_y
-
-
-def test_margin_formula_at_zero_h_v():
-    # with v = 0 and h = 0 the margin degenerates to (d+1-a) - a - 2
-    for d in (5, 6, 7, 8):
-        for pair, a, r, s in _all_2c_instances(d):
-            k = len(pair.p.steps) - len(pair.p.steps.lstrip("E"))
-            q = pair.q.steps
-            e_pos = [i for i, c in enumerate(q) if c == "E"]
-            h = q[1:e_pos[k - 1]].count("N")
+            k = len(pw) - len(pw.lstrip("E"))
+            e_pos = [i for i, c in enumerate(qw) if c == "E"]
+            h = qw[1:e_pos[k - 1]].count("N")
             v = e_pos[k] - e_pos[k - 1] - 1
-            if h == 0 and v == 0:
-                assert disjointness_margin_2c(pair, d, a, r, s) == (d + 1 - a) - a - 2
-
-
-def test_margin_requires_2c_input():
-    pair = PathPair(LatticePath((0, -1), "E"), LatticePath((0, -2), "EE"))
-    with pytest.raises(ValueError):
-        disjointness_margin_2c(pair, 4, 1, 2, 3)
+            case, image_pw, image_qw = phi(False, pw, qw, d, a, r, s)
+            assert case == CASE_2C
+            high_q = max(y for x, y in path_vertices((0, -at), image_qw) if x == k)
+            low_p = min(y for x, y in path_vertices((0, 1 - at), image_pw) if x == k)
+            assert high_q == -at + v
+            assert low_p >= -a - h - 2
+            assert low_p > high_q
+            inputs += 1
+            attained += low_p == -a - h - 2
+    assert (inputs, attained) == (5918, 5161)
 
 
 def test_minor_decomposition_into_binomial_determinants():
@@ -247,33 +257,17 @@ def test_gv_counts_match_minor_for_actual_instances():
 def test_case_dispatch_is_partition():
     # every domain element matches exactly one of the four case predicates
     d = 6
-    for a in range(delta(d)):
-        at = d + 1 - a
-        for r in range(d - 1):
-            for s in range(r + 1, d):
-                sb, rb = d - s, d - r
-                dom1 = enumerate_disjoint_pairs(PathFamilySpec(a, a + 1, sb, rb))
-                dom2 = enumerate_disjoint_pairs(PathFamilySpec(a + 1, at, sb, rb))
-                for pair in dom1:
-                    _, case = phi_with_case(pair, d, a, r, s)
-                    assert case == CASE_1
-                for pair in dom2:
-                    _, case = phi_with_case(pair, d, a, r, s)
-                    preds = [
-                        pair.p.steps.startswith("N") and pair.q.steps.startswith("N"),
-                        pair.q.steps.startswith("E"),
-                        pair.q.steps.startswith("N") and pair.p.steps.startswith("E"),
-                    ]
-                    assert sum(preds) == 1
-                    assert case in (CASE_2A, CASE_2B, CASE_2C)
-
-
-def test_paths_disjoint_helper():
-    a = LatticePath((0, 0), "EN")
-    b = LatticePath((0, 1), "NE")
-    assert paths_disjoint(a, b)
-    c = LatticePath((0, 0), "NE")
-    assert not paths_disjoint(a, c)
+    for a, r, s, pw, qw in _domain_pairs(d, True):
+        assert phi(True, pw, qw, d, a, r, s)[0] == CASE_1
+    for a, r, s, pw, qw in _domain_pairs(d, False):
+        case = phi(False, pw, qw, d, a, r, s)[0]
+        preds = [
+            pw.startswith("N") and qw.startswith("N"),
+            qw.startswith("E"),
+            qw.startswith("N") and pw.startswith("E"),
+        ]
+        assert sum(preds) == 1
+        assert case == (CASE_2A, CASE_2B, CASE_2C)[preds.index(True)]
 
 
 def _messages(report):

@@ -5,14 +5,13 @@ from math import comb
 import pytest
 
 from fvectors import minors
-from fvectors.exact import det
 from fvectors.minors import (
     MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,
 )
 from fvectors.transforms import build_md, delta
 
 from oracles import (
-    fold_orders, md_by_closed_form, minors_by_order, two_by_two_scan,
+    bareiss_det, fold_orders, md_by_closed_form, minors_by_order, two_by_two_scan,
 )
 
 
@@ -42,7 +41,7 @@ def test_scan_matches_bareiss_scan(d):
     # the k-major scan taking a Bareiss det of every submatrix, which is
     # how verify_total_nonnegativity computed its minors before the
     # Laplace scanner
-    per_order = minors_by_order(build_md(d), det)
+    per_order = minors_by_order(build_md(d), bareiss_det)
     for max_order, expected in _expected_reports(d, per_order):
         assert verify_total_nonnegativity(d, max_order) == expected, max_order
 
@@ -127,7 +126,7 @@ def test_total_nonnegativity_d3_by_hand():
     assert report.all_nonnegative
     assert report.min_value == 0
     md = build_md(3)
-    dets = [det([[md[0][c1], md[0][c2]], [md[1][c1], md[1][c2]]])
+    dets = [bareiss_det([[md[0][c1], md[0][c2]], [md[1][c1], md[1][c2]]])
             for c1, c2 in combinations(range(3), 2)]
     assert sorted(dets) == [0, 4, 6]
 
