@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import (
@@ -217,6 +218,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@lru_cache(maxsize=None)  # built on first use, then shared by every run
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fvectors",

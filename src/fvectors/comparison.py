@@ -23,13 +23,14 @@ a `guaranteed` flag distinguishing the two regimes.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from .exact import int_entries, largest_true
-from .transforms import GVector, build_md, check_dim, delta, f_from_g
+from .transforms import GVector, build_md, check_dim, check_rs, delta, f_from_g
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    f_of_family, g_cs_stacked, stanley_cs_floor,
+    f_of_family, g_cs_stacked, g_cyclic, stanley_cs_floor,
 )
 
 
@@ -156,9 +157,7 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     m[i][r] = 0 already from row k-1 on, which is what makes the chain
     degenerate gracefully.
     """
-    check_dim(d)
-    if not 0 <= r < s <= d - 1:
-        raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
+    check_rs(d, r, s)
     md = build_md(d)
     dl = delta(d)
     comparisons = tuple(
@@ -178,18 +177,14 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
-def _f_r(family: str, n: int, d: int, r: int) -> int:
-    return f_of_family(FamilySpec(family, n, d))[r]
-
-
-def _largest_n_below(family: str, d: int, r: int, value: int, n_floor: int) -> int:
-    """Largest n with f_r(family(n, d)) <= value; f_r is strictly increasing
-    in n, so `largest_true` finds it with O(log n) f-vector evaluations."""
-    if _f_r(family, n_floor, d, r) > value:
+def _steps_below(value: int, base: int, step: int, family: str, d: int, r: int) -> int:
+    """Whole steps of size step > 0 that go from base up to at most value;
+    a value below base is below the family's minimal member."""
+    if value < base:
         raise BelowFloorError(
             f"f_{r} = {value} is below the minimal {family} value for d={d}"
         )
-    return largest_true(lambda n: _f_r(family, n, d, r) <= value, n_floor)
+    return (value - base) // step
 
 
 def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
@@ -197,13 +192,17 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
 
     Finds the largest n1 with f_r(S(n1,d)) <= f_r_value and the smallest
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
-    guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].
+    guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].  n1 is a floor
+    division, as f_r(S(n,d)) = m[0][r] + (n-d-1) * m[1][r] with m[1][r] =
+    C(d,r) > 0; n2 is searched, each probe g(C(n,d)) times column r.
     """
     _check_r(d, r, f_r_value)
-    n1 = _largest_n_below(STACKED, d, r, f_r_value, d + 1)
-    n2 = d + 1
-    if _f_r(CYCLIC, n2, d, r) < f_r_value:
-        n2 = largest_true(lambda n: _f_r(CYCLIC, n, d, r) < f_r_value, n2) + 1
+    column = tuple(row[r] for row in build_md(d))
+    n1 = d + 1 + _steps_below(f_r_value, column[0], column[1], STACKED, d, r)
+    n2 = d + 1  # C(d+1, d) is the simplex, with f_r = m[0][r]
+    if f_r_value > column[0]:
+        n2 = 1 + largest_true(
+            lambda n: sum(map(mul, g_cyclic(n, d).entries, column)) < f_r_value, n2)
     f_low = f_of_family(FamilySpec(STACKED, n1, d))
     f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
     conclusions = {
@@ -218,10 +217,15 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
 
     The crossing hypothesis is certified against the Stanley floor, which
     every centrally-symmetric simplicial polytope's g-vector dominates.
+    The floor is g(CS(2d,d)), so f_r(CS(2n,d)) = f_r(floor) + 2(n-d) *
+    m[1][r] and n is a floor division.
     """
     _check_r(d, r, f_r_value)
-    n = _largest_n_below(CS_STACKED, d, r, f_r_value, d)
-    witness = find_crossing(g_cs_stacked(n, d), stanley_cs_floor(d))
+    floor = stanley_cs_floor(d)
+    column = tuple(row[r] for row in build_md(d))
+    base = sum(map(mul, floor.entries, column))
+    n = d + _steps_below(f_r_value, base, 2 * column[1], CS_STACKED, d, r)
+    witness = find_crossing(g_cs_stacked(n, d), floor)
     if witness is None:  # diffs vanish beyond index 1, so this cannot happen
         raise NoCrossingError("cs-stacked g-vector does not cross the Stanley floor")
     f_low = f_of_family(FamilySpec(CS_STACKED, n, d))

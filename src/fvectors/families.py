@@ -13,7 +13,7 @@ f-vectors are well-defined, so no polytope is ever built.
 
 from dataclasses import dataclass
 
-from .exact import binomial
+from .exact import binomial, int_entries
 from .transforms import GVector, FVector, check_dim, delta, g_to_f
 
 CYCLIC = "cyclic"
@@ -31,14 +31,20 @@ class FamilySpec:
     d: int
 
     def __post_init__(self):
-        check_dim(self.d)
+        _check_nd(self.n, self.d)
         if self.family not in (CYCLIC, STACKED, CS_STACKED):
             raise ValueError(f"unknown family {self.family!r}")
 
 
+def _check_nd(n: int, d: int) -> None:
+    check_dim(d)
+    if type(n) is not int:  # skips the general check on the hot path
+        int_entries((n,), "parameters")
+
+
 def g_cyclic(n: int, d: int) -> GVector:
     """g-vector of the cyclic polytope C(n, d); needs n >= d+1."""
-    check_dim(d)
+    _check_nd(n, d)
     if n <= d:
         raise ValueError(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
     # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which the
@@ -50,7 +56,7 @@ def g_cyclic(n: int, d: int) -> GVector:
 
 def g_stacked(n: int, d: int) -> GVector:
     """g-vector of the stacked polytope S(n, d); needs n >= d+1."""
-    check_dim(d)
+    _check_nd(n, d)
     if n <= d:
         raise ValueError(f"stacked polytope needs n >= d+1, got n={n}, d={d}")
     return GVector(d, (1, n - d - 1) + (0,) * (delta(d) - 1))
@@ -61,7 +67,7 @@ def g_cs_stacked(n: int, d: int) -> GVector:
 
     Needs n >= d; n = d gives the cross-polytope itself.
     """
-    check_dim(d)
+    _check_nd(n, d)
     if n < d:
         raise ValueError(f"cs-stacked polytope needs n >= d, got n={n}, d={d}")
     g = [1, 2 * n - d - 1]

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact import binom_det, int_entries
-from .transforms import check_dim, delta
+from .transforms import check_dim, check_rs, delta
 from .minors import phi_minor
 
 CASE_1 = "1"
@@ -238,11 +238,9 @@ def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
     given by its two step words and return (case label, image P word,
     image Q word).  The image lands in L(a, A-1) for case 1 and subcase 2a,
     and in L(A-1, A) for subcases 2b and 2c."""
-    check_dim(d)
+    check_rs(d, r, s, a)
     if not 0 <= a < delta(d):
         raise ValueError(f"need 0 <= a < delta, got a={a}, d={d}")
-    if not 0 <= r < s <= d - 1:
-        raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
     low, high = (a, a + 1) if first else (a + 1, d + 1 - a)
     p_paths, q_paths = _family_paths(PathFamilySpec(low, high, d - s, d - r))
     p_mask, q_mask = p_paths.get(p_word), q_paths.get(q_word)

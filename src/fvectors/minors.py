@@ -13,7 +13,7 @@ from operator import add, itemgetter, mul
 from typing import Optional, Union
 
 from .exact import int_entries
-from .transforms import build_md, check_dim, delta
+from .transforms import build_md, check_dim, check_rs, delta
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,10 @@ class MinorReport:
 def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
     """The 2x2 minor of M_d on rows {a, b} and columns {r, s}:
     m[a][r]*m[b][s] - m[a][s]*m[b][r]."""
-    check_dim(d)
+    check_rs(d, r, s, a, b)
     dl = delta(d)
     if not 0 <= a < b <= dl:
         raise ValueError(f"need 0 <= a < b <= {dl}, got a={a}, b={b}")
-    if not 0 <= r < s <= d - 1:
-        raise ValueError(f"need 0 <= r < s <= {d - 1}, got r={r}, s={s}")
     md = build_md(d)
     return md[a][r] * md[b][s] - md[a][s] * md[b][r]
 

@@ -36,6 +36,14 @@ def check_dim(d: int) -> None:
         raise ValueError(f"dimension d must be >= {MIN_DIM}, got {d}")
 
 
+def check_rs(d: int, r: int, s: int, *more: int) -> None:
+    """A valid d, integers r, s and more, and a column pair 0 <= r < s <= d-1."""
+    check_dim(d)
+    int_entries((r, s, *more), "parameters")
+    if not 0 <= r < s <= d - 1:
+        raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
+
+
 @dataclass(frozen=True)
 class _Vector:
     """Entries of an f-, h- or g-vector for dimension d.

@@ -7,7 +7,8 @@ import pytest
 
 import fvectors
 from fvectors import (
-    del_k, lower_bound_cs, macaulay_expand, phi, sandwich_simplicial,
+    FamilySpec, del_k, g_cs_stacked, g_cyclic, g_stacked, lower_bound_cs,
+    macaulay_expand, phi, phi_minor, ratio_chain, sandwich_simplicial,
     verify_lemma3, verify_total_nonnegativity,
 )
 
@@ -50,6 +51,24 @@ def test_public_names_are_pinned():
     (lower_bound_cs, (4, 0, 9.5), "9.5"),
     (verify_lemma3, (5.0,), "5.0"),
     (phi, (True, "E", "EE", 4.0, 1, 2, 3), "4.0"),
+    # r=True was answered as column 1; a float r, s, a or b was a
+    # TypeError from indexing M_d; phi was refused only by PathFamilySpec,
+    # with its "vector entries" message
+    (ratio_chain, (5, True, 2), "True"),
+    (ratio_chain, (5, 0, 2.0), "2.0"),
+    (phi_minor, (5, 0, 1, True, 2), "True"),
+    (phi_minor, (5, 0, 1.0, 0, 2), "1.0"),
+    (phi_minor, (5, 0.0, 1, 0, 2), "0.0"),
+    (phi, (True, "E", "EE", 4, 1, 2.0, 3), "2.0"),
+    (phi, (True, "E", "EE", 4, True, 2, 3), "True"),
+    # FamilySpec was built with these n; the builders raised a TypeError or
+    # a message about the floor or the g-vector entries
+    (FamilySpec, ("cyclic", 7.5, 4), "7.5"),
+    (FamilySpec, ("stacked", True, 4), "True"),
+    (g_cyclic, (7.5, 4), "7.5"),
+    (g_cyclic, (True, 4), "True"),
+    (g_stacked, (7.5, 4), "7.5"),
+    (g_cs_stacked, (True, 4), "True"),
 ])
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):

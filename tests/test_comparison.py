@@ -321,7 +321,9 @@ def _boundary_values(family, d, r, n_floor, count=20):
 
 
 def test_bound_searches_match_linear_scan_oracle():
-    for d in range(3, 9):
+    # d = 3..12 is the range of the bounds_scaling benchmark; every value
+    # next to a family member's f_r is an edge of the floor divisions
+    for d in range(3, 13):
         for r in range(d - 1):
             # keep the stacked scan short: values up to f_r(S(d + 21, d))
             cap = family_f_r("stacked", d + 21, d, r)
@@ -353,7 +355,7 @@ def _timed(fn, *args):
 
 @pytest.mark.parametrize("d, r", [(3, 0), (4, 0), (7, 2), (12, 3), (12, 10)])
 def test_bounds_at_huge_values(d, r):
-    v = 10**60
+    v = 10**100
     n1, n2 = _timed(sandwich_simplicial, d, r, v).family_params
     assert family_f_r("stacked", n1, d, r) <= v < family_f_r("stacked", n1 + 1, d, r)
     assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
