@@ -30,7 +30,7 @@ from .exact import int_entries, largest_true
 from .transforms import GVector, build_md, check_dim, check_rs, delta, f_from_g
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    f_of_family, g_cs_stacked, g_cyclic, stanley_cs_floor,
+    cyclic_entries, f_of_family, g_cs_stacked, stanley_cs_floor,
 )
 
 
@@ -194,7 +194,8 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
     guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].  n1 is a floor
     division, as f_r(S(n,d)) = m[0][r] + (n-d-1) * m[1][r] with m[1][r] =
-    C(d,r) > 0; n2 is searched, each probe g(C(n,d)) times column r.
+    C(d,r) > 0; n2 is searched, each probe the plain entries of g(C(n,d))
+    times column r.
     """
     _check_r(d, r, f_r_value)
     column = tuple(row[r] for row in build_md(d))
@@ -202,7 +203,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     n2 = d + 1  # C(d+1, d) is the simplex, with f_r = m[0][r]
     if f_r_value > column[0]:
         n2 = 1 + largest_true(
-            lambda n: sum(map(mul, g_cyclic(n, d).entries, column)) < f_r_value, n2)
+            lambda n: sum(map(mul, cyclic_entries(n, d), column)) < f_r_value, n2)
     f_low = f_of_family(FamilySpec(STACKED, n1, d))
     f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
     conclusions = {

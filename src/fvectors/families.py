@@ -42,16 +42,20 @@ def _check_nd(n: int, d: int) -> None:
         int_entries((n,), "parameters")
 
 
+def cyclic_entries(n: int, d: int) -> tuple:
+    """The entries of g(C(n, d)) as a plain tuple, for an int n >= d+1 and a
+    checked d; `g_cyclic` checks both and wraps this in a GVector."""
+    # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which the
+    # vanishing-binomial convention sends to 0 at n = d+1 (the simplex).
+    return (1,) + tuple(binomial(n - d - 2 + i, i) for i in range(1, delta(d) + 1))
+
+
 def g_cyclic(n: int, d: int) -> GVector:
     """g-vector of the cyclic polytope C(n, d); needs n >= d+1."""
     _check_nd(n, d)
     if n <= d:
         raise ValueError(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
-    # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which the
-    # vanishing-binomial convention sends to 0 at n = d+1 (the simplex).
-    return GVector(
-        d, (1,) + tuple(binomial(n - d - 2 + i, i) for i in range(1, delta(d) + 1))
-    )
+    return GVector(d, cyclic_entries(n, d))
 
 
 def g_stacked(n: int, d: int) -> GVector:

@@ -51,18 +51,16 @@ class PathFamilySpec:
         int_entries((self.p, self.q, self.t, self.u))
 
 
-@lru_cache(maxsize=None)
-def _step_words(dx: int, dy: int) -> tuple:
-    """All words with dx E's and dy N's, lexicographic."""
+def _step_words(dx: int, dy: int):
+    """All words with dx E's and dy N's, lexicographic: as E < N, that is
+    the order in which `combinations` yields the E positions."""
     if dx < 0 or dy < 0:
-        return ()
-    if dx == 0:
-        return ("N" * dy,)
-    if dy == 0:
-        return ("E" * dx,)
-    return tuple("E" + w for w in _step_words(dx - 1, dy)) + tuple(
-        "N" + w for w in _step_words(dx, dy - 1)
-    )
+        return
+    for east in combinations(range(dx + dy), dx):
+        word = ["N"] * (dx + dy)
+        for i in east:
+            word[i] = "E"
+        yield "".join(word)
 
 
 def _vertex_bit(x: int, y: int) -> int:

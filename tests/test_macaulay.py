@@ -10,6 +10,7 @@ from fvectors.macaulay import (
     macaulay_expand, del_k,
     is_m_sequence_upper, is_M_sequence, is_nonnegative,
 )
+from fvectors.macaulay import _top
 
 from oracles import macaulay_expansions_by_search, macaulay_terms_by_scan
 
@@ -231,3 +232,43 @@ def test_huge_inputs(k):
         v = (1,) + (c,) * (k - 1) + (n,)
         assert _timed(is_m_sequence_upper, v)
         assert not is_m_sequence_upper(v[:-2] + (c - 1, n))
+
+
+def test_top_on_both_sides_of_its_guard():
+    # the root start is taken when n has more than 2j bits; 2^(2j) is the
+    # first such n, and C(a, j) for a near 2j sits below it
+    rng = random.Random(909)
+    for j in range(1, 41):
+        ns = [rng.randint(1, 10 ** rng.randint(1, 150)) for _ in range(40)]
+        ns += [2 ** (2 * j) - 1, 2 ** (2 * j), 2 ** (2 * j) + 1]
+        for a in range(max(j, 2 * j - 3), 2 * j + 4):
+            ns += [math.comb(a, j), math.comb(a, j) - 1]
+        for n in ns:
+            if n >= 1:
+                a = _top(n, j)
+                assert a >= j
+                assert math.comb(a, j) <= n < math.comb(a + 1, j), (n, j)
+
+
+def test_del_matches_linear_scan_oracle_for_large_k():
+    # k >= n here, where the expansion ends in a run of unit terms (i, i)
+    for k in range(1, 61):
+        for n in range(1, 61):
+            terms = macaulay_terms_by_scan(n, k)
+            assert macaulay_expand(n, k).terms == terms
+            assert del_k(n, k) == sum(math.comb(a - 1, j - 1) for a, j in terms)
+
+
+@pytest.mark.parametrize("n, k", [
+    (10**12, 10**12),  # 10^12 unit terms (i, i), each adding 1
+    (10**12, 10**12 + 5),
+    (10**30, 5000),  # thousands of terms, nearly all outside the root guard
+    (10**200, 1000),
+], ids=["1e12-k1e12", "1e12-k1e12+5", "1e30-k5000", "1e200-k1000"])
+def test_del_with_large_k(n, k):
+    out = _timed(del_k, n, k)
+    if n <= k:
+        assert out == n
+    else:
+        terms = macaulay_terms_by_scan(n, k)
+        assert out == sum(math.comb(a - 1, j - 1) for a, j in terms)
