@@ -22,8 +22,7 @@ from .transforms import (
 )
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    g_cyclic, g_stacked, g_cs_stacked, g_of_family, f_of_family,
-    stanley_cs_floor,
+    g_of_family, f_of_family, stanley_cs_floor,
 )
 from .macaulay import (
     MacaulayExpansion, macaulay_expand, del_k,

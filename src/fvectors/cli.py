@@ -23,7 +23,6 @@ from . import (
     FamilySpec, g_of_family, f_of_family,
     is_m_sequence_upper, is_M_sequence, is_nonnegative, del_k,
     compare, sandwich_simplicial, lower_bound_cs, ratio_chain,
-    NoCrossingError, BelowFloorError,
     MinorReport, verify_lemma3, verify_total_nonnegativity,
     PhiReport, verify_phi, gv_identity_check, PathFamilySpec,
 )
@@ -286,8 +285,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         # only --help exits from argparse; bad usage raises ValueError
         return int(exc.code or 0)
-    except (ValueError, NoCrossingError, BelowFloorError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(json.dumps({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,10 +27,10 @@ from operator import mul
 from typing import Optional
 
 from .exact import int_entries, largest_true
-from .transforms import GVector, build_md, check_dim, check_rs, delta, f_from_g
+from .transforms import GVector, build_md, check_dim, check_rs, delta, f_from_g, g_to_f
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    cyclic_entries, f_of_family, g_cs_stacked, stanley_cs_floor,
+    f_of_family, first_n, g_entries, g_of_family, stanley_cs_floor,
 )
 
 
@@ -177,14 +177,23 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
-def _steps_below(value: int, base: int, step: int, family: str, d: int, r: int) -> int:
-    """Whole steps of size step > 0 that go from base up to at most value;
-    a value below base is below the family's minimal member."""
+def _member_f_r(family: str, n: int, d: int, column: tuple) -> int:
+    """f_r of the member (family, n, d): its g-entries times column r of M_d."""
+    return sum(map(mul, g_entries(family, n, d), column))
+
+
+def _largest_n_up_to(value: int, family: str, d: int, r: int, column: tuple) -> int:
+    """Largest n whose member has f_r <= value, for a family on which f_r
+    grows in n by one constant step: a floor division, with the base and
+    the step read off the first member and the next."""
+    first = first_n(family, d)
+    base = _member_f_r(family, first, d, column)
     if value < base:
         raise BelowFloorError(
             f"f_{r} = {value} is below the minimal {family} value for d={d}"
         )
-    return (value - base) // step
+    step = _member_f_r(family, first + 1, d, column) - base
+    return first + (value - base) // step
 
 
 def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
@@ -193,17 +202,16 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     Finds the largest n1 with f_r(S(n1,d)) <= f_r_value and the smallest
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
     guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].  n1 is a floor
-    division, as f_r(S(n,d)) = m[0][r] + (n-d-1) * m[1][r] with m[1][r] =
-    C(d,r) > 0; n2 is searched, each probe the plain entries of g(C(n,d))
-    times column r.
+    division, as f_r(S(n,d)) is affine in n with step C(d,r) > 0; n2 is
+    searched, each probe the plain entries of g(C(n,d)) times column r.
     """
     _check_r(d, r, f_r_value)
     column = tuple(row[r] for row in build_md(d))
-    n1 = d + 1 + _steps_below(f_r_value, column[0], column[1], STACKED, d, r)
-    n2 = d + 1  # C(d+1, d) is the simplex, with f_r = m[0][r]
+    n1 = _largest_n_up_to(f_r_value, STACKED, d, r, column)
+    n2 = first_n(CYCLIC, d)  # the simplex, with f_r = m[0][r]
     if f_r_value > column[0]:
         n2 = 1 + largest_true(
-            lambda n: sum(map(mul, cyclic_entries(n, d), column)) < f_r_value, n2)
+            lambda n: _member_f_r(CYCLIC, n, d, column) < f_r_value, n2)
     f_low = f_of_family(FamilySpec(STACKED, n1, d))
     f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
     conclusions = {
@@ -218,17 +226,15 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
 
     The crossing hypothesis is certified against the Stanley floor, which
     every centrally-symmetric simplicial polytope's g-vector dominates.
-    The floor is g(CS(2d,d)), so f_r(CS(2n,d)) = f_r(floor) + 2(n-d) *
-    m[1][r] and n is a floor division.
+    f_r(CS(2n,d)) is affine in n, so n is a floor division.
     """
     _check_r(d, r, f_r_value)
-    floor = stanley_cs_floor(d)
     column = tuple(row[r] for row in build_md(d))
-    base = sum(map(mul, floor.entries, column))
-    n = d + _steps_below(f_r_value, base, 2 * column[1], CS_STACKED, d, r)
-    witness = find_crossing(g_cs_stacked(n, d), floor)
+    n = _largest_n_up_to(f_r_value, CS_STACKED, d, r, column)
+    g = g_of_family(FamilySpec(CS_STACKED, n, d))
+    witness = find_crossing(g, stanley_cs_floor(d))
     if witness is None:  # diffs vanish beyond index 1, so this cannot happen
         raise NoCrossingError("cs-stacked g-vector does not cross the Stanley floor")
-    f_low = f_of_family(FamilySpec(CS_STACKED, n, d))
+    f_low = g_to_f(g)
     conclusions = {s: BoundConclusion(True, f_low[s]) for s in range(r + 1, d)}
     return ComparisonReport(d, r, True, conclusions, witness, (n,))

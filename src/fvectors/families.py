@@ -21,84 +21,60 @@ STACKED = "stacked"
 CS_STACKED = "cs_stacked"
 
 
+def first_n(family: str, d: int) -> int:
+    """n of the family's first member: the simplex C(d+1, d) = S(d+1, d),
+    or the cross-polytope CS(2d, d)."""
+    return d if family == CS_STACKED else d + 1
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family name plus its vertex parameter n (vertex count is 2n for
-    cs_stacked) and the dimension d."""
+    cs_stacked) and the dimension d; n is at least `first_n`."""
 
     family: str
     n: int
     d: int
 
     def __post_init__(self):
-        _check_nd(self.n, self.d)
+        check_dim(self.d)
+        if type(self.n) is not int:  # skips the general check on the hot path
+            int_entries((self.n,), "parameters")
         if self.family not in (CYCLIC, STACKED, CS_STACKED):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.n < first_n(self.family, self.d):
+            least = "d" if self.family == CS_STACKED else "d+1"
+            raise ValueError(f"{self.family.replace('_', '-')} polytope needs n >= {least}, "
+                             f"got n={self.n}, d={self.d}")
 
 
-def _check_nd(n: int, d: int) -> None:
-    check_dim(d)
-    if type(n) is not int:  # skips the general check on the hot path
-        int_entries((n,), "parameters")
-
-
-def cyclic_entries(n: int, d: int) -> tuple:
-    """The entries of g(C(n, d)) as a plain tuple, for an int n >= d+1 and a
-    checked d; `g_cyclic` checks both and wraps this in a GVector."""
-    # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which the
-    # vanishing-binomial convention sends to 0 at n = d+1 (the simplex).
-    return (1,) + tuple(binomial(n - d - 2 + i, i) for i in range(1, delta(d) + 1))
-
-
-def g_cyclic(n: int, d: int) -> GVector:
-    """g-vector of the cyclic polytope C(n, d); needs n >= d+1."""
-    _check_nd(n, d)
-    if n <= d:
-        raise ValueError(f"cyclic polytope needs n >= d+1, got n={n}, d={d}")
-    return GVector(d, cyclic_entries(n, d))
-
-
-def g_stacked(n: int, d: int) -> GVector:
-    """g-vector of the stacked polytope S(n, d); needs n >= d+1."""
-    _check_nd(n, d)
-    if n <= d:
-        raise ValueError(f"stacked polytope needs n >= d+1, got n={n}, d={d}")
-    return GVector(d, (1, n - d - 1) + (0,) * (delta(d) - 1))
-
-
-def g_cs_stacked(n: int, d: int) -> GVector:
-    """g-vector of the centrally-symmetric stacked polytope CS(2n, d).
-
-    Needs n >= d; n = d gives the cross-polytope itself.
-    """
-    _check_nd(n, d)
-    if n < d:
-        raise ValueError(f"cs-stacked polytope needs n >= d, got n={n}, d={d}")
-    g = [1, 2 * n - d - 1]
-    for i in range(2, delta(d) + 1):
-        g.append(binomial(d, i) - binomial(d, i - 1))
-    return GVector(d, tuple(g))
+def g_entries(family: str, n: int, d: int) -> tuple:
+    """The entries of g for the member (family, n, d) as a plain tuple, for
+    parameters that `FamilySpec` accepts; nothing is checked here."""
+    if family == CYCLIC:
+        # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which
+        # the vanishing-binomial convention sends to 0 at n = d+1 (the simplex)
+        return (1,) + tuple(binomial(n - d - 2 + i, i) for i in range(1, delta(d) + 1))
+    if family == STACKED:
+        return (1, n - d - 1) + (0,) * (delta(d) - 1)
+    return (1, 2 * n - d - 1) + tuple(
+        binomial(d, i) - binomial(d, i - 1) for i in range(2, delta(d) + 1)
+    )
 
 
 def stanley_cs_floor(d: int) -> GVector:
     """Componentwise lower bound on g-vectors of centrally-symmetric
-    simplicial d-polytopes: g_i >= C(d,i) - C(d,i-1) for i >= 1.
+    simplicial d-polytopes: g_i >= C(d,i) - C(d,i-1) for i >= 1, attained
+    by the cross-polytope CS(2d, d).
 
     Used as the comparison hypothesis when bounding such polytopes from
     below by cs-stacked ones.
     """
-    check_dim(d)
-    return GVector(
-        d,
-        (1,) + tuple(binomial(d, i) - binomial(d, i - 1) for i in range(1, delta(d) + 1)),
-    )
-
-
-_G_BUILDERS = {CYCLIC: g_cyclic, STACKED: g_stacked, CS_STACKED: g_cs_stacked}
+    return g_of_family(FamilySpec(CS_STACKED, d, d))
 
 
 def g_of_family(spec: FamilySpec) -> GVector:
-    return _G_BUILDERS[spec.family](spec.n, spec.d)
+    return GVector(spec.d, g_entries(spec.family, spec.n, spec.d))
 
 
 def f_of_family(spec: FamilySpec) -> FVector:

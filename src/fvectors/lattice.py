@@ -35,7 +35,7 @@ CASE_2B = "2b"
 CASE_2C = "2c"
 
 # how verify_phi reports an intersecting image; the text reaches CLI JSON
-_INTERSECTING = "paths in a PathPair must be vertex-disjoint"
+_INTERSECTING = "image paths must be vertex-disjoint"
 
 
 @dataclass(frozen=True)

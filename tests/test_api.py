@@ -7,7 +7,7 @@ import pytest
 
 import fvectors
 from fvectors import (
-    FamilySpec, del_k, g_cs_stacked, g_cyclic, g_stacked, lower_bound_cs,
+    FamilySpec, del_k, lower_bound_cs,
     macaulay_expand, phi, phi_minor, ratio_chain, sandwich_simplicial,
     verify_lemma3, verify_total_nonnegativity,
 )
@@ -20,8 +20,7 @@ PUBLIC_NAMES = {
     "NoCrossingError", "PathFamilySpec", "PhiReport", "STACKED",
     "binom_det", "binomial", "build_md", "compare", "count_disjoint_pairs",
     "del_k", "delta", "f_from_g", "f_of_family", "f_to_g", "f_to_h",
-    "find_crossing", "g_cs_stacked", "g_cyclic", "g_of_family", "g_stacked",
-    "g_to_f", "gv_identity_check", "h_to_f", "h_to_g", "is_M_sequence",
+    "find_crossing", "g_of_family", "g_to_f", "gv_identity_check", "h_to_f", "h_to_g", "is_M_sequence",
     "is_dehn_sommerville", "is_m_sequence_upper", "is_nonnegative",
     "lower_bound_cs", "macaulay_expand", "md_entry", "phi", "phi_minor",
     "ratio_chain", "sandwich_simplicial", "stanley_cs_floor",
@@ -61,14 +60,14 @@ def test_public_names_are_pinned():
     (phi_minor, (5, 0.0, 1, 0, 2), "0.0"),
     (phi, (True, "E", "EE", 4, 1, 2.0, 3), "2.0"),
     (phi, (True, "E", "EE", 4, True, 2, 3), "True"),
-    # FamilySpec was built with these n; the builders raised a TypeError or
-    # a message about the floor or the g-vector entries
+    # FamilySpec was built with these n; the family builders then raised a
+    # TypeError or a message about the floor or the g-vector entries
     (FamilySpec, ("cyclic", 7.5, 4), "7.5"),
     (FamilySpec, ("stacked", True, 4), "True"),
-    (g_cyclic, (7.5, 4), "7.5"),
-    (g_cyclic, (True, 4), "True"),
-    (g_stacked, (7.5, 4), "7.5"),
-    (g_cs_stacked, (True, 4), "True"),
+    (FamilySpec, ("cyclic", 7.5, 5), "7.5"),
+    (FamilySpec, ("cyclic", True, 4), "True"),
+    (FamilySpec, ("stacked", 7.5, 4), "7.5"),
+    (FamilySpec, ("cs_stacked", True, 4), "True"),
 ])
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):

@@ -1,5 +1,4 @@
 import random
-import time
 from itertools import product
 
 import pytest
@@ -13,6 +12,7 @@ from fvectors.minors import phi_minor
 from fvectors.families import FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family
 from fvectors.transforms import GVector, build_md, delta, f_from_g
 
+from deadline import timed
 from oracles import (
     crossing_index_by_scan, family_f_r, largest_n_below_by_scan,
     sandwich_params_by_scan,
@@ -346,18 +346,11 @@ def test_bound_searches_match_linear_scan_oracle():
                     assert lower_bound_cs(d, r, v).family_params == (n,)
 
 
-def _timed(fn, *args):
-    start = time.perf_counter()
-    out = fn(*args)
-    assert time.perf_counter() - start < 1.0, f"{fn.__name__}{args[:2]} took over 1 s"
-    return out
-
-
 @pytest.mark.parametrize("d, r", [(3, 0), (4, 0), (7, 2), (12, 3), (12, 10)])
 def test_bounds_at_huge_values(d, r):
     v = 10**100
-    n1, n2 = _timed(sandwich_simplicial, d, r, v).family_params
+    n1, n2 = timed(sandwich_simplicial, d, r, v).family_params
     assert family_f_r("stacked", n1, d, r) <= v < family_f_r("stacked", n1 + 1, d, r)
     assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
-    (n,) = _timed(lower_bound_cs, d, r, v).family_params
+    (n,) = timed(lower_bound_cs, d, r, v).family_params
     assert family_f_r("cs_stacked", n, d, r) <= v < family_f_r("cs_stacked", n + 1, d, r)

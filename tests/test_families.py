@@ -3,32 +3,35 @@ import pytest
 from fvectors.exact import binomial
 from fvectors.families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    g_cyclic, g_stacked, g_cs_stacked, g_of_family, f_of_family,
-    stanley_cs_floor,
+    first_n, g_of_family, f_of_family, stanley_cs_floor,
 )
-from fvectors.transforms import delta
+from fvectors.transforms import GVector, delta
 
 from oracles import cyclic_fvector_gale, family_f_r, stacked_fvector_subdivision
 
 
+def _g(family, n, d):
+    return g_of_family(FamilySpec(family, n, d)).entries
+
+
 def test_g_cyclic_examples():
-    assert g_cyclic(7, 4).entries == (1, 2, 3)
-    assert g_cyclic(7, 3).entries == (1, 3)
+    assert _g(CYCLIC, 7, 4) == (1, 2, 3)
+    assert _g(CYCLIC, 7, 3) == (1, 3)
     for d in range(3, 10):
-        assert g_cyclic(d + 1, d).entries == (1,) + (0,) * delta(d)
+        assert _g(CYCLIC, d + 1, d) == (1,) + (0,) * delta(d)
 
 
 def test_g_stacked_examples():
-    assert g_stacked(6, 4).entries == (1, 1, 0)
-    assert g_stacked(20, 5).entries == (1, 14, 0)
+    assert _g(STACKED, 6, 4) == (1, 1, 0)
+    assert _g(STACKED, 20, 5) == (1, 14, 0)
     for d in range(3, 10):
-        assert g_stacked(d + 1, d).entries == (1,) + (0,) * delta(d)
+        assert _g(STACKED, d + 1, d) == (1,) + (0,) * delta(d)
 
 
 def test_g_cs_stacked_examples():
-    assert g_cs_stacked(3, 3).entries == (1, 2)
-    assert g_cs_stacked(4, 4).entries == (1, 3, 2)
-    assert g_cs_stacked(5, 4).entries == (1, 5, 2)
+    assert _g(CS_STACKED, 3, 3) == (1, 2)
+    assert _g(CS_STACKED, 4, 4) == (1, 3, 2)
+    assert _g(CS_STACKED, 5, 4) == (1, 5, 2)
 
 
 def test_stanley_cs_floor_examples():
@@ -39,18 +42,35 @@ def test_stanley_cs_floor_examples():
 
 def test_cs_floor_equals_cross_polytope_g():
     for d in range(3, 13):
-        assert stanley_cs_floor(d) == g_cs_stacked(d, d)
+        assert stanley_cs_floor(d).entries == (1,) + tuple(
+            binomial(d, i) - binomial(d, i - 1) for i in range(1, delta(d) + 1)
+        )
+        assert stanley_cs_floor(d) == g_of_family(FamilySpec(CS_STACKED, d, d))
 
 
 def test_parameter_floors_rejected():
-    with pytest.raises(ValueError):
-        g_cyclic(4, 4)
-    with pytest.raises(ValueError):
-        g_stacked(5, 5)
-    with pytest.raises(ValueError):
-        g_cs_stacked(3, 4)
-    with pytest.raises(ValueError):
-        FamilySpec("prism", 8, 4)
+    # a below-floor member is refused when its spec is built
+    for args, message in (
+        ((CYCLIC, 4, 4), "cyclic polytope needs n >= d+1, got n=4, d=4"),
+        ((STACKED, 5, 5), "stacked polytope needs n >= d+1, got n=5, d=5"),
+        ((CS_STACKED, 3, 4), "cs-stacked polytope needs n >= d, got n=3, d=4"),
+        (("prism", 8, 4), "unknown family 'prism'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            FamilySpec(*args)
+        assert str(err.value) == message
+
+
+def test_f_r_grows_by_one_constant_step():
+    # the bound search reads n1 and the cs-stacked n as floor divisions
+    # off the first two members, which needs f_r affine and increasing in n
+    for d in range(3, 13):
+        for family in (STACKED, CS_STACKED):
+            first = first_n(family, d)
+            f = [f_of_family(FamilySpec(family, n, d)) for n in range(first, first + 21)]
+            for r in range(d - 1):
+                steps = {b[r] - a[r] for a, b in zip(f, f[1:])}
+                assert len(steps) == 1 and steps.pop() > 0
 
 
 def test_cross_polytope_fvector():
@@ -128,6 +148,6 @@ def test_stacked_facet_count_closed_form():
 
 
 def test_g_of_family_dispatch():
-    assert g_of_family(FamilySpec(CYCLIC, 7, 4)) == g_cyclic(7, 4)
-    assert g_of_family(FamilySpec(STACKED, 6, 4)) == g_stacked(6, 4)
-    assert g_of_family(FamilySpec(CS_STACKED, 5, 4)) == g_cs_stacked(5, 4)
+    assert g_of_family(FamilySpec(CYCLIC, 7, 4)) == GVector(4, (1, 2, 3))
+    assert g_of_family(FamilySpec(STACKED, 6, 4)) == GVector(4, (1, 1, 0))
+    assert g_of_family(FamilySpec(CS_STACKED, 5, 4)) == GVector(4, (1, 5, 2))

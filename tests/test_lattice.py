@@ -303,7 +303,7 @@ def test_verify_phi_catches_intersecting_image(monkeypatch):
     report = verify_phi(6)
     assert not report.cases_partition
     assert _messages(report) == {
-        "construction failed: paths in a PathPair must be vertex-disjoint"
+        "construction failed: image paths must be vertex-disjoint"
     }
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,7 @@ from fvectors.macaulay import (
 )
 from fvectors.macaulay import _top
 
+from deadline import timed
 from oracles import macaulay_expansions_by_search, macaulay_terms_by_scan
 
 
@@ -207,30 +207,23 @@ def test_m_sequence_threshold_matches_linear_scan_oracle():
             assert not is_m_sequence_upper(v[:-2] + (c - 1, nj))
 
 
-def _timed(fn, *args):
-    start = time.perf_counter()
-    out = fn(*args)
-    assert time.perf_counter() - start < 1.0, f"{fn.__name__} took over 1 s"
-    return out
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 20])
 def test_huge_inputs(k):
     n = 10**100
-    terms = _timed(macaulay_expand, n, k).terms
+    terms = timed(macaulay_expand, n, k).terms
     assert sum(binomial(a, j) for a, j in terms) == n
     assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
     assert all(a >= j >= 1 for a, j in terms)
     assert [j for _, j in terms] == list(range(k, k - len(terms), -1))
-    assert _timed(del_k, n, k) == sum(binomial(a - 1, j - 1) for a, j in terms)
+    assert timed(del_k, n, k) == sum(binomial(a - 1, j - 1) for a, j in terms)
     m = 10**30
-    assert _timed(del_k, binomial(m, k), k) == binomial(m - 1, k - 1)
+    assert timed(del_k, binomial(m, k), k) == binomial(m - 1, k - 1)
     # the binding m at a 10^100 entry: C(m, k) <= 10^100 < C(m + 1, k)
     if k >= 2:
         top = terms[0][0]
         c = binomial(top - 1, k - 1)
         v = (1,) + (c,) * (k - 1) + (n,)
-        assert _timed(is_m_sequence_upper, v)
+        assert timed(is_m_sequence_upper, v)
         assert not is_m_sequence_upper(v[:-2] + (c - 1, n))
 
 
@@ -266,7 +259,7 @@ def test_del_matches_linear_scan_oracle_for_large_k():
     (10**200, 1000),
 ], ids=["1e12-k1e12", "1e12-k1e12+5", "1e30-k5000", "1e200-k1000"])
 def test_del_with_large_k(n, k):
-    out = _timed(del_k, n, k)
+    out = timed(del_k, n, k)
     if n <= k:
         assert out == n
     else:
