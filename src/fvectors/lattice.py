@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import binom_det, int_entries
+from .exact import binom_det, binomial, int_entries
 from .transforms import check_dim, check_rs, delta
 from .minors import phi_minor
 
@@ -49,18 +49,6 @@ class PathFamilySpec:
 
     def __post_init__(self):
         int_entries((self.p, self.q, self.t, self.u))
-
-
-def _step_words(dx: int, dy: int):
-    """All words with dx E's and dy N's, lexicographic: as E < N, that is
-    the order in which `combinations` yields the E positions."""
-    if dx < 0 or dy < 0:
-        return
-    for east in combinations(range(dx + dy), dx):
-        word = ["N"] * (dx + dy)
-        for i in east:
-            word[i] = "E"
-        yield "".join(word)
 
 
 def _vertex_bit(x: int, y: int) -> int:
@@ -92,9 +80,24 @@ def _paths_with_masks(start: tuple, end: tuple) -> dict:
     """Every monotone NE-path from start to end as {step word: vertex
     bitmask}, words in lexicographic order.  Two paths are vertex-disjoint
     exactly when their masks share no bit.  The dict is shared by every
-    caller and must not be modified."""
-    words = _step_words(end[0] - start[0], end[1] - start[1])
-    return {w: _walk(start, w) for w in words}
+    caller and must not be modified.  The words grow down a prefix tree,
+    E before N, each mask its prefix's mask plus one bit."""
+    (x0, y0), (x1, y1) = start, end
+    if x1 < x0 or y1 < y0:
+        return {}
+    words, masks = [""], [1 << _vertex_bit(x0, y0)]
+    for level in range(x0 + y0 + 1, x1 + y1 + 1):
+        grown_words, grown_masks = [], []
+        for word, mask in zip(words, masks):
+            x = x0 + word.count("E")
+            if x < x1:
+                grown_words.append(word + "E")
+                grown_masks.append(mask | 1 << _vertex_bit(x + 1, level - x - 1))
+            if level - x <= y1:
+                grown_words.append(word + "N")
+                grown_masks.append(mask | 1 << _vertex_bit(x, level - x))
+        words, masks = grown_words, grown_masks
+    return dict(zip(words, masks))
 
 
 def _family_paths(spec: PathFamilySpec):
@@ -105,40 +108,38 @@ def _family_paths(spec: PathFamilySpec):
     )
 
 
-def _window(level: int, start: int, end: int) -> range:
-    """The x-coordinates on level x + y of a path from (0, -start) to
-    (end, -end): it has taken level + start steps and has -level left."""
-    return range(max(0, level + end), min(end, level + start) + 1)
-
-
 def _count(p: int, q: int, t: int, u: int) -> int:
     """#L(p, q, t, u) by a walk over the levels x + y, on which every step
     climbs by one.  Two paths are vertex-disjoint exactly when their
-    x-coordinates differ on every level they share.  The lower-starting
-    path walks alone, with a count per x, up to the other's start level,
-    where it must stand right of the other's start.  Then both walk in
-    lockstep, with a count per (x_P, x_Q).  NE paths cannot swap sides
-    without meeting, so the lower-starting one stays strictly right."""
+    x-coordinates differ on every level they share; NE paths cannot swap
+    sides without meeting, so the lower-starting path stays strictly right.
+    It walks alone to the other's start level, leaving C(p-q, x) prefixes
+    at each x, then both walk in lockstep with a count per (x_P, x_Q): one
+    int of B-bit cells, row x_Q of width t+1.  A level adds the table
+    shifted a cell (P steps E), then a row (Q steps E), and the mask keeps
+    x_Q <= u and x_Q < x_P <= t; prefixes with too many N steps never
+    reach (t, u), so the mask need not drop them.
+
+    No cell carries into the next: a masked cell counts pairs of a P and a
+    Q prefix, at most C(p, x_P)*C(q, x_Q) <= K = C(p, min(t, p//2)) *
+    C(q, min(u, q//2)) as binomials rise towards the middle, and before
+    the mask any cell sums at most four masked ones, so 4K < 2^B for
+    B = K.bit_length() + 2."""
     if not (0 <= t <= p and 0 <= u <= q):
         return 0
     if p < q:
         p, q, t, u = q, p, u, t
     if t <= u:
         return 0
-    ways = {0: 1}
-    for level in range(1 - p, 1 - q):
-        ways = {x: ways.get(x, 0) + ways.get(x - 1, 0) for x in _window(level, p, t)}
-    pairs = {(x, 0): n for x, n in ways.items() if x}
-    for level in range(1 - q, 1):
-        get, ys = pairs.get, _window(level, q, u)
-        pairs = {
-            (x, y): get((x, y), 0) + get((x - 1, y), 0) + get((x, y - 1), 0)
-            + get((x - 1, y - 1), 0)
-            for x in _window(level, p, t)
-            for y in ys
-            if x > y
-        }
-    return pairs.get((t, u), 0)
+    b = (binomial(p, min(t, p // 2)) * binomial(q, min(u, q // 2))).bit_length() + 2
+    row = b * (t + 1)
+    v = sum(binomial(p - q, x) << b * x for x in range(1, min(t, p - q) + 1))
+    mask = sum(((1 << b * (t - y)) - 1) << (row * y + b * (y + 1)) for y in range(u + 1))
+    for _ in range(q):
+        v += v << b
+        v += v << row
+        v &= mask
+    return (v >> (row * u + b * t)) & ((1 << b) - 1)
 
 
 def count_disjoint_pairs(spec: PathFamilySpec) -> int:
@@ -174,15 +175,6 @@ def _case(first: bool, p_steps: str, q_steps: str) -> str:
     return CASE_2C
 
 
-def _image_starts(case: str, d: int, a: int) -> tuple:
-    """Start points of the image paths: L(a, A-1) for case 1 and subcase
-    2a, L(A-1, A) for subcases 2b and 2c."""
-    at = d + 1 - a
-    if case in (CASE_1, CASE_2A):
-        return (0, -a), (0, -(at - 1))
-    return (0, -(at - 1)), (0, -at)
-
-
 def _factor_2c(p_steps: str, q_steps: str):
     """Split P = E^k N P' and Q = N R E N^v E Q', the two E's being the
     k-th and (k+1)-st occurrences of E in Q.
@@ -207,7 +199,8 @@ def _factor_2c(p_steps: str, q_steps: str):
 def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
     """The injection on step words: (case, image P word, image Q word) for
     a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words.
-    The image start points follow from the case (see _image_starts)."""
+    The image start points follow from the case: (0, -a) and (0, 1-A) in
+    case 1 and subcase 2a, (0, 1-A) and (0, -A) in subcases 2b and 2c."""
     at = d + 1 - a
     case = _case(first, p_steps, q_steps)
     lift = "N" * ((at - 1) - (a + 1))
@@ -272,23 +265,6 @@ class PhiReport:
         )
 
 
-def _image_masks(p_steps: str, q_steps: str, target, starts):
-    """(P mask, Q mask, in family) of an image pair with the given start
-    points: in family when each word is a path of the target family's P or
-    Q dict.  A word over other letters or two intersecting paths raise
-    ValueError."""
-    p_paths, q_paths = target
-    p_mask, q_mask = p_paths.get(p_steps), q_paths.get(q_steps)
-    in_family = p_mask is not None and q_mask is not None
-    if p_mask is None:
-        p_mask = _walk(starts[0], p_steps)
-    if q_mask is None:
-        q_mask = _walk(starts[1], q_steps)
-    if p_mask & q_mask:
-        raise ValueError(_INTERSECTING)
-    return p_mask, q_mask, in_family
-
-
 def verify_phi(d: int) -> PhiReport:
     """Run the injection over every admissible (a, r, s) instance for
     dimension d and check all of its claimed properties:
@@ -321,7 +297,9 @@ def verify_phi(d: int) -> PhiReport:
             instances += 1
             low_target = PathFamilySpec(a, at - 1, sb, rb)
             high_target = PathFamilySpec(at - 1, at, sb, rb)
-            low_paths, high_paths = _family_paths(low_target), _family_paths(high_target)
+            # (target P and Q dicts, image start points) of each image side
+            low_side = _family_paths(low_target), ((0, -a), (0, 1 - at))
+            high_side = _family_paths(high_target), ((0, 1 - at), (0, -at))
             images = set()
             domain_size = 0
             for first, spec in (
@@ -338,10 +316,14 @@ def verify_phi(d: int) -> PhiReport:
                         try:
                             case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
                             low = case in (CASE_1, CASE_2A)
-                            image_pm, image_qm, in_family = _image_masks(
-                                image_pw, image_qw, low_paths if low else high_paths,
-                                _image_starts(case, d, a),
-                            )
+                            (target_p, target_q), (p_start, q_start) = (
+                                low_side if low else high_side)
+                            in_family = image_pw in target_p and image_qw in target_q
+                            # a mask is never 0, so `or` walks only words off the target
+                            image_pm = target_p.get(image_pw) or _walk(p_start, image_pw)
+                            image_qm = target_q.get(image_qw) or _walk(q_start, image_qw)
+                            if image_pm & image_qm:
+                                raise ValueError(_INTERSECTING)
                         except ValueError as exc:
                             cases_partition = False
                             failures.append((tag, f"construction failed: {exc}"))

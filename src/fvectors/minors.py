@@ -1,8 +1,10 @@
 """Minor scans of the M_d matrix.
 
 All 2x2 minors of M_d are nonnegative, which is what drives the ratio
-chain behind the comparison theorem.  Conjecturally M_d is totally
-nonnegative (all minors of all orders); this module verifies both claims
+chain behind the comparison theorem.  M_d is in fact totally nonnegative
+(all minors of all orders), as the paper conjectured and Björklund and
+Engström proved ("The g-theorem matrices are totally nonnegative",
+J. Combin. Theory Ser. A 116 (2009)); this module verifies both claims
 at finite scale with one exact minor scanner.
 """
 

@@ -8,9 +8,10 @@ stellar-subdivision face-count updates for stacked polytopes, closed-form
 h-vectors of the extremal families, exhaustive search for Macaulay
 expansions, the one-step-at-a-time linear scans that the library's
 monotone search replaced, the try-every-t crossing scan that the
-library's one-pass search replaced, and the vertex-disjoint lattice path
+library's one-pass search replaced, the vertex-disjoint lattice path
 pairs of a family as step-word pairs, found by testing the vertex sets of
-every pair, which the library's level walk counts.
+every pair, and their count by a level walk with one dict entry per
+x-coordinate pair, which the library's packed-integer walk replaced.
 """
 
 import math
@@ -313,3 +314,36 @@ def disjoint_word_pairs(p, q, t, u):
 def disjoint_pairs_by_scan(p, q, t, u):
     """#L(p, q, t, u), testing every pair."""
     return len(disjoint_word_pairs(p, q, t, u))
+
+
+def _window(level, start, end):
+    """The x-coordinates on level x + y of a path from (0, -start) to
+    (end, -end): it has taken level + start steps and has -level left."""
+    return range(max(0, level + end), min(end, level + start) + 1)
+
+
+def disjoint_pairs_by_levels(p, q, t, u):
+    """#L(p, q, t, u) by a walk over the levels x + y: the lower-starting
+    path alone, with a count per x, up to the other's start level, where
+    it must stand right of the other's start; then both in lockstep, with a
+    dict entry per (x_P, x_Q) with x_P > x_Q."""
+    if not (0 <= t <= p and 0 <= u <= q):
+        return 0
+    if p < q:
+        p, q, t, u = q, p, u, t
+    if t <= u:
+        return 0
+    ways = {0: 1}
+    for level in range(1 - p, 1 - q):
+        ways = {x: ways.get(x, 0) + ways.get(x - 1, 0) for x in _window(level, p, t)}
+    pairs = {(x, 0): n for x, n in ways.items() if x}
+    for level in range(1 - q, 1):
+        get, ys = pairs.get, _window(level, q, u)
+        pairs = {
+            (x, y): get((x, y), 0) + get((x - 1, y), 0) + get((x, y - 1), 0)
+            + get((x - 1, y - 1), 0)
+            for x in _window(level, p, t)
+            for y in ys
+            if x > y
+        }
+    return pairs.get((t, u), 0)

@@ -2,7 +2,11 @@ from itertools import product
 
 import pytest
 
-from oracles import disjoint_pairs_by_scan, disjoint_word_pairs, path_vertices
+from deadline import timed
+from oracles import (
+    _ne_paths, disjoint_pairs_by_levels, disjoint_pairs_by_scan, disjoint_word_pairs,
+    path_vertices,
+)
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
@@ -44,6 +48,18 @@ def test_enumerate_paths_counts_are_binomial():
             assert len(paths((0, 0), (dx, dy))) == binomial(total, dx)
 
 
+def test_prefix_built_masks_match_the_oracle_paths():
+    # words in the oracle's order (E positions by `combinations`), each
+    # mask holding exactly the bits of the path's vertices
+    for p in range(9):
+        for t in range(9):
+            start = (0, -p)
+            paths = _paths_with_masks.__wrapped__(start, (t, -t))
+            assert list(paths) == [w for w, _ in _ne_paths(p, t, p + 1)]
+            for word, mask in paths.items():
+                assert mask == _mask(*path_vertices(start, word)), (p, t, word)
+
+
 def test_paths_disjoint_helper():
     assert not _walk((0, 0), "EN") & _walk((0, 1), "NE")
     assert _walk((0, 0), "EN") & _walk((0, 0), "NE")
@@ -70,6 +86,21 @@ def test_count_disjoint_pairs_matches_pair_scan():
     # empty families, negative parameters and shared starts (p == q) included
     for pqtu in product(range(-2, 9), repeat=4):
         assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_scan(*pqtu)
+
+
+def test_count_disjoint_pairs_matches_dict_level_walk():
+    for pqtu in product(range(-2, 15), repeat=4):
+        assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_levels(*pqtu)
+
+
+@pytest.mark.parametrize("t, u, seconds", [(3, 2, 0.25), (40, 20, 1.0)])
+def test_count_disjoint_pairs_limbs_follow_the_cell_bound(t, u, seconds):
+    # 2999 lockstep levels on cells as wide as C(3000, t)*C(2999, u) plus
+    # two bits, 43 and 466 bits here, took 0.001 and 0.25 s on a 2-core Xeon
+    # VM; cells of p + q + 3 = 6002 bits took 0.05 and over 4 s.  With
+    # t > u the swapped term vanishes, so Gessel-Viennot gives the count.
+    spec = PathFamilySpec(3000, 2999, t, u)
+    assert timed(count_disjoint_pairs, spec, seconds=seconds) == binom_det(3000, 2999, t, u)
 
 
 @pytest.mark.parametrize("args", [(True, 2, 1, 1), (2.0, 3, 1, 2), (1, 2, 0, "1"), (1, None, 0, 1)])
