@@ -35,24 +35,6 @@ class MacaulayExpansion:
         return sum(binomial(a, j) for a, j in self.terms)
 
 
-def _root(m: int, j: int) -> int:
-    """floor(m^(1/j)) for j >= 3 and m >= j^j (which _top's m = j!*n with
-    n > 4^j meets), in integers only.  With b = ceil(bits/j), the root lies
-    in [2^(b-1), 2^b); halving that s = j.bit_length() - 2 times (m >= j^j
-    keeps b above s) leaves x, above the root by a factor under
-    1 + 2^-s < 1 + 4/j, from where integer Newton falls to the floor in a
-    few steps, where 2^b took about j*ln(2)."""
-    b = -(-m.bit_length() // j)
-    x, i = 1 << b, b - 2
-    while i > b - j.bit_length():
-        if (x - (1 << i)) ** j > m:
-            x -= 1 << i
-        i -= 1
-    while (y := ((j - 1) * x + m // x ** (j - 1)) // j) < x:
-        x = y
-    return x
-
-
 def _top(n: int, j: int) -> int:
     """The largest a >= j with C(a, j) <= n, for n >= 1.
 
@@ -67,7 +49,11 @@ def _top(n: int, j: int) -> int:
     x = j
     if 2 * j < n.bit_length():
         m = math.factorial(j) * n
-        x = math.isqrt(m) if j == 2 else _root(m, j)
+        # integer Newton from above falls to floor(m^(1/j)) and stops there;
+        # for j = 2 math.isqrt starts it at the root
+        x = math.isqrt(m) if j == 2 else 1 << -(-m.bit_length() // j)
+        while (y := ((j - 1) * x + m // x ** (j - 1)) // j) < x:
+            x = y
     return largest_true(lambda a: binomial(a, j) <= n, x)
 
 

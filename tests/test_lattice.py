@@ -93,14 +93,13 @@ def test_count_disjoint_pairs_matches_dict_level_walk():
         assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_levels(*pqtu)
 
 
-@pytest.mark.parametrize("t, u, seconds", [(3, 2, 0.25), (40, 20, 1.0)])
-def test_count_disjoint_pairs_limbs_follow_the_cell_bound(t, u, seconds):
-    # 2999 lockstep levels on cells as wide as C(3000, t)*C(2999, u) plus
-    # two bits, 43 and 466 bits here, took 0.001 and 0.25 s on a 2-core Xeon
-    # VM; cells of p + q + 3 = 6002 bits took 0.05 and over 4 s.  With
-    # t > u the swapped term vanishes, so Gessel-Viennot gives the count.
-    spec = PathFamilySpec(3000, 2999, t, u)
-    assert timed(count_disjoint_pairs, spec, seconds=seconds) == binom_det(3000, 2999, t, u)
+def test_count_disjoint_pairs_limbs_follow_the_cell_bound():
+    # 2999 lockstep levels on cells as wide as C(3000, 40)*C(2999, 20) plus
+    # two bits, 466 bits, took 0.25 s on a 2-core Xeon VM; cells of
+    # p + q + 3 = 6002 bits took over 4 s.  With t > u the swapped term
+    # vanishes, so Gessel-Viennot gives the count.
+    spec = PathFamilySpec(3000, 2999, 40, 20)
+    assert timed(count_disjoint_pairs, spec, seconds=1.0) == binom_det(3000, 2999, 40, 20)
 
 
 @pytest.mark.parametrize("args", [(True, 2, 1, 1), (2.0, 3, 1, 2), (1, 2, 0, "1"), (1, None, 0, 1)])

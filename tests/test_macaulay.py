@@ -9,7 +9,7 @@ from fvectors.macaulay import (
     macaulay_expand, del_k,
     is_m_sequence_upper, is_M_sequence, is_nonnegative,
 )
-from fvectors.macaulay import _root, _top
+from fvectors.macaulay import _top
 
 from deadline import timed
 from oracles import macaulay_expansions_by_search, macaulay_terms_by_scan
@@ -241,48 +241,6 @@ def test_top_on_both_sides_of_its_guard():
                 a = _top(n, j)
                 assert a >= j
                 assert math.comb(a, j) <= n < math.comb(a + 1, j), (n, j)
-
-
-class _Dividend(int):
-    """An int that counts the floor divisions it is the dividend of: in
-    `_root`, one per Newton step."""
-
-    steps = 0
-
-    def __floordiv__(self, other):
-        _Dividend.steps += 1
-        return int(self) // other
-
-
-def _root_and_steps(m, j):
-    _Dividend.steps = 0
-    return timed(_root, _Dividend(m), j), _Dividend.steps
-
-
-def test_root_newton_starts_near_the_root():
-    # j = 200 at n = 10^200, where a start at 2^ceil(bits/j), up to twice
-    # the root, took 58 Newton steps: the root has 10 bits, halving its
-    # range six times leaves it within 8 of the start, and Newton takes two
-    m = math.factorial(200) * 10**200
-    x, steps = _root_and_steps(m, 200)
-    assert x ** 200 <= m < (x + 1) ** 200
-    assert steps <= 2
-    # a start within 1 + 4/j of the root: at most 12 steps, for j = 3 and
-    # roots of about 1100 bits, where Newton's quadratic phase sets the count
-    rng = random.Random(5)
-    for j in range(3, 121):
-        for _ in range(10):
-            m = rng.randint(j ** j, max(j ** j, 10 ** rng.randint(1, 1000)))
-            x, steps = _root_and_steps(m, j)
-            assert x ** j <= m < (x + 1) ** j, (m, j)
-            assert steps <= 12, (m, j, steps)
-    # the least admissible m, and both sides of exact powers
-    for j in range(3, 30):
-        ms = list(range(j ** j, j ** j + 200))
-        ms += [r ** j + e for r in range(j, j + 40) for e in (-1, 0, 1)]
-        for m in ms:
-            x = _root(m, j)
-            assert x ** j <= m < (x + 1) ** j, (m, j)
 
 
 def test_del_matches_linear_scan_oracle_for_large_k():
