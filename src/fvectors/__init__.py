@@ -29,14 +29,14 @@ from .macaulay import (
     is_m_sequence_upper, is_M_sequence, is_nonnegative,
 )
 from .comparison import (
-    CrossingWitness, ComparisonReport, BoundConclusion,
+    CrossingWitness, ComparisonReport, BoundConclusion, ChainSweepReport,
     NoCrossingError, BelowFloorError,
-    find_crossing, compare, ratio_chain,
+    find_crossing, compare, ratio_chain, verify_ratio_chain,
     sandwich_simplicial, lower_bound_cs,
 )
 from .lattice import (
-    PathFamilySpec, PhiReport,
-    count_disjoint_pairs, gv_identity_check, phi, verify_phi,
+    PathFamilySpec, PhiReport, GVSweepReport,
+    count_disjoint_pairs, gv_identity_check, verify_gv, phi, verify_phi,
 )
 from .minors import (
     MinorReport, phi_minor, verify_lemma3, verify_total_nonnegativity,

@@ -12,9 +12,9 @@ so that lossy JSON consumers cannot corrupt them.
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from operator import attrgetter
 
 from . import (
     FVector, HVector, GVector,
@@ -22,11 +22,9 @@ from . import (
     is_dehn_sommerville,
     FamilySpec, g_of_family, f_of_family,
     is_m_sequence_upper, is_M_sequence, is_nonnegative, del_k,
-    compare, sandwich_simplicial, lower_bound_cs, ratio_chain,
-    MinorReport, verify_lemma3, verify_total_nonnegativity,
-    PhiReport, verify_phi, gv_identity_check, PathFamilySpec,
+    compare, sandwich_simplicial, lower_bound_cs, verify_ratio_chain,
+    verify_lemma3, verify_total_nonnegativity, verify_phi, verify_gv,
 )
-from .transforms import check_dim
 
 _SAFE_MAX = 2**53 - 1
 
@@ -37,8 +35,6 @@ EXIT_USAGE = 2
 
 def _jsonable(obj):
     """Recursively convert to JSON-safe values, stringifying big ints."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -51,24 +47,13 @@ def _jsonable(obj):
 
 
 def _emit(doc, code):
+    """Print doc, a dict or a report, as one JSON document; return code.
+    A report prints its fields in declared order, leaving out a field that
+    is None; a None nested deeper prints as null."""
+    if is_dataclass(doc):
+        doc = {name: value for name, value in asdict(doc).items() if value is not None}
     print(json.dumps(_jsonable(doc)))
     return code
-
-
-# The fields each report prints, in order.
-_COMPARISON_FIELDS = (
-    "d", "r", "premise_holds", "guaranteed", "conclusions", "witness", "family_params",
-)
-_MINORS_FIELDS = tuple(f.name for f in fields(MinorReport))
-_LEMMA3_FIELDS = ("d", "minors_checked", "min_value", "all_nonnegative")
-_PHI_FIELDS = tuple(f.name for f in fields(PhiReport))
-
-
-def _pick_fields(report, names) -> dict:
-    """The named fields of a report, in that order, leaving out a field
-    that is None; _emit makes the values JSON-safe."""
-    values = ((name, getattr(report, name)) for name in names)
-    return {name: value for name, value in values if value is not None}
 
 
 def _parse_vec(args) -> list:
@@ -162,7 +147,7 @@ def _cmd_compare(args):
     ok = report.premise_holds and all(
         c.bound_holds for c in report.conclusions.values()
     )
-    return _emit(_pick_fields(report, _COMPARISON_FIELDS), EXIT_OK if ok else EXIT_FAIL)
+    return _emit(report, EXIT_OK if ok else EXIT_FAIL)
 
 
 def _cmd_bounds(args):
@@ -170,43 +155,30 @@ def _cmd_bounds(args):
         report = sandwich_simplicial(args.d, args.r, args.value)
     else:
         report = lower_bound_cs(args.d, args.r, args.value)
-    return _emit(_pick_fields(report, _COMPARISON_FIELDS), EXIT_OK)
+    return _emit(report, EXIT_OK)
+
+
+def _no_failures(report) -> bool:
+    return not report.failures
+
+
+# each verify kind: (its run on the parsed arguments, its report's pass test)
+_VERIFY = {
+    "minors": (
+        lambda a: verify_total_nonnegativity(a.d, a.order if a.order == "all" else int(a.order)),
+        attrgetter("all_nonnegative"),
+    ),
+    "lemma3": (lambda a: verify_lemma3(a.d), attrgetter("all_nonnegative")),
+    "gv": (lambda a: verify_gv(a.max), _no_failures),
+    "phi": (lambda a: verify_phi(a.d), attrgetter("all_ok")),
+    "ratio-chain": (lambda a: verify_ratio_chain(a.d), _no_failures),
+}
 
 
 def _cmd_verify(args):
-    which = args.which
-    if which == "minors":
-        order = args.order if args.order == "all" else int(args.order)
-        report = verify_total_nonnegativity(args.d, order)
-        doc = _pick_fields(report, _MINORS_FIELDS)
-        return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
-    if which == "lemma3":
-        report = verify_lemma3(args.d)
-        doc = _pick_fields(report, _LEMMA3_FIELDS)
-        return _emit(doc, EXIT_OK if report.all_nonnegative else EXIT_FAIL)
-    if which == "gv":
-        bound = args.max
-        if bound < 0:
-            raise ValueError(f"--max must be >= 0, got {bound}")
-        bad = [
-            list(pqtu) for pqtu in product(range(bound + 1), repeat=4)
-            if not gv_identity_check(PathFamilySpec(*pqtu))
-        ]
-        doc = {"max": bound, "instances": (bound + 1) ** 4, "failures": bad}
-        return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
-    if which == "phi":
-        report = verify_phi(args.d)
-        # each failure record prints as strings: (tag tuple, message)
-        shown = replace(report, failures=[list(map(str, f)) for f in report.failures])
-        doc = _pick_fields(shown, _PHI_FIELDS)
-        return _emit(doc, EXIT_OK if report.all_ok else EXIT_FAIL)
-    # ratio-chain
-    d = args.d
-    check_dim(d)
-    bad = [[r, s] for r, s in combinations(range(d), 2)
-           if not ratio_chain(d, r, s).all_hold]
-    doc = {"d": d, "pairs": d * (d - 1) // 2, "failures": bad}
-    return _emit(doc, EXIT_OK if not bad else EXIT_FAIL)
+    run_kind, passes = _VERIFY[args.which]
+    report = run_kind(args)
+    return _emit(report, EXIT_OK if passes(report) else EXIT_FAIL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="exhaustive verification suites")
-    p.add_argument(
-        "which", choices=["minors", "lemma3", "gv", "phi", "ratio-chain"]
-    )
+    p.add_argument("which", choices=list(_VERIFY))
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--order", default="all")
     p.add_argument("--max", type=int, default=6)

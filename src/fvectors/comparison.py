@@ -22,7 +22,8 @@ when t >= r + 2, so strict inequalities always propagate.  Reports carry
 a `guaranteed` flag distinguishing the two regimes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from operator import mul
 from typing import Optional
 
@@ -63,12 +64,12 @@ class ComparisonReport:
     d: int
     r: int
     premise_holds: bool
-    conclusions: dict = field(default_factory=dict)
-    witness: Optional[CrossingWitness] = None
-    family_params: Optional[tuple] = None
     # True when the propagation argument certifies every conclusion:
     # the premise holds and the crossing index satisfies t <= r + 1.
-    guaranteed: bool = True
+    guaranteed: bool
+    conclusions: dict
+    witness: Optional[CrossingWitness] = None
+    family_params: Optional[tuple] = None
 
 
 def _check_r(d: int, r: int, *values: int) -> None:
@@ -114,7 +115,7 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     f_delta = f_from_g(d, g_delta.entries)
     f_gamma = f_from_g(d, g_gamma.entries)
     if f_delta[r] > f_gamma[r]:
-        return ComparisonReport(d, r, False, {}, witness, guaranteed=False)
+        return ComparisonReport(d, r, False, False, {}, witness)
     guaranteed = witness.t <= r + 1
     if not guaranteed and f_delta[r] != f_gamma[r]:
         # t >= r+2 zeroes every m[i][r] weighting a positive difference,
@@ -132,8 +133,7 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
                 f"certified comparison violated at d={d}, r={r}, s={s}: "
                 f"{f_delta[s]} > {f_gamma[s]}"
             )
-    return ComparisonReport(d, r, True, conclusions, witness,
-                            guaranteed=guaranteed)
+    return ComparisonReport(d, r, True, guaranteed, conclusions, witness)
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,21 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
+@dataclass(frozen=True)
+class ChainSweepReport:
+    d: int
+    pairs: int
+    failures: tuple  # (r, s) of each column pair whose chain fails
+
+
+def verify_ratio_chain(d: int) -> ChainSweepReport:
+    """Run ratio_chain on every column pair r < s of M_d."""
+    check_dim(d)
+    failures = tuple((r, s) for r, s in combinations(range(d), 2)
+                     if not ratio_chain(d, r, s).all_hold)
+    return ChainSweepReport(d, d * (d - 1) // 2, failures)
+
+
 def _member_f_r(family: str, n: int, d: int, column: tuple) -> int:
     """f_r of the member (family, n, d): its g-entries times column r of M_d."""
     return sum(map(mul, g_entries(family, n, d), column))
@@ -217,7 +232,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     conclusions = {
         s: BoundConclusion(True, f_low[s], f_high[s]) for s in range(r + 1, d)
     }
-    return ComparisonReport(d, r, True, conclusions, None, (n1, n2))
+    return ComparisonReport(d, r, True, True, conclusions, None, (n1, n2))
 
 
 def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
@@ -237,4 +252,4 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
         raise NoCrossingError("cs-stacked g-vector does not cross the Stanley floor")
     f_low = g_to_f(g)
     conclusions = {s: BoundConclusion(True, f_low[s]) for s in range(r + 1, d)}
-    return ComparisonReport(d, r, True, conclusions, witness, (n,))
+    return ComparisonReport(d, r, True, True, conclusions, witness, (n,))

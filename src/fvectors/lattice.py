@@ -23,7 +23,7 @@ that keep the cases from colliding.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .exact import binom_det, binomial, int_entries
 from .transforms import check_dim, check_rs, delta
@@ -163,6 +163,24 @@ def gv_identity_check(spec: PathFamilySpec) -> bool:
     return binom_det(p, q, t, u) == _count(p, q, t, u) - _count(p, q, u, t)
 
 
+@dataclass(frozen=True)
+class GVSweepReport:
+    max: int
+    instances: int
+    failures: tuple  # (p, q, t, u) of each family where the identity fails
+
+
+def verify_gv(bound: int) -> GVSweepReport:
+    """Check gv_identity_check on every family L(p, q, t, u) with each
+    parameter in 0..bound."""
+    int_entries((bound,), "parameters")
+    if bound < 0:
+        raise ValueError(f"max must be >= 0, got {bound}")
+    failures = tuple(pqtu for pqtu in product(range(bound + 1), repeat=4)
+                     if not gv_identity_check(PathFamilySpec(*pqtu)))
+    return GVSweepReport(bound, (bound + 1) ** 4, failures)
+
+
 def _case(first: bool, p_steps: str, q_steps: str) -> str:
     """Which construction case applies to a domain pair, from its family
     (L(a, a+1) when first) and how its paths begin."""
@@ -185,13 +203,12 @@ def _factor_2c(p_steps: str, q_steps: str):
     """
     k = len(p_steps) - len(p_steps.lstrip("E"))
     p_rest = p_steps[k + 1:] if "N" in p_steps else None
-    e_positions = [i for i, c in enumerate(q_steps) if c == "E"]
-    if len(e_positions) < k + 1:
+    parts = q_steps.split("E", k + 1)
+    if len(parts) < k + 2:
         raise ValueError("Q lacks the k-th and (k+1)-st E steps")
-    i_k, i_k1 = e_positions[k - 1], e_positions[k]
-    r_word = q_steps[1:i_k]
-    v = i_k1 - i_k - 1
-    q_rest = q_steps[i_k1 + 1:]
+    r_word = "E".join(parts[:k])[1:]
+    v = len(parts[k])
+    q_rest = parts[k + 1]
     h = r_word.count("N")
     return k, p_rest, r_word, v, q_rest, h
 

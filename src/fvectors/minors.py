@@ -26,7 +26,6 @@ class MinorReport:
     min_value: Optional[int]
     min_witness: Optional[tuple]  # (row index tuple, column index tuple)
     all_nonnegative: bool
-    beyond_verified_range: bool = False  # d > 13 extends the known evidence
 
 
 def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
@@ -130,8 +129,5 @@ def verify_total_nonnegativity(d: int, max_order: Union[int, str] = "all") -> Mi
         raise ValueError(f"max_order must be >= 1 or 'all', got {max_order!r}")
     checked, min_value, min_witness = _scan(d, range(1, top + 1))
     order = "all" if max_order == "all" or top == dl + 1 else top
-    return MinorReport(
-        d, order, checked, min_value, min_witness, min_value >= 0,
-        beyond_verified_range=d > 13,
-    )
+    return MinorReport(d, order, checked, min_value, min_witness, min_value >= 0)
 

@@ -9,14 +9,14 @@ import fvectors
 from fvectors import (
     FamilySpec, del_k, lower_bound_cs,
     macaulay_expand, phi, phi_minor, ratio_chain, sandwich_simplicial,
-    verify_lemma3, verify_total_nonnegativity,
+    verify_gv, verify_lemma3, verify_ratio_chain, verify_total_nonnegativity,
 )
 
 # A name leaves or joins this list only with a CHANGES.md entry saying so.
 PUBLIC_NAMES = {
     "BelowFloorError", "BoundConclusion", "CS_STACKED", "CYCLIC",
-    "ComparisonReport", "CrossingWitness", "FVector", "FamilySpec",
-    "GVector", "HVector", "MacaulayExpansion", "MinorReport",
+    "ChainSweepReport", "ComparisonReport", "CrossingWitness", "FVector",
+    "FamilySpec", "GVSweepReport", "GVector", "HVector", "MacaulayExpansion", "MinorReport",
     "NoCrossingError", "PathFamilySpec", "PhiReport", "STACKED",
     "binom_det", "binomial", "build_md", "compare", "count_disjoint_pairs",
     "del_k", "delta", "f_from_g", "f_of_family", "f_to_g", "f_to_h",
@@ -24,7 +24,8 @@ PUBLIC_NAMES = {
     "is_dehn_sommerville", "is_m_sequence_upper", "is_nonnegative",
     "lower_bound_cs", "macaulay_expand", "md_entry", "phi", "phi_minor",
     "ratio_chain", "sandwich_simplicial", "stanley_cs_floor",
-    "verify_lemma3", "verify_phi", "verify_total_nonnegativity",
+    "verify_gv", "verify_lemma3", "verify_phi", "verify_ratio_chain",
+    "verify_total_nonnegativity",
 }
 
 
@@ -68,6 +69,10 @@ def test_public_names_are_pinned():
     (FamilySpec, ("cyclic", True, 4), "True"),
     (FamilySpec, ("stacked", 7.5, 4), "7.5"),
     (FamilySpec, ("cs_stacked", True, 4), "True"),
+    # the gv and ratio-chain sweeps take one integer each
+    (verify_gv, (2.0,), "2.0"),
+    (verify_gv, (True,), "True"),
+    (verify_ratio_chain, (5.0,), "5.0"),
 ])
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):

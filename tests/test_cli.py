@@ -1,9 +1,12 @@
+import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fvectors.cli import run, EXIT_OK, EXIT_FAIL, EXIT_USAGE
+from fvectors import comparison, lattice
+from fvectors.cli import build_parser, run, EXIT_OK, EXIT_FAIL, EXIT_USAGE
 from fvectors.families import FamilySpec, CYCLIC, f_of_family
 from fvectors.transforms import FVector, f_to_g
 
@@ -115,6 +118,61 @@ def test_verify_phi(capsys):
     code, doc = invoke(capsys, "verify", "phi", "--d", "4")
     assert code == EXIT_OK
     assert doc["injective"] and doc["cases_partition"]
+
+
+def test_verify_phi_failures_are_structured(monkeypatch, capsys):
+    # case 1 returns its input words, off the target family and its anchor;
+    # a failure is [[a, r, s, P word, Q word], reason], with integer a, r, s
+    real = lattice._phi_words
+
+    def identity_on_case_1(first, p_steps, q_steps, d, a, r, s):
+        if first:
+            return "1", p_steps, q_steps
+        return real(first, p_steps, q_steps, d, a, r, s)
+
+    monkeypatch.setattr(lattice, "_phi_words", identity_on_case_1)
+    code, doc = invoke(capsys, "verify", "phi", "--d", "4")
+    assert code == EXIT_FAIL
+    assert doc["failures"] == [
+        [[1, 2, 3, "E", "EE"], "case 1 image in wrong family"],
+        [[1, 2, 3, "E", "EE"], "case 1 anchor invariant broken"],
+    ]
+
+
+def test_verify_phi_count_mismatch_is_structured(monkeypatch, capsys):
+    # a count mismatch is [[a, r, s], reason]
+    real = lattice.count_disjoint_pairs
+    monkeypatch.setattr(lattice, "count_disjoint_pairs", lambda spec: real(spec) + 1)
+    code, doc = invoke(capsys, "verify", "phi", "--d", "4")
+    assert code == EXIT_FAIL
+    assert len(doc["failures"]) == doc["instances"] == 12
+    assert doc["failures"][0] == [[0, 0, 1], "count mismatch: 12 - 0 != 10"]
+    for tag, reason in doc["failures"]:
+        assert len(tag) == 3 and all(type(x) is int for x in tag), tag
+        assert reason.startswith("count mismatch: ")
+
+
+def test_verify_gv_failure_exits_1(monkeypatch, capsys):
+    real = lattice.gv_identity_check
+    planted = lattice.PathFamilySpec(1, 2, 0, 1)
+    monkeypatch.setattr(lattice, "gv_identity_check",
+                        lambda spec: spec != planted and real(spec))
+    code, doc = invoke(capsys, "verify", "gv", "--max", "2")
+    assert code == EXIT_FAIL
+    assert doc == {"max": 2, "instances": 81, "failures": [[1, 2, 0, 1]]}
+
+
+def test_verify_ratio_chain_failure_exits_1(monkeypatch, capsys):
+    real = comparison.ratio_chain
+
+    def planted(d, r, s):
+        chain = real(d, r, s)
+        return replace(chain, all_hold=chain.all_hold and (r, s) != (1, 3))
+
+    monkeypatch.setattr(comparison, "ratio_chain", planted)
+    code, doc = invoke(capsys, "verify", "ratio-chain", "--d", "5")
+    assert code == EXIT_FAIL
+    assert doc == {"d": 5, "pairs": 10, "failures": [[1, 3]]}
 
 
 def test_verify_minors(capsys):
@@ -243,7 +301,7 @@ GOLDEN_EXIT_FAIL = {
 }
 
 
-@pytest.mark.parametrize("argv, golden", [
+GOLDEN_RUNS = [
     (("verify", "minors", "--d", "13"), "verify_minors_d13.json"),
     (("verify", "lemma3", "--d", "30"), "verify_lemma3_d30.json"),
     (("verify", "phi", "--d", "8"), "verify_phi_d8.json"),
@@ -261,10 +319,23 @@ GOLDEN_EXIT_FAIL = {
     (("check", "M-sequence", "--vec", "[1,1,2]"), "check_M_sequence_witness.json"),
     (("transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[7,21,28,14]"),
      "transform_f_to_h.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS)
 def test_verify_output_matches_golden(capsys, argv, golden):
     # the goldens were written by the CLI before the code behind them was
     # rewritten; stdout and the exit code must stay byte-identical
     code = EXIT_FAIL if golden in GOLDEN_EXIT_FAIL else EXIT_OK
     assert run(list(argv)) == code
     assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
+
+def test_every_verify_kind_has_a_golden():
+    # a new verify kind pins its JSON with a golden run
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    which = next(action for action in commands.choices["verify"]._actions
+                 if action.dest == "which")
+    pinned = {argv[1] for argv, _ in GOLDEN_RUNS if argv[0] == "verify"}
+    assert set(which.choices) == pinned

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from fvectors.comparison import (
     CrossingWitness, NoCrossingError, BelowFloorError,
-    find_crossing, compare, ratio_chain,
+    find_crossing, compare, ratio_chain, verify_ratio_chain,
     sandwich_simplicial, lower_bound_cs,
 )
+from fvectors import comparison
 from fvectors.minors import phi_minor
 from fvectors.families import FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family
 from fvectors.transforms import GVector, build_md, delta, f_from_g
@@ -233,6 +235,20 @@ def test_ratio_chain_zero_tail_shape():
                     k = chain.tail_start
                     assert all(md[i][s] == 0 for i in range(k, delta(d) + 1))
                     assert all(md[i][r] == 0 for i in range(k - 1, delta(d) + 1))
+
+
+def test_verify_ratio_chain_reports_planted_failures(monkeypatch):
+    real = comparison.ratio_chain
+    planted = {(0, 3), (2, 5)}
+
+    def failing(d, r, s):
+        chain = real(d, r, s)
+        return replace(chain, all_hold=False) if (r, s) in planted else chain
+
+    monkeypatch.setattr(comparison, "ratio_chain", failing)
+    report = verify_ratio_chain(6)
+    assert report.failures == ((0, 3), (2, 5))
+    assert report.pairs == 15
 
 
 def test_ratio_chain_rejects_bad_indices():

@@ -10,8 +10,8 @@ from oracles import (
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
-    PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_phi,
-    _paths_with_masks, _vertex_bit, _walk,
+    PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_gv, verify_phi,
+    _factor_2c, _paths_with_masks, _vertex_bit, _walk,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
@@ -115,6 +115,18 @@ def test_gv_identity_small_exhaustive():
             for t in range(6):
                 for u in range(6):
                     assert gv_identity_check(PathFamilySpec(p, q, t, u))
+
+
+def test_verify_gv_reports_planted_failures(monkeypatch):
+    planted = {(1, 2, 0, 1), (3, 0, 2, 2)}
+    real = lattice.gv_identity_check
+    monkeypatch.setattr(
+        lattice, "gv_identity_check",
+        lambda spec: (spec.p, spec.q, spec.t, spec.u) not in planted and real(spec),
+    )
+    report = verify_gv(3)
+    assert report.failures == ((1, 2, 0, 1), (3, 0, 2, 2))
+    assert report.instances == 256
 
 
 def test_gv_ordered_parameters_count_directly():
@@ -298,6 +310,13 @@ def test_case_dispatch_is_partition():
         ]
         assert sum(preds) == 1
         assert case == (CASE_2A, CASE_2B, CASE_2C)[preds.index(True)]
+
+
+def test_factor_2c_needs_k_plus_one_e_steps_in_q():
+    # P = EEN gives k = 2, so Q must hold at least three E steps
+    assert _factor_2c("EEN", "NEENE") == (2, "", "E", 1, "", 0)
+    with pytest.raises(ValueError, match="Q lacks the k-th and \\(k\\+1\\)-st E steps"):
+        _factor_2c("EEN", "NEEN")
 
 
 def _messages(report):

@@ -23,10 +23,7 @@ def _expected_reports(d, per_order):
         k = top if max_order == "all" else max_order
         checked, low, witness = fold_orders(per_order[:k])
         order = "all" if k == top else k
-        yield max_order, MinorReport(
-            d, order, checked, low, witness, low >= 0,
-            beyond_verified_range=d > 13,
-        )
+        yield max_order, MinorReport(d, order, checked, low, witness, low >= 0)
 
 
 @pytest.mark.parametrize("d", range(3, 11))
@@ -57,7 +54,6 @@ def test_total_nonnegativity_d14_exhaustive():
     # every minor of every order of the 8 x 14 matrix M_14
     assert report.minors_checked == 319769 == comb(22, 8) - 1
     assert report.all_nonnegative
-    assert report.beyond_verified_range
 
 
 def _planted(d, i, j, value):
@@ -132,7 +128,6 @@ def test_total_nonnegativity_small_range():
     for d in range(3, 10):
         report = verify_total_nonnegativity(d)
         assert report.all_nonnegative
-        assert not report.beyond_verified_range
 
 
 def test_order2_matches_lemma3():
@@ -169,12 +164,6 @@ def test_max_order_truncation():
     md = build_md(11)
     assert r1.minors_checked == len(md) * len(md[0])
     assert r1.min_value == min(min(row) for row in md)
-
-
-def test_beyond_range_flagged():
-    report = verify_total_nonnegativity(14, 2)
-    assert report.beyond_verified_range
-    assert report.all_nonnegative
 
 
 def test_step1_ratio_equiv():
