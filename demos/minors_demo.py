@@ -10,7 +10,7 @@ import time
 
 from fvectors import verify_lemma3, verify_total_nonnegativity
 
-print("2x2 consecutive-row minors, d = 3..30:")
+print("all 2x2 minors, d = 3..30:")
 worst = None
 for d in range(3, 31):
     report = verify_lemma3(d)

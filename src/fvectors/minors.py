@@ -10,8 +10,8 @@ at finite scale with one exact minor scanner.
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations
-from operator import add, itemgetter, mul
+from itertools import combinations, islice
+from operator import add, itemgetter, mul, sub
 from typing import Optional, Union
 
 from .exact import int_entries
@@ -42,24 +42,23 @@ def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
 _add_each = partial(map, add)
 
 
-def _column_level(d: int, k: int):
-    """The k-subsets C of range(d), in lexicographic order, as their
-    bitmasks and their Laplace terms by position j = 0..k-1.  Position j
-    holds two getters: one picks from a signed row (the row followed by
-    its negation) the entry of column c_j of every C with the sign
-    (-1)^(k-1-j); the other picks from a dict of order-(k-1) minors the
-    minor on C minus c_j.  Each picks C(d, k) >= 2 items, so it returns a
-    tuple."""
-    subsets = list(combinations(range(d), k))
-    masks = tuple(sum(1 << c for c in cols) for cols in subsets)
-    terms = [
-        (
-            itemgetter(*(cols[j] + (d if (k - 1 - j) % 2 else 0) for cols in subsets)),
-            itemgetter(*(mask ^ (1 << cols[j]) for cols, mask in zip(subsets, masks))),
-        )
-        for j in range(k)
-    ]
-    return masks, terms
+def _column_levels(d: int, top: int):
+    """The Laplace terms of the k-subsets C of range(d), k = 1..top, in
+    lexicographic order, by position j < k: a getter of the entries
+    (-1)^(k-1-j) m[r][c_j] from signed row r (the row, then its negation),
+    and a getter of the minors det(R, C - c_j), by rank, from the list of
+    order-(k-1) minors.  Each picks C(d, k) >= 2 items, so gives a tuple."""
+    levels, rank = {}, {0: 0}  # the rank of each (k-1)-subset by bitmask
+    powers = [1 << c for c in range(d)]
+    for k in range(1, top + 1):
+        columns = list(zip(*combinations(range(d), k)))  # column j of every C
+        bits = [itemgetter(*cols)(powers) for cols in columns]
+        masks = list(reduce(_add_each, bits))
+        levels[k] = [(itemgetter(*map(partial(add, d * ((k - 1 - j) % 2)), cols)),
+                      itemgetter(*map(rank.__getitem__, map(sub, masks, bit))))
+                     for j, (cols, bit) in enumerate(zip(columns, bits))]
+        rank = dict(zip(masks, range(len(masks))))
+    return levels
 
 
 def _scan(d: int, orders: range):
@@ -71,25 +70,26 @@ def _scan(d: int, orders: range):
 
         det(R + r, C) = sum_j (-1)^(k-1-j) m[r][c_j] * det(R, C - c_j).
 
-    A row set's minors live in a dict keyed by column bitmask only while
-    its descendants are scanned, so at most sum_k C(d, k) ints are held.
-    Returns (minors checked, minimum, witness): ties are broken on
-    (k, rows, cols), the first minimum of a k-major lexicographic scan.
+    A row set's k x k minors are one list, ranked like the k-subsets C.  It
+    gathers its k tuples det(R, C - c_j) once for all its children; a row
+    set ending at M_d's last row has none and is not visited.  Each level of
+    the stack holds one list and k gathered tuples: at most
+    sum_k (k + 1) C(d, k) ints.  Returns (minors checked, minimum, witness):
+    ties go to the first minimum of a k-major lexicographic scan.
     """
     signed_rows = [row + tuple(-x for x in row) for row in build_md(d)]
+    last = len(signed_rows) - 1
     top = orders[-1]
-    table = {k: _column_level(d, k) for k in range(1, top + 1)}
-    checked = 0
-    best = None  # least (value, k, rows, index of the columns in table[k])
+    levels = _column_levels(d, top)
+    checked, best = 0, None  # best: least (value, k, rows, rank of the columns)
 
     def visit(rows, parent, k):
         nonlocal checked, best
-        masks, terms = table[k]
-        for r in range(rows[-1] + 1 if rows else 0, len(signed_rows)):
+        pieces = [(entries, minors(parent)) for entries, minors in levels[k]]
+        for r in range(rows[-1] + 1 if rows else 0, last + 1):
             row = signed_rows[r]
-            values = list(reduce(_add_each, [
-                map(mul, entries(row), minors(parent)) for entries, minors in terms
-            ]))
+            values = list(reduce(_add_each, [map(mul, entries(row), piece)
+                                             for entries, piece in pieces]))
             child_rows = rows + (r,)
             if k in orders:
                 checked += len(values)
@@ -97,13 +97,13 @@ def _scan(d: int, orders: range):
                 node_best = (low, k, child_rows, values.index(low))
                 if best is None or node_best < best:
                     best = node_best
-            if k < top:
-                visit(child_rows, dict(zip(masks, values)), k + 1)
+            if k < top and r < last:
+                visit(child_rows, values, k + 1)
 
-    visit((), {0: 1}, 1)  # the empty minor is 1
+    visit((), [1], 1)  # the empty minor is 1
     value, k, rows, index = best
-    mask = table[k][0][index]
-    return checked, value, (rows, tuple(c for c in range(d) if mask >> c & 1))
+    cols = next(islice(combinations(range(d), k), index, None))
+    return checked, value, (rows, cols)
 
 
 def verify_lemma3(d: int) -> MinorReport:

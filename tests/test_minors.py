@@ -78,6 +78,22 @@ def test_scanner_reports_planted_negative_entry(monkeypatch):
     assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
 
 
+def test_scanner_reports_negative_minor_of_top_order_only(monkeypatch):
+    # m[0][1] of M_6 raised from 21 to 22: every minor of orders 1-3 stays
+    # nonnegative, and only the deepest Laplace level goes negative
+    d = 6
+    planted = _planted(d, 0, 1, 22)
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted)
+    assert [low for _, low, _ in per_order] == [0, 0, 0, -6]
+    for max_order, expected in _expected_reports(d, per_order):
+        report = verify_total_nonnegativity(d, max_order)
+        assert report == expected, max_order
+        assert report.all_nonnegative == (max_order in (1, 2, 3)), max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, True)
+
+
 def test_phi_minor_examples():
     assert phi_minor(10, 0, 1, 0, 1) == 55  # 11*10 - 55*1
     assert phi_minor(10, 2, 3, 2, 3) == 36  # 9*8 - 36*1
