@@ -24,11 +24,11 @@ a `guaranteed` flag distinguishing the two regimes.
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Optional
 
 from .exact import int_entries, largest_true
-from .transforms import GVector, build_md, check_dim, check_rs, delta, f_from_g, g_to_f
+from .transforms import GVector, _columns, check_dim, check_rs, f_from_g, g_to_f
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
     f_of_family, first_n, g_entries, g_of_family, stanley_cs_floor,
@@ -158,21 +158,19 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     degenerate gracefully.
     """
     check_rs(d, r, s)
-    md = build_md(d)
-    dl = delta(d)
-    comparisons = tuple(
-        md[i][r] * md[i + 1][s] - md[i][s] * md[i + 1][r] for i in range(dl)
-    )
-    tail_start = next((i for i in range(dl + 1) if md[i][s] == 0), None)
+    columns = _columns(d)["g_to_f"]
+    cr, cs = columns[r], columns[s]
+    comparisons = tuple(map(sub, map(mul, cr, cs[1:]), map(mul, cs, cr[1:])))
+    tail_start = cs.index(0) if 0 in cs else None
     tail_ok = True
     if tail_start is not None:
         tail_ok = (
-            all(md[i][s] == 0 for i in range(tail_start, dl + 1))
-            and all(md[i][r] == 0 for i in range(max(tail_start - 1, 0), dl + 1))
-            and all(md[i][s] > 0 for i in range(tail_start))
+            not any(cs[tail_start:])
+            and not any(cr[max(tail_start - 1, 0):])
+            and min(cs[:tail_start], default=1) > 0
         )
     # Final chain element >= 0: entries of M_d are nonnegative.
-    nonneg_tail = md[dl][r] >= 0 and md[dl][s] >= 0
+    nonneg_tail = cr[-1] >= 0 and cs[-1] >= 0
     all_hold = min(comparisons) >= 0 and tail_ok and nonneg_tail
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
@@ -221,7 +219,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     searched, each probe the plain entries of g(C(n,d)) times column r.
     """
     _check_r(d, r, f_r_value)
-    column = tuple(row[r] for row in build_md(d))
+    column = _columns(d)["g_to_f"][r]
     n1 = _largest_n_up_to(f_r_value, STACKED, d, r, column)
     n2 = first_n(CYCLIC, d)  # the simplex, with f_r = m[0][r]
     if f_r_value > column[0]:
@@ -244,7 +242,7 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     f_r(CS(2n,d)) is affine in n, so n is a floor division.
     """
     _check_r(d, r, f_r_value)
-    column = tuple(row[r] for row in build_md(d))
+    column = _columns(d)["g_to_f"][r]
     n = _largest_n_up_to(f_r_value, CS_STACKED, d, r, column)
     g = g_of_family(FamilySpec(CS_STACKED, n, d))
     witness = find_crossing(g, stanley_cs_floor(d))

@@ -48,7 +48,9 @@ class PathFamilySpec:
     u: int
 
     def __post_init__(self):
-        int_entries((self.p, self.q, self.t, self.u))
+        # skips the general check on the hot path
+        if not (type(self.p) is type(self.q) is type(self.t) is type(self.u) is int):
+            int_entries((self.p, self.q, self.t, self.u))
 
 
 def _vertex_bit(x: int, y: int) -> int:
@@ -124,7 +126,14 @@ def _count(p: int, q: int, t: int, u: int) -> int:
     Q prefix, at most C(p, x_P)*C(q, x_Q) <= K = C(p, min(t, p//2)) *
     C(q, min(u, q//2)) as binomials rise towards the middle, and before
     the mask any cell sums at most four masked ones, so 4K < 2^B for
-    B = K.bit_length() + 2."""
+    B = K.bit_length() + 2.
+
+    The seed row holds C(p-q, x) in cell x for 0 < x <= t.  When p-q <= t
+    it is (2^B + 1)^(p-q) less its cell 0, one power: its cells are the
+    C(p-q, x) <= C(p, x) <= K < 2^B, so none carries, and its degree p-q
+    fits the row.  Past t the power would need the cells above t cut off
+    after every squaring, each squaring as wide as the row, so there the
+    seed takes the t binomials instead."""
     if not (0 <= t <= p and 0 <= u <= q):
         return 0
     if p < q:
@@ -133,7 +142,11 @@ def _count(p: int, q: int, t: int, u: int) -> int:
         return 0
     b = (binomial(p, min(t, p // 2)) * binomial(q, min(u, q // 2))).bit_length() + 2
     row = b * (t + 1)
-    v = sum(binomial(p - q, x) << b * x for x in range(1, min(t, p - q) + 1))
+    n = p - q
+    if n <= t:
+        v = ((1 << b) + 1) ** n - 1
+    else:
+        v = sum(binomial(n, x) << b * x for x in range(1, t + 1))
     mask = sum(((1 << b * (t - y)) - 1) << (row * y + b * (y + 1)) for y in range(u + 1))
     for _ in range(q):
         v += v << b

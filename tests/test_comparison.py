@@ -251,6 +251,21 @@ def test_verify_ratio_chain_reports_planted_failures(monkeypatch):
     assert report.pairs == 15
 
 
+def test_ratio_chain_reports_planted_failure(monkeypatch):
+    # m[2][4] of M_6 raised from 9 to 10: rows 1, 2 on columns 4, 5 then
+    # give 15*3 - 5*10 = -5, the only negative consecutive-row minor
+    md = [list(row) for row in build_md(6)]
+    md[2][4] = 10
+    planted = {"g_to_f": tuple(zip(*md))}
+    monkeypatch.setattr(comparison, "_columns", lambda _: planted)
+    chain = ratio_chain(6, 4, 5)
+    assert chain.comparisons == (0, -5, 1)
+    assert chain.tail_start is None
+    assert chain.tail_ok
+    assert not chain.all_hold
+    assert verify_ratio_chain(6).failures == ((4, 5),)
+
+
 def test_ratio_chain_rejects_bad_indices():
     with pytest.raises(ValueError):
         ratio_chain(5, 3, 3)

@@ -102,6 +102,14 @@ def test_count_disjoint_pairs_limbs_follow_the_cell_bound():
     assert timed(count_disjoint_pairs, spec, seconds=1.0) == binom_det(3000, 2999, 40, 20)
 
 
+def test_count_disjoint_pairs_seed_at_large_start_gap():
+    # p - q = 999,999 prefixes walked alone before the lockstep; the seed row
+    # needs only cells 0..t, and an unreduced (2^B + 1)^(p-q) would be a
+    # 41-million-bit int
+    spec = PathFamilySpec(10**6, 1, 2, 0)
+    assert timed(count_disjoint_pairs, spec, seconds=0.1) == binom_det(10**6, 1, 2, 0)
+
+
 @pytest.mark.parametrize("args", [(True, 2, 1, 1), (2.0, 3, 1, 2), (1, 2, 0, "1"), (1, None, 0, 1)])
 def test_path_family_spec_rejects_non_integers(args):
     # a bool is not read as 0/1 and a float is not carried into the walk
