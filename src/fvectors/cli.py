@@ -18,13 +18,14 @@ from operator import attrgetter
 
 from . import (
     FVector, HVector, GVector,
-    f_to_h, h_to_f, h_to_g, g_to_f, f_to_g, f_from_g,
+    f_to_h, h_to_f, h_to_g, g_to_f, f_to_g,
     is_dehn_sommerville,
     FamilySpec, g_of_family, f_of_family,
-    is_m_sequence_upper, is_M_sequence, is_nonnegative, del_k,
+    is_m_sequence_upper, is_M_sequence, is_nonnegative,
     compare, sandwich_simplicial, lower_bound_cs, verify_ratio_chain,
     verify_lemma3, verify_total_nonnegativity, verify_phi, verify_gv,
 )
+from .macaulay import _first_violation
 
 _SAFE_MAX = 2**53 - 1
 
@@ -132,11 +133,8 @@ def _cmd_check(args):
         result = is_M_sequence(vec)
     doc = {"result": result}
     if kind == "M-sequence" and not result and all(x >= 0 for x in vec):
-        for k in range(2, len(vec)):
-            cut = del_k(vec[k], k)
-            if cut > vec[k - 1]:
-                doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
-                break
+        k, cut = _first_violation(vec)
+        doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
     return _emit(doc, EXIT_OK if result else EXIT_FAIL)
 
 

@@ -28,7 +28,7 @@ from operator import mul, sub
 from typing import Optional
 
 from .exact import int_entries, largest_true
-from .transforms import GVector, _columns, check_dim, check_rs, f_from_g, g_to_f
+from .transforms import GVector, _md_columns, check_dim, check_rs, f_from_g, g_to_f
 from .families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
     f_of_family, first_n, g_entries, g_of_family, stanley_cs_floor,
@@ -158,7 +158,7 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     degenerate gracefully.
     """
     check_rs(d, r, s)
-    columns = _columns(d)["g_to_f"]
+    columns = _md_columns(d)
     cr, cs = columns[r], columns[s]
     comparisons = tuple(map(sub, map(mul, cr, cs[1:]), map(mul, cs, cr[1:])))
     tail_start = cs.index(0) if 0 in cs else None
@@ -219,7 +219,7 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     searched, each probe the plain entries of g(C(n,d)) times column r.
     """
     _check_r(d, r, f_r_value)
-    column = _columns(d)["g_to_f"][r]
+    column = _md_columns(d)[r]
     n1 = _largest_n_up_to(f_r_value, STACKED, d, r, column)
     n2 = first_n(CYCLIC, d)  # the simplex, with f_r = m[0][r]
     if f_r_value > column[0]:
@@ -242,7 +242,7 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     f_r(CS(2n,d)) is affine in n, so n is a floor division.
     """
     _check_r(d, r, f_r_value)
-    column = _columns(d)["g_to_f"][r]
+    column = _md_columns(d)[r]
     n = _largest_n_up_to(f_r_value, CS_STACKED, d, r, column)
     g = g_of_family(FamilySpec(CS_STACKED, n, d))
     witness = find_crossing(g, stanley_cs_floor(d))

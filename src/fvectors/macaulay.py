@@ -140,12 +140,16 @@ def is_m_sequence_upper(v) -> bool:
     return True
 
 
+def _first_violation(entries):
+    """The first k > 1 with del^k(v_k) > v_{k-1} in a nonnegative sequence
+    and that value, as (k, del^k(v_k)); None when there is none."""
+    for k in range(2, len(entries)):
+        if (cut := del_k(entries[k], k)) > entries[k - 1]:
+            return k, cut
+    return None
+
+
 def is_M_sequence(v) -> bool:
     """True iff the sequence is nonnegative and del^k(v_k) <= v_{k-1} for k > 1."""
     entries = _entries(v)
-    if any(x < 0 for x in entries):
-        return False
-    for k in range(2, len(entries)):
-        if del_k(entries[k], k) > entries[k - 1]:
-            return False
-    return True
+    return min(entries) >= 0 and _first_violation(entries) is None

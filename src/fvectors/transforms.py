@@ -120,36 +120,17 @@ def build_md(d: int):
 
 
 @lru_cache(maxsize=None)
-def _columns(d: int) -> dict:
-    """The columns of the three conversion matrices for dimension d, keyed
-    by conversion: M_d, and the sums in the docstrings of f_to_h (acting on
-    f_{-1} = 1, f_0, ..., f_{d-1}) and h_to_f.  A column holds the
-    coefficients of one output entry, up to where the binomials vanish."""
-    return {
-        "g_to_f": tuple(zip(*build_md(d))),
-        "f_to_h": tuple(
-            tuple((-1 if (k - i) % 2 else 1) * binomial(d - i, k - i)
-                  for i in range(k + 1))
-            for k in range(d + 1)
-        ),
-        "h_to_f": tuple(
-            tuple(binomial(d - k, i - k) for k in range(i + 1))
-            for i in range(1, d + 1)
-        ),
-    }
-
-
-def _times(row, columns) -> tuple:
-    """The row vector times the matrix given by its columns."""
-    return tuple(sum(map(mul, row, column)) for column in columns)
+def _md_columns(d: int) -> tuple:
+    """The columns of M_d, each the coefficients of one f-entry in g."""
+    return tuple(zip(*build_md(d)))
 
 
 def f_from_g(d: int, g) -> tuple:
     """Raw row-vector product g * M_d on a plain integer sequence."""
-    columns = _columns(d)["g_to_f"]  # raises first for d < 3
+    columns = _md_columns(d)  # raises first for d < 3
     if len(g) != delta(d) + 1:
         raise ValueError("g sequence has wrong length for g * M_d")
-    return _times(g, columns)
+    return tuple(sum(map(mul, g, column)) for column in columns)
 
 
 def g_to_f(g: GVector) -> FVector:
@@ -161,13 +142,27 @@ def f_to_h(f: FVector) -> HVector:
     """Invert the defining polynomial identity:
 
     h_k = sum_{i=0}^{k} (-1)^{k-i} C(d-i, k-i) f_{i-1},  with f_{-1} = 1.
+
+    Synthetic division by x+1, repeated on each quotient, turns the
+    coefficients of sum f_{i-1} x^{d-i} into those in powers of x+1.
     """
-    return HVector(f.d, _times((1,) + f.entries, _columns(f.d)["f_to_h"]))
+    a = [1, *f.entries]
+    for top in range(f.d, 0, -1):
+        s = 1
+        for j in range(1, top + 1):
+            s = a[j] = a[j] - s
+    return HVector(f.d, a)
 
 
 def h_to_f(h: HVector) -> FVector:
-    """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d."""
-    return FVector(h.d, _times(h.entries, _columns(h.d)["h_to_f"]))
+    """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d: the passes
+    of f_to_h with additions (synthetic division by y-1, with y = x+1)."""
+    a = [*h.entries]
+    for top in range(h.d, 0, -1):
+        s = 1
+        for j in range(1, top + 1):
+            s = a[j] = a[j] + s
+    return FVector(h.d, a[1:])
 
 
 def h_to_g(h: HVector) -> GVector:

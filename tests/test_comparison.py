@@ -256,8 +256,8 @@ def test_ratio_chain_reports_planted_failure(monkeypatch):
     # give 15*3 - 5*10 = -5, the only negative consecutive-row minor
     md = [list(row) for row in build_md(6)]
     md[2][4] = 10
-    planted = {"g_to_f": tuple(zip(*md))}
-    monkeypatch.setattr(comparison, "_columns", lambda _: planted)
+    planted = tuple(zip(*md))
+    monkeypatch.setattr(comparison, "_md_columns", lambda _: planted)
     chain = ratio_chain(6, 4, 5)
     assert chain.comparisons == (0, -5, 1)
     assert chain.tail_start is None

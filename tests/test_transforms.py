@@ -105,6 +105,32 @@ def test_transform_satisfies_polynomial_identity():
             assert f_side_coefficients(d, f) == h_side_coefficients(d, h.entries)
 
 
+def _entries_with_zeros(rng, count, top):
+    """count entries in [0, top], about a third of them zero."""
+    return [rng.choice((0, rng.randint(1, top), rng.randint(1, top)))
+            for _ in range(count)]
+
+
+def test_h_to_f_satisfies_polynomial_identity():
+    # the converse direction: h_to_f must give the f with
+    # sum f_{i-1} x^{d-i} == sum h_i (x+1)^{d-i}, by the same oracle, so a
+    # pair of wrong but mutually inverse maps cannot pass
+    rng = random.Random(15)
+    for d in range(3, 31):
+        for _ in range(20):
+            h = (1, *_entries_with_zeros(rng, d, 10**30))
+            f = h_to_f(HVector(d, h)).entries
+            assert f_side_coefficients(d, f) == h_side_coefficients(d, h)
+
+
+def test_roundtrip_f_h_f_large_entries_and_zeros():
+    rng = random.Random(30)
+    for d in range(3, 31):
+        for f in ([0] * d, [10**30] * d,
+                  *(_entries_with_zeros(rng, d, 10**30) for _ in range(20))):
+            assert h_to_f(f_to_h(FVector(d, f))).entries == tuple(f)
+
+
 def test_roundtrip_h_f_h_random():
     rng = random.Random(99)
     for d in range(3, 13):
