@@ -7,7 +7,7 @@ The package is organized around:
   transforms  -- f/h/g-vector model, the M_d matrix, all conversions
   families    -- cyclic, stacked, and cs-stacked extremal families
   macaulay    -- Macaulay expansion and sequence predicates
-  comparison  -- the crossing-pattern comparison theorem and bound search
+  comparison  -- the crossing-pattern comparison theorem and bound appliers
   lattice     -- NE-lattice paths as step words, Gessel-Viennot counts, phi
   minors      -- 2x2 and all-order minor scans of M_d
   cli         -- JSON command-line frontend

@@ -6,7 +6,8 @@ diagnostics go to stderr.  Exit codes: 0 = success / property holds,
 1 = check failed or counterexample found, 2 = usage or validation error.
 
 Integers whose magnitude exceeds 2**53 - 1 are emitted as decimal strings
-so that lossy JSON consumers cannot corrupt them.
+so that lossy JSON consumers cannot corrupt them.  Input integers of more
+than 4,300 digits, CPython's default int <-> str cap, are refused.
 """
 
 import argparse
@@ -21,13 +22,14 @@ from . import (
     f_to_h, h_to_f, h_to_g, g_to_f, f_to_g,
     is_dehn_sommerville,
     FamilySpec, g_of_family, f_of_family,
-    is_m_sequence_upper, is_M_sequence, is_nonnegative,
+    is_m_sequence_upper, is_nonnegative,
     compare, sandwich_simplicial, lower_bound_cs, verify_ratio_chain,
     verify_lemma3, verify_total_nonnegativity, verify_phi, verify_gv,
 )
 from .macaulay import _first_violation
 
 _SAFE_MAX = 2**53 - 1
+_MAX_DIGITS = sys.int_info.default_max_str_digits  # 4300
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,6 +55,7 @@ def _emit(doc, code):
     is None; a None nested deeper prints as null."""
     if is_dataclass(doc):
         doc = {name: value for name, value in asdict(doc).items() if value is not None}
+    sys.set_int_max_str_digits(0)  # run() restores the cap
     print(json.dumps(_jsonable(doc)))
     return code
 
@@ -129,11 +132,12 @@ def _cmd_check(args):
         result = is_nonnegative(vec)
     elif kind == "m-sequence":
         result = is_m_sequence_upper(vec)
-    else:  # M-sequence
-        result = is_M_sequence(vec)
+    else:  # M-sequence: one walk gives the answer and its witness
+        violation = _first_violation(vec)
+        result = violation is None
     doc = {"result": result}
-    if kind == "M-sequence" and not result and all(x >= 0 for x in vec):
-        k, cut = _first_violation(vec)
+    if kind == "M-sequence" and violation:
+        k, cut = violation
         doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
     return _emit(doc, EXIT_OK if result else EXIT_FAIL)
 
@@ -179,6 +183,13 @@ def _cmd_verify(args):
     return _emit(report, EXIT_OK if passes(report) else EXIT_FAIL)
 
 
+def integer(text: str) -> int:
+    """An integer option; past _MAX_DIGITS digits the error names the cap, not the digits."""
+    if (n := sum(map(str.isdigit, text))) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"integers have at most {_MAX_DIGITS} digits, got {n}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would print usage to stderr and exit 2 with nothing on
     # stdout; raising lets run() report bad usage as a JSON error like any
@@ -197,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="convert between f/h/g vectors")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
     p.add_argument("--from", dest="src", choices=["f", "h", "g"], required=True)
     p.add_argument("--to", choices=["f", "h", "g"], required=True)
     p.add_argument("--vec")
@@ -206,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="f/g-vector of an extremal family member")
     p.add_argument("which", choices=["cyclic", "stacked", "cs-stacked"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--emit", choices=["f", "g"], default="f")
     p.set_defaults(func=_cmd_family)
 
@@ -216,30 +227,30 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=["m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"],
     )
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=integer, default=None)
     p.add_argument("--vec")
     p.add_argument("--file")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("compare", help="comparison theorem on two g-vectors")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=integer, required=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bounds", help="family sandwich bounds from one face count")
     p.add_argument("which", choices=["simplicial", "cs"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--value", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--value", type=integer, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="exhaustive verification suites")
     p.add_argument("which", choices=list(_VERIFY))
-    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--d", type=integer, default=10)
     p.add_argument("--order", default="all")
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=integer, default=6)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -247,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     parser = build_parser()
+    cap = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -257,6 +269,8 @@ def run(argv) -> int:
         print(json.dumps({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

@@ -23,16 +23,15 @@ a `guaranteed` flag distinguishing the two regimes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import mul, sub
 from typing import Optional
 
-from .exact import int_entries, largest_true
-from .transforms import GVector, _md_columns, check_dim, check_rs, f_from_g, g_to_f
-from .families import (
-    FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    f_of_family, first_n, g_entries, g_of_family, stanley_cs_floor,
-)
+from .exact import int_entries
+from .macaulay import _top
+from .transforms import GVector, _md_columns, build_md, check_dim, check_rs, delta, f_from_g
+from .families import CYCLIC, STACKED, CS_STACKED, first_n, g_entries
 
 
 class NoCrossingError(ValueError):
@@ -195,18 +194,40 @@ def _member_f_r(family: str, n: int, d: int, column: tuple) -> int:
     return sum(map(mul, g_entries(family, n, d), column))
 
 
-def _largest_n_up_to(value: int, family: str, d: int, r: int, column: tuple) -> int:
-    """Largest n whose member has f_r <= value, for a family on which f_r
-    grows in n by one constant step: a floor division, with the base and
-    the step read off the first member and the next."""
+@lru_cache(maxsize=None)
+def _affine_family(family: str, d: int) -> tuple:
+    """(first n, f of the first member, f step per unit of n): stacked and
+    cs-stacked members differ from the first only in g_1, by 1 or 2 per n."""
     first = first_n(family, d)
-    base = _member_f_r(family, first, d, column)
-    if value < base:
-        raise BelowFloorError(
-            f"f_{r} = {value} is below the minimal {family} value for d={d}"
-        )
-    step = _member_f_r(family, first + 1, d, column) - base
-    return first + (value - base) // step
+    step = tuple((2 if family == CS_STACKED else 1) * m for m in build_md(d)[1])
+    return first, f_from_g(d, g_entries(family, first, d)), step
+
+
+def _largest_n_up_to(value: int, family: str, d: int, r: int) -> tuple:
+    """Largest n whose stacked or cs-stacked member has f_r <= value, and
+    that member's f-vector: one floor division by the step, m[1][r] > 0."""
+    first, base, step = _affine_family(family, d)
+    k = (value - base[r]) // step[r]
+    if k < 0:
+        raise BelowFloorError(f"f_{r} = {value} is below the minimal {family} value for d={d}")
+    return first + k, tuple(b + k * m for b, m in zip(base, step))
+
+
+def _cyclic_n2(d: int, r: int, value: int, column: tuple) -> int:
+    """n2 of `sandwich_simplicial`, column being column r of M_d."""
+    if value <= column[0]:
+        return d + 1
+    dl = delta(d)
+    if r < dl:
+        return _top(value - 1, r + 1) + 1
+    n = _top(-(-value // column[dl]) - 1, dl) + d + 3 - dl
+    f_n = _member_f_r(CYCLIC, n, d, column)
+    while k := (f_n - value) // (_member_f_r(CYCLIC, n + 1, d, column) - f_n):
+        n -= k
+        f_n = _member_f_r(CYCLIC, n, d, column)
+    while _member_f_r(CYCLIC, n - 1, d, column) >= value:
+        n -= 1
+    return n
 
 
 def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
@@ -215,18 +236,21 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     Finds the largest n1 with f_r(S(n1,d)) <= f_r_value and the smallest
     n2 with f_r_value <= f_r(C(n2,d)); every later face count is then
     guaranteed to lie in [f_s(S(n1,d)), f_s(C(n2,d))].  n1 is a floor
-    division, as f_r(S(n,d)) is affine in n with step C(d,r) > 0; n2 is
-    searched, each probe the plain entries of g(C(n,d)) times column r.
+    division, as f(S(n,d)) is affine in n.  Write f(n) = f_r(C(n,d)).
+
+    For r < delta, C(n,d) is delta-neighborly, so f(n) = C(n, r+1) and n2
+    is one Macaulay top.  Otherwise f(n) = sum_i C(n-d-2+i, i) m[i][r],
+    every m[i][r] >= 0, is increasing and discretely convex for n >= d+1.
+    The top term alone reaches the value at one top (its argument is >= 1,
+    as m[delta][r] <= m[0][r] < value), so f(n) >= value there.  From such
+    an n, convexity gives f(n-k) >= f(n) - k(f(n+1) - f(n)), so the step
+    down by k = (f(n) - value) // (f(n+1) - f(n)) never passes n2; unit
+    steps end the descent.
     """
     _check_r(d, r, f_r_value)
-    column = _md_columns(d)[r]
-    n1 = _largest_n_up_to(f_r_value, STACKED, d, r, column)
-    n2 = first_n(CYCLIC, d)  # the simplex, with f_r = m[0][r]
-    if f_r_value > column[0]:
-        n2 = 1 + largest_true(
-            lambda n: _member_f_r(CYCLIC, n, d, column) < f_r_value, n2)
-    f_low = f_of_family(FamilySpec(STACKED, n1, d))
-    f_high = f_of_family(FamilySpec(CYCLIC, n2, d))
+    n1, f_low = _largest_n_up_to(f_r_value, STACKED, d, r)
+    n2 = _cyclic_n2(d, r, f_r_value, _md_columns(d)[r])
+    f_high = f_from_g(d, g_entries(CYCLIC, n2, d))
     conclusions = {
         s: BoundConclusion(True, f_low[s], f_high[s]) for s in range(r + 1, d)
     }
@@ -238,16 +262,12 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     f_r = f_r_value: f_s >= f_s(CS(2n,d)) for the largest admissible n.
 
     The crossing hypothesis is certified against the Stanley floor, which
-    every centrally-symmetric simplicial polytope's g-vector dominates.
-    f_r(CS(2n,d)) is affine in n, so n is a floor division.
+    every centrally-symmetric simplicial polytope's g-vector dominates:
+    g(CS(2n,d)) exceeds it by (0, 2(n-d), 0, ..., 0), crossing at t = 1, or
+    t = 0 when n = d.  f(CS(2n,d)) is affine in n, so n is a floor division.
     """
     _check_r(d, r, f_r_value)
-    column = _md_columns(d)[r]
-    n = _largest_n_up_to(f_r_value, CS_STACKED, d, r, column)
-    g = g_of_family(FamilySpec(CS_STACKED, n, d))
-    witness = find_crossing(g, stanley_cs_floor(d))
-    if witness is None:  # diffs vanish beyond index 1, so this cannot happen
-        raise NoCrossingError("cs-stacked g-vector does not cross the Stanley floor")
-    f_low = g_to_f(g)
+    n, f_low = _largest_n_up_to(f_r_value, CS_STACKED, d, r)
+    witness = CrossingWitness(int(n > d), (0, 2 * (n - d)) + (0,) * (delta(d) - 1))
     conclusions = {s: BoundConclusion(True, f_low[s]) for s in range(r + 1, d)}
     return ComparisonReport(d, r, True, True, conclusions, witness, (n,))

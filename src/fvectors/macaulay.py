@@ -140,9 +140,11 @@ def is_m_sequence_upper(v) -> bool:
     return True
 
 
-def _first_violation(entries):
-    """The first k > 1 with del^k(v_k) > v_{k-1} in a nonnegative sequence
-    and that value, as (k, del^k(v_k)); None when there is none."""
+def _first_violation(v):
+    """() if an entry of v is negative, else the first k > 1 with del^k(v_k)
+    > v_{k-1} as (k, del^k(v_k)); None when v is an M-sequence."""
+    if min(entries := _entries(v)) < 0:
+        return ()
     for k in range(2, len(entries)):
         if (cut := del_k(entries[k], k)) > entries[k - 1]:
             return k, cut
@@ -151,5 +153,4 @@ def _first_violation(entries):
 
 def is_M_sequence(v) -> bool:
     """True iff the sequence is nonnegative and del^k(v_k) <= v_{k-1} for k > 1."""
-    entries = _entries(v)
-    return min(entries) >= 0 and _first_violation(entries) is None
+    return _first_violation(v) is None

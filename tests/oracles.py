@@ -7,7 +7,9 @@ expansion, Gale-evenness face enumeration for cyclic polytopes,
 stellar-subdivision face-count updates for stacked polytopes, closed-form
 h-vectors of the extremal families, exhaustive search for Macaulay
 expansions, the one-step-at-a-time linear scans that the library's
-monotone search replaced, the try-every-t crossing scan that the
+monotone search replaced, the galloping-then-bisecting search for the
+cyclic sandwich parameter that the library's closed-form start and Newton
+steps replaced, the try-every-t crossing scan that the
 library's one-pass search replaced, the vertex-disjoint lattice path
 pairs of a family as step-word pairs, found by testing the vertex sets of
 every pair, and their count by a level walk with one dict entry per
@@ -251,6 +253,29 @@ def sandwich_params_by_scan(d, r, value):
     while family_f_r("cyclic", n2, d, r) < value:
         n2 += 1
     return n1, n2
+
+
+def cyclic_n2_by_bisection(d, r, value):
+    """Smallest n >= d+1 with f_r(C(n, d)) >= value: gallop up from the
+    simplex by doubling steps, then bisect the bracket."""
+    def below(n):
+        return family_f_r("cyclic", n, d, r) < value
+
+    lo = d + 1
+    if not below(lo):
+        return lo
+    step = 1
+    while below(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step  # below(lo) holds and below(hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def macaulay_terms_by_scan(n, k):

@@ -1,11 +1,12 @@
 import argparse
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fvectors import comparison, lattice
+from fvectors import comparison, lattice, macaulay, sandwich_simplicial
 from fvectors.cli import build_parser, run, EXIT_OK, EXIT_FAIL, EXIT_USAGE
 from fvectors.families import FamilySpec, CYCLIC, f_of_family
 from fvectors.transforms import FVector, f_to_g
@@ -53,6 +54,17 @@ def test_check_M_sequence_failure_witness(capsys):
     code, doc = invoke(capsys, "check", "M-sequence", "--vec", "[1,1,2]")
     assert code == EXIT_FAIL
     assert doc == {"result": False, "witness": {"k": 2, "del": 2, "bound": 1}}
+
+
+def test_check_M_sequence_walks_once(capsys, monkeypatch):
+    ks = []
+    real = macaulay.del_k
+    monkeypatch.setattr(macaulay, "del_k", lambda n, k: ks.append(k) or real(n, k))
+    code, doc = invoke(capsys, "check", "M-sequence",
+                       "--vec", "[1,40,800,16000,320000,6400000,1000000000]")
+    assert code == EXIT_FAIL
+    assert doc == {"result": False, "witness": {"k": 3, "del": 1030, "bound": 800}}
+    assert ks == [2, 3]
 
 
 def test_check_pass_paths(capsys):
@@ -281,6 +293,53 @@ def test_decimal_string_entries_round_trip(capsys):
                         "--to", "f", "--vec", json.dumps(doc["h"]))
     assert code == EXIT_OK
     assert back["f"] == [10**15] * 12
+
+
+def _decimal(x):
+    """str(x) past the int <-> str cap, which is restored afterwards."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_output_integers_past_the_digit_cap(capsys):
+    # f_3 of the bounds has about 6,000 digits; the cap applies again after run
+    cap = sys.get_int_max_str_digits()
+    code, doc = invoke(capsys, "bounds", "simplicial", "--d", "4", "--r", "0",
+                       "--value", str(10**3000))
+    assert code == EXIT_OK
+    assert sys.get_int_max_str_digits() == cap
+    report = sandwich_simplicial(4, 0, 10**3000)
+    for s, c in report.conclusions.items():
+        assert doc["conclusions"][str(s)] == {
+            "bound_holds": True, "lhs": _decimal(c.lhs), "rhs": _decimal(c.rhs)}
+    assert len(doc["conclusions"]["3"]["rhs"]) > cap
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 10001])
+def test_integer_options_past_the_digit_cap_are_refused(capsys, digits):
+    text = "1" + "0" * (digits - 1)
+    code = run(["bounds", "simplicial", "--d", "4", "--r", "0", "--value", text])
+    out, err = capsys.readouterr()
+    if digits <= 4300:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {
+        "error": f"argument --value: integers have at most 4300 digits, got {digits}"}
+    assert "0" * 100 not in out + err
+
+
+def test_vector_integers_past_the_digit_cap_are_refused(capsys):
+    for entry in ("1" + "0" * 4300, '"1' + "0" * 4300 + '"'):
+        code = run(["transform", "--d", "3", "--from", "g", "--to", "f", "--vec", f"[1,{entry}]"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "4300 digits" in json.loads(out)["error"]
+        assert "0" * 100 not in out + err
 
 
 def test_huge_m_sequence_check_is_fast(capsys):

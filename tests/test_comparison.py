@@ -11,13 +11,15 @@ from fvectors.comparison import (
 )
 from fvectors import comparison
 from fvectors.minors import phi_minor
-from fvectors.families import FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family
-from fvectors.transforms import GVector, build_md, delta, f_from_g
+from fvectors.families import (
+    FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family, g_of_family, stanley_cs_floor,
+)
+from fvectors.transforms import GVector, _md_columns, build_md, delta, f_from_g
 
 from deadline import timed
 from oracles import (
-    crossing_index_by_scan, family_f_r, largest_n_below_by_scan,
-    sandwich_params_by_scan,
+    crossing_index_by_scan, cyclic_n2_by_bisection, family_f_r,
+    largest_n_below_by_scan, sandwich_params_by_scan,
 )
 
 
@@ -385,3 +387,40 @@ def test_bounds_at_huge_values(d, r):
     assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
     (n,) = timed(lower_bound_cs, d, r, v).family_params
     assert family_f_r("cs_stacked", n, d, r) <= v < family_f_r("cs_stacked", n + 1, d, r)
+
+
+def test_cyclic_n2_matches_bisection_oracle():
+    # r < delta takes the neighborly top; r >= delta the Newton steps from above
+    for d in range(3, 20):
+        for r in range(d - 1):
+            column = _md_columns(d)[r]
+            values = {10**e for e in (1, 3, 10, 30, 100, 300)}
+            values |= _boundary_values("cyclic", d, r, d + 1, count=8)
+            for v in sorted(values):
+                # f_0(C(n, d)) = n, so r = 0 needs no bisection
+                expected = max(v, d + 1) if r == 0 else cyclic_n2_by_bisection(d, r, v)
+                assert comparison._cyclic_n2(d, r, v, column) == expected
+            # next to members far out, the answer brackets the value
+            for e in (30, 100, 300):
+                n = comparison._cyclic_n2(d, r, 10**e, column)
+                for v in (family_f_r("cyclic", n, d, r) + k for k in (-1, 0, 1)):
+                    m = comparison._cyclic_n2(d, r, v, column)
+                    assert family_f_r("cyclic", m - 1, d, r) < v <= family_f_r("cyclic", m, d, r)
+
+
+@pytest.mark.parametrize("d, r, seconds", [(10, 2, 0.2), (10, 6, 0.2), (20, 3, 1.0)])
+def test_sandwich_at_ten_thousand_digits(d, r, seconds):
+    v = 10**10000
+    n1, n2 = timed(sandwich_simplicial, d, r, v, seconds=seconds).family_params
+    assert family_f_r("stacked", n1, d, r) <= v < family_f_r("stacked", n1 + 1, d, r)
+    assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
+
+
+def test_cs_witness_is_the_crossing_with_the_stanley_floor():
+    for d in range(3, 13):
+        for n in (d, d + 1, d + 2, d + 7, 10**30):
+            expected = find_crossing(g_of_family(FamilySpec(CS_STACKED, n, d)), stanley_cs_floor(d))
+            for r in range(d - 1):
+                report = lower_bound_cs(d, r, family_f_r("cs_stacked", n, d, r))
+                assert report.family_params == (n,)
+                assert report.witness == expected

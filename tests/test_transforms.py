@@ -169,6 +169,8 @@ def test_dehn_sommerville():
     assert is_dehn_sommerville(HVector(3, (1, 3, 3, 1)))
     assert is_dehn_sommerville(HVector(4, (1, 3, 6, 3, 1)))
     assert not is_dehn_sommerville(HVector(3, (1, 2, 3, 1)))
+    # symmetric ends, asymmetric middle
+    assert not is_dehn_sommerville(HVector(5, (1, 3, 4, 5, 3, 1)))
 
 
 def test_f_to_g_truncates_non_palindromic_h():
