@@ -13,7 +13,6 @@ than 4,300 digits, CPython's default int <-> str cap, are refused.
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 from functools import lru_cache
 from operator import attrgetter
 
@@ -38,6 +37,8 @@ EXIT_USAGE = 2
 
 def _jsonable(obj):
     """Recursively convert to JSON-safe values, stringifying big ints."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a report record
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -53,8 +54,8 @@ def _emit(doc, code):
     """Print doc, a dict or a report, as one JSON document; return code.
     A report prints its fields in declared order, leaving out a field that
     is None; a None nested deeper prints as null."""
-    if is_dataclass(doc):
-        doc = {name: value for name, value in asdict(doc).items() if value is not None}
+    if hasattr(doc, "_asdict"):
+        doc = {name: value for name, value in doc._asdict().items() if value is not None}
     sys.set_int_max_str_digits(0)  # run() restores the cap
     print(json.dumps(_jsonable(doc)))
     return code

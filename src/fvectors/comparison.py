@@ -22,11 +22,10 @@ when t >= r + 2, so strict inequalities always propagate.  Reports carry
 a `guaranteed` flag distinguishing the two regimes.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import mul, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import int_entries
 from .macaulay import _top
@@ -42,8 +41,7 @@ class BelowFloorError(ValueError):
     """The given face count is below the minimal family member's count."""
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(NamedTuple):
     """Index t and the differences v_i = g_i(Delta) - g_i(Gamma):
     v_i >= 0 for 1 <= i <= t and v_i <= 0 for t < i <= delta."""
 
@@ -51,15 +49,13 @@ class CrossingWitness:
     diffs: tuple
 
 
-@dataclass(frozen=True)
-class BoundConclusion:
+class BoundConclusion(NamedTuple):
     bound_holds: bool
     lhs: int
     rhs: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     d: int
     r: int
     premise_holds: bool
@@ -135,8 +131,7 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     return ComparisonReport(d, r, True, guaranteed, conclusions, witness)
 
 
-@dataclass(frozen=True)
-class RatioChainReport:
+class RatioChainReport(NamedTuple):
     d: int
     r: int
     s: int
@@ -174,8 +169,7 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
-@dataclass(frozen=True)
-class ChainSweepReport:
+class ChainSweepReport(NamedTuple):
     d: int
     pairs: int
     failures: tuple  # (r, s) of each column pair whose chain fails

@@ -11,7 +11,7 @@ polytopes depend on choices made during their construction, but their
 f-vectors are well-defined, so no polytope is ever built.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import binomial, int_entries
 from .transforms import GVector, FVector, check_dim, delta, g_to_f
@@ -27,25 +27,30 @@ def first_n(family: str, d: int) -> int:
     return d if family == CS_STACKED else d + 1
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its vertex parameter n (vertex count is 2n for
-    cs_stacked) and the dimension d; n is at least `first_n`."""
-
+class _FamilyFields(NamedTuple):
     family: str
     n: int
     d: int
 
-    def __post_init__(self):
-        check_dim(self.d)
-        if type(self.n) is not int:  # skips the general check on the hot path
-            int_entries((self.n,), "parameters")
-        if self.family not in (CYCLIC, STACKED, CS_STACKED):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < first_n(self.family, self.d):
-            least = "d" if self.family == CS_STACKED else "d+1"
-            raise ValueError(f"{self.family.replace('_', '-')} polytope needs n >= {least}, "
-                             f"got n={self.n}, d={self.d}")
+
+class FamilySpec(_FamilyFields):
+    """A family name plus its vertex parameter n (vertex count is 2n for
+    cs_stacked) and the dimension d; n is at least `first_n`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, family: str, n: int, d: int):
+        check_dim(d)
+        if type(n) is not int:  # skips the general check on the hot path
+            int_entries((n,), "parameters")
+        if family not in (CYCLIC, STACKED, CS_STACKED):
+            raise ValueError(f"unknown family {family!r}")
+        if n < first_n(family, d):
+            least = "d" if family == CS_STACKED else "d+1"
+            raise ValueError(f"{family.replace('_', '-')} polytope needs n >= {least}, "
+                             f"got n={n}, d={d}")
+        return tuple.__new__(cls, (family, n, d))
 
 
 def g_entries(family: str, n: int, d: int) -> tuple:

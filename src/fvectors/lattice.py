@@ -21,9 +21,9 @@ checks injectivity, case dispatch, membership, and the anchor invariants
 that keep the cases from colliding.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .exact import binom_det, binomial, int_entries
 from .transforms import check_dim, check_rs, delta
@@ -38,19 +38,24 @@ CASE_2C = "2c"
 _INTERSECTING = "image paths must be vertex-disjoint"
 
 
-@dataclass(frozen=True)
-class PathFamilySpec:
-    """Parameters of the family L(p, q, t, u)."""
-
+class _PathFamilyFields(NamedTuple):
     p: int
     q: int
     t: int
     u: int
 
-    def __post_init__(self):
+
+class PathFamilySpec(_PathFamilyFields):
+    """Parameters of the family L(p, q, t, u)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, p: int, q: int, t: int, u: int):
         # skips the general check on the hot path
-        if not (type(self.p) is type(self.q) is type(self.t) is type(self.u) is int):
-            int_entries((self.p, self.q, self.t, self.u))
+        if not (type(p) is type(q) is type(t) is type(u) is int):
+            int_entries((p, q, t, u))
+        return tuple.__new__(cls, (p, q, t, u))
 
 
 def _vertex_bit(x: int, y: int) -> int:
@@ -176,8 +181,7 @@ def gv_identity_check(spec: PathFamilySpec) -> bool:
     return binom_det(p, q, t, u) == _count(p, q, t, u) - _count(p, q, u, t)
 
 
-@dataclass(frozen=True)
-class GVSweepReport:
+class GVSweepReport(NamedTuple):
     max: int
     instances: int
     failures: tuple  # (p, q, t, u) of each family where the identity fails
@@ -272,8 +276,7 @@ def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
     return _phi_words(first, p_word, q_word, d, a, r, s)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     d: int
     instances: int
     pairs_checked: int
@@ -373,11 +376,14 @@ def verify_phi(d: int) -> PhiReport:
             pairs_checked += domain_size
             target_total = count_disjoint_pairs(low_target) + count_disjoint_pairs(high_target)
             minor = phi_minor(d, a, a + 1, r, s)
-            if target_total - domain_size != minor or minor < 0:
+            if target_total - domain_size != minor:
                 counts_ok = False
                 failures.append(
                     ((a, r, s), f"count mismatch: {target_total} - {domain_size} != {minor}")
                 )
+            elif minor < 0:
+                counts_ok = False
+                failures.append(((a, r, s), f"negative minor: {minor}"))
     return PhiReport(
         d, instances, pairs_checked,
         injective, cases_partition, membership_ok, anchors_ok, counts_ok,

@@ -18,13 +18,12 @@ entry is 1, so truncations can be validated too.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import binomial, int_entries, largest_true
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
+class MacaulayExpansion(NamedTuple):
     """terms is a tuple of (a_j, j) pairs with j descending from k."""
 
     n: int

@@ -8,18 +8,16 @@ J. Combin. Theory Ser. A 116 (2009)); this module verifies both claims
 at finite scale with one exact minor scanner.
 """
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations, islice
 from operator import add, itemgetter, mul, sub
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exact import int_entries
 from .transforms import build_md, check_dim, check_rs, delta
 
 
-@dataclass(frozen=True)
-class MinorReport:
+class MinorReport(NamedTuple):
     d: int
     order: Union[int, str]  # k of the scanned k x k minors, or "all"
     minors_checked: int

@@ -15,7 +15,6 @@ with entries
     m[i][j] = C(d+1-i, d-j) - C(i, d-j).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -44,31 +43,50 @@ def check_rs(d: int, r: int, s: int, *more: int) -> None:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
 
 
-@dataclass(frozen=True)
 class _Vector:
     """Entries of an f-, h- or g-vector for dimension d.
 
     A subclass states its length `size(d)` and its entry rule: the head
     entry is 1 when `head_is_one`, and every entry is nonnegative when not.
     The letter in error messages is the first letter of the class name.
+    Instances are immutable and equal only to the same class's.
     """
 
-    d: int
-    entries: tuple
+    __slots__ = ("d", "entries")
 
-    def __post_init__(self):
-        check_dim(self.d)
-        entries = int_entries(self.entries)
-        object.__setattr__(self, "entries", entries)
-        size = self.size(self.d)
+    def __init__(self, d: int, entries):
+        check_dim(d)
+        entries = int_entries(entries)
+        size = self.size(d)
         if len(entries) != size:
-            raise ValueError(f"{self._name()}-vector for d={self.d} needs {size} entries")
+            raise ValueError(f"{self._name()}-vector for d={d} needs {size} entries")
         if self.head_is_one:
             if entries[0] != 1:
                 name = self._name()
                 raise ValueError(f"{name}-vector must start with {name}_0 = 1")
         elif min(entries) < 0:
             raise ValueError(f"{self._name()}-vector entries must be nonnegative")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.d == other.d and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.d, self.entries))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(d={self.d!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return type(self), (self.d, self.entries)
 
     @classmethod
     def _name(cls) -> str:
@@ -81,6 +99,7 @@ class _Vector:
 class FVector(_Vector):
     """Face-count vector (f_0, ..., f_{d-1}); f_{-1} = 1 is implicit."""
 
+    __slots__ = ()
     size = staticmethod(lambda d: d)
     head_is_one = False
 
@@ -88,6 +107,7 @@ class FVector(_Vector):
 class HVector(_Vector):
     """h-vector (h_0, ..., h_d) with h_0 = 1."""
 
+    __slots__ = ()
     size = staticmethod(lambda d: d + 1)
     head_is_one = True
 
@@ -101,6 +121,7 @@ class GVector(_Vector):
     and are applied only where a caller asks for them.
     """
 
+    __slots__ = ()
     size = staticmethod(lambda d: delta(d) + 1)
     head_is_one = True
 

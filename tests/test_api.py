@@ -1,15 +1,19 @@
-"""The public API of the package: the names `fvectors` exports, and the
-integer-only rule for the scalar parameters of its entry points."""
+"""The public API of the package: the names `fvectors` exports, the
+integer-only rule for the scalar parameters of its entry points, and the
+value semantics of its public types."""
 
+import copy
+import pickle
 import types
 
 import pytest
 
 import fvectors
 from fvectors import (
-    FamilySpec, del_k, lower_bound_cs,
+    BoundConclusion, FVector, FamilySpec, GVector, HVector, PathFamilySpec,
+    del_k, find_crossing, lower_bound_cs,
     macaulay_expand, phi, phi_minor, ratio_chain, sandwich_simplicial,
-    verify_gv, verify_lemma3, verify_ratio_chain, verify_total_nonnegativity,
+    verify_gv, verify_lemma3, verify_phi, verify_ratio_chain, verify_total_nonnegativity,
 )
 
 # A name leaves or joins this list only with a CHANGES.md entry saying so.
@@ -77,3 +81,77 @@ def test_public_names_are_pinned():
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):
         call(*args)
+
+
+# one instance of each public type: (a factory, a field, the repr the
+# frozen-dataclass form of these types gave)
+VALUES = {
+    "FVector": (lambda: FVector(4, (6, 15, 18, 9)), "entries",
+                "FVector(d=4, entries=(6, 15, 18, 9))"),
+    "HVector": (lambda: HVector(4, (1, 2, 3, 2, 1)), "d",
+                "HVector(d=4, entries=(1, 2, 3, 2, 1))"),
+    "GVector": (lambda: GVector(4, (1, 2, 1)), "entries",
+                "GVector(d=4, entries=(1, 2, 1))"),
+    "FamilySpec": (lambda: FamilySpec("cyclic", 7, 4), "n",
+                   "FamilySpec(family='cyclic', n=7, d=4)"),
+    "PathFamilySpec": (lambda: PathFamilySpec(3, 4, 1, 2), "p",
+                       "PathFamilySpec(p=3, q=4, t=1, u=2)"),
+    "MacaulayExpansion": (lambda: macaulay_expand(100, 3), "terms",
+                          "MacaulayExpansion(n=100, k=3, terms=((9, 3), (6, 2), (1, 1)))"),
+    "CrossingWitness": (lambda: find_crossing(GVector(4, (1, 3, 0)), GVector(4, (1, 2, 1))),
+                        "t", "CrossingWitness(t=1, diffs=(0, 1, -1))"),
+    "BoundConclusion": (lambda: BoundConclusion(True, 5), "rhs",
+                        "BoundConclusion(bound_holds=True, lhs=5, rhs=None)"),
+    "ComparisonReport": (
+        lambda: sandwich_simplicial(5, 2, 100), "guaranteed",
+        "ComparisonReport(d=5, r=2, premise_holds=True, guaranteed=True, conclusions="
+        "{3: BoundConclusion(bound_holds=True, lhs=95, rhs=105), "
+        "4: BoundConclusion(bound_holds=True, lhs=38, rhs=42)}, witness=None, "
+        "family_params=(14, 10))"),
+    "RatioChainReport": (lambda: ratio_chain(5, 1, 3), "all_hold",
+                         "RatioChainReport(d=5, r=1, s=3, comparisons=(75, 15), "
+                         "tail_start=None, tail_ok=True, all_hold=True)"),
+    "ChainSweepReport": (lambda: verify_ratio_chain(5), "failures",
+                         "ChainSweepReport(d=5, pairs=10, failures=())"),
+    "GVSweepReport": (lambda: verify_gv(2), "max",
+                      "GVSweepReport(max=2, instances=81, failures=())"),
+    "PhiReport": (lambda: verify_phi(4), "injective",
+                  "PhiReport(d=4, instances=12, pairs_checked=49, injective=True, "
+                  "cases_partition=True, membership_ok=True, anchors_ok=True, "
+                  "counts_consistent=True, failures=())"),
+    "MinorReport": (lambda: verify_total_nonnegativity(6), "min_value",
+                    "MinorReport(d=6, order='all', minors_checked=209, min_value=0, "
+                    "min_witness=((2,), (0,)), all_nonnegative=True)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_public_types_are_immutable_values(name):
+    build, field, pinned = VALUES[name]
+    value, twin = build(), build()
+    assert type(value).__name__ == name and repr(value) == pinned
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    assert value == twin and value is not twin
+    if name == "ComparisonReport":  # its conclusions are a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_vectors_of_different_kinds_never_compare_equal():
+    f, h, g = FVector(4, (1, 3, 3, 1)), HVector(3, (1, 3, 3, 1)), GVector(4, (1, 3, 3))
+    assert f.entries == h.entries and f.d == g.d
+    for a, b in ((f, h), (f, g), (f, FVector(3, (1, 3, 3))), (g, FVector(3, (1, 3, 3)))):
+        assert a != b and b != a
+    assert f != (4, (1, 3, 3, 1)) and f == FVector(4, [1, 3, 3, 1])
+
+
+def test_spec_replace_checks_like_the_constructor():
+    assert FamilySpec("cyclic", 7, 4)._replace(n=8) == FamilySpec("cyclic", 8, 4)
+    with pytest.raises(ValueError, match="needs n >= d\\+1"):
+        FamilySpec("cyclic", 7, 4)._replace(n=4)
+    with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        PathFamilySpec(3, 4, 1, 2)._replace(u=1.5)

@@ -1,7 +1,6 @@
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -179,7 +178,7 @@ def test_verify_ratio_chain_failure_exits_1(monkeypatch, capsys):
 
     def planted(d, r, s):
         chain = real(d, r, s)
-        return replace(chain, all_hold=chain.all_hold and (r, s) != (1, 3))
+        return chain._replace(all_hold=chain.all_hold and (r, s) != (1, 3))
 
     monkeypatch.setattr(comparison, "ratio_chain", planted)
     code, doc = invoke(capsys, "verify", "ratio-chain", "--d", "5")

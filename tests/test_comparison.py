@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -245,7 +244,7 @@ def test_verify_ratio_chain_reports_planted_failures(monkeypatch):
 
     def failing(d, r, s):
         chain = real(d, r, s)
-        return replace(chain, all_hold=False) if (r, s) in planted else chain
+        return chain._replace(all_hold=False) if (r, s) in planted else chain
 
     monkeypatch.setattr(comparison, "ratio_chain", failing)
     report = verify_ratio_chain(6)
@@ -266,6 +265,32 @@ def test_ratio_chain_reports_planted_failure(monkeypatch):
     assert chain.tail_ok
     assert not chain.all_hold
     assert verify_ratio_chain(6).failures == ((4, 5),)
+
+
+def _plant_columns(monkeypatch, d, cr, cs):
+    """M_d's columns 0 and 1 replaced by cr and cs, the rest kept."""
+    planted = (cr, cs) + _md_columns(d)[2:]
+    monkeypatch.setattr(comparison, "_md_columns", lambda _: planted)
+
+
+def test_ratio_chain_reports_planted_tail_break(monkeypatch):
+    # cs vanishes at row 1 but not at row 3, while every cross-product is 0
+    _plant_columns(monkeypatch, 6, (1, 0, 0, 0), (1, 0, 0, 1))
+    chain = ratio_chain(6, 0, 1)
+    assert chain.comparisons == (0, 0, 0)
+    assert chain.tail_start == 1
+    assert not chain.tail_ok
+    assert not chain.all_hold
+
+
+def test_ratio_chain_reports_planted_negative_last_entry(monkeypatch):
+    # no zero in cs and a nonnegative cross-product, but cr ends below 0
+    _plant_columns(monkeypatch, 3, (1, -1), (1, 1))
+    chain = ratio_chain(3, 0, 1)
+    assert chain.comparisons == (2,)
+    assert chain.tail_start is None
+    assert chain.tail_ok
+    assert not chain.all_hold
 
 
 def test_ratio_chain_rejects_bad_indices():

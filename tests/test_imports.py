@@ -1,10 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the package leaves the costly standard modules unimported.
 
 A dead import is not free: the span tracer in perfbench wraps every
 function one module imports from another, and a reader takes an import
-for a dependency."""
+for a dependency.  Every CLI call is a fresh process, so each module the
+package pulls in adds to its start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,13 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # -S keeps site hooks out, so only the package's own imports count
+    code = ("import sys, fvectors.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(fvectors.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -406,3 +406,22 @@ def test_verify_phi_catches_a_miscounted_target(monkeypatch):
     ]
     assert report.injective and report.cases_partition
     assert report.membership_ok and report.anchors_ok
+
+
+def test_verify_phi_reports_a_negative_minor_whose_counts_balance(monkeypatch):
+    # the minor of d=6, a=0, r=2, s=3 and its L(A-1, A) target both drop by
+    # 176, so target total - domain size still equals the minor, now -1
+    real_minor, real_count = lattice.phi_minor, lattice.count_disjoint_pairs
+    instance, target = (6, 0, 1, 2, 3), PathFamilySpec(6, 7, 3, 4)
+    assert real_minor(*instance) == real_count(target) == 175
+    monkeypatch.setattr(
+        lattice, "phi_minor", lambda *args: real_minor(*args) - 176 * (args == instance)
+    )
+    monkeypatch.setattr(
+        lattice, "count_disjoint_pairs", lambda spec: real_count(spec) - 176 * (spec == target)
+    )
+    report = verify_phi(6)
+    assert report.counts_consistent is False
+    assert report.failures == (((0, 2, 3), "negative minor: -1"),)
+    assert report.injective and report.cases_partition
+    assert report.membership_ok and report.anchors_ok
