@@ -3,7 +3,7 @@ polytopes and homology spheres.
 
 The package is organized around:
 
-  exact       -- binomials, binomial determinants, integer search and check
+  exact       -- binomials, binomial determinants, the integer check
   transforms  -- f/h/g-vector model, the M_d matrix, all conversions
   families    -- cyclic, stacked, and cs-stacked extremal families
   macaulay    -- Macaulay expansion and sequence predicates

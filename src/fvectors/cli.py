@@ -61,14 +61,22 @@ def _emit(doc, code):
     return code
 
 
+def _loads(text: str):
+    """json.loads, with nesting too deep for its parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _parse_vec(args) -> list:
     if getattr(args, "file", None):
         with open(args.file) as fh:
-            payload = json.load(fh)
+            payload = _loads(fh.read())
     else:
         if args.vec is None:
             raise ValueError("a vector is required (--vec or --file)")
-        payload = json.loads(args.vec)
+        payload = _loads(args.vec)
     if isinstance(payload, dict):
         for key in ("f", "h", "g", "vec"):
             if key in payload:
@@ -77,6 +85,11 @@ def _parse_vec(args) -> list:
         else:
             raise ValueError("JSON object payload must carry an f/h/g/vec field")
     return _int_list(payload)
+
+
+def _is_int_text(text: str) -> bool:
+    """An optional - then ASCII digits: the one form of integer text."""
+    return text.isascii() and text.removeprefix("-").isdigit()
 
 
 def _int_list(payload) -> list:
@@ -88,7 +101,7 @@ def _int_list(payload) -> list:
     for x in payload:
         if isinstance(x, int) and not isinstance(x, bool):
             out.append(x)
-        elif isinstance(x, str) and x.isascii() and x.removeprefix("-").isdigit():
+        elif isinstance(x, str) and _is_int_text(x):
             out.append(int(x))
         else:
             raise ValueError(f"vector entries must be integers, got {json.dumps(x)}")
@@ -144,8 +157,8 @@ def _cmd_check(args):
 
 
 def _cmd_compare(args):
-    g1 = GVector(args.d, _int_list(json.loads(args.g1)))
-    g2 = GVector(args.d, _int_list(json.loads(args.g2)))
+    g1 = GVector(args.d, _int_list(_loads(args.g1)))
+    g2 = GVector(args.d, _int_list(_loads(args.g2)))
     report = compare(g1, g2, args.r)
     ok = report.premise_holds and all(
         c.bound_holds for c in report.conclusions.values()
@@ -168,7 +181,7 @@ def _no_failures(report) -> bool:
 # each verify kind: (its run on the parsed arguments, its report's pass test)
 _VERIFY = {
     "minors": (
-        lambda a: verify_total_nonnegativity(a.d, a.order if a.order == "all" else int(a.order)),
+        lambda a: verify_total_nonnegativity(a.d, a.order),
         attrgetter("all_nonnegative"),
     ),
     "lemma3": (lambda a: verify_lemma3(a.d), attrgetter("all_nonnegative")),
@@ -185,10 +198,17 @@ def _cmd_verify(args):
 
 
 def integer(text: str) -> int:
-    """An integer option; past _MAX_DIGITS digits the error names the cap, not the digits."""
+    """An integer option (`_is_int_text`); past _MAX_DIGITS digits the error names the cap."""
     if (n := sum(map(str.isdigit, text))) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"integers have at most {_MAX_DIGITS} digits, got {n}")
+    if not _is_int_text(text):
+        raise ValueError(text)  # argparse reports: invalid integer value: 'text'
     return int(text)
+
+
+def order(text: str):
+    """The --order of verify minors: all, or an integer option."""
+    return text if text == "all" else integer(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification suites")
     p.add_argument("which", choices=list(_VERIFY))
     p.add_argument("--d", type=integer, default=10)
-    p.add_argument("--order", default="all")
+    p.add_argument("--order", type=order, default="all")
     p.add_argument("--max", type=integer, default=6)
     p.set_defaults(func=_cmd_verify)
 

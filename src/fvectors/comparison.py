@@ -183,11 +183,6 @@ def verify_ratio_chain(d: int) -> ChainSweepReport:
     return ChainSweepReport(d, d * (d - 1) // 2, failures)
 
 
-def _member_f_r(family: str, n: int, d: int, column: tuple) -> int:
-    """f_r of the member (family, n, d): its g-entries times column r of M_d."""
-    return sum(map(mul, g_entries(family, n, d), column))
-
-
 @lru_cache(maxsize=None)
 def _affine_family(family: str, d: int) -> tuple:
     """(first n, f of the first member, f step per unit of n): stacked and
@@ -207,20 +202,33 @@ def _largest_n_up_to(value: int, family: str, d: int, r: int) -> tuple:
     return first + k, tuple(b + k * m for b, m in zip(base, step))
 
 
+def _cyclic_step(n: int, d: int, column: tuple) -> tuple:
+    """(f(n), f(n+1) - f(n)) for f(n) = f_r(C(n, d)), n >= d+1, column
+    being column r of M_d: with x = n-d-2, the sums of m[i][r] C(x+i, i)
+    and of m[i][r] C(x+i, i-1), both binomials by exact ratio steps that
+    never divide by x+1 (0 at the simplex)."""
+    x = n - d - 2
+    f, df, c, e = column[0], 0, 1, 1
+    for i in range(1, len(column)):
+        c = c * (x + i) // i
+        f += column[i] * c
+        df += column[i] * e
+        e = e * (x + i + 1) // i
+    return f, df
+
+
 def _cyclic_n2(d: int, r: int, value: int, column: tuple) -> int:
     """n2 of `sandwich_simplicial`, column being column r of M_d."""
     if value <= column[0]:
         return d + 1
     dl = delta(d)
     if r < dl:
-        return _top(value - 1, r + 1) + 1
-    n = _top(-(-value // column[dl]) - 1, dl) + d + 3 - dl
-    f_n = _member_f_r(CYCLIC, n, d, column)
-    while k := (f_n - value) // (_member_f_r(CYCLIC, n + 1, d, column) - f_n):
+        return _top(value - 1, r + 1)[0] + 1
+    n = _top(-(-value // column[dl]) - 1, dl)[0] + d + 3 - dl
+    f, df = _cyclic_step(n - 1, d, column)
+    while k := (f + df - value) // df:
         n -= k
-        f_n = _member_f_r(CYCLIC, n, d, column)
-    while _member_f_r(CYCLIC, n - 1, d, column) >= value:
-        n -= 1
+        f, df = _cyclic_step(n - 1, d, column)
     return n
 
 
@@ -236,17 +244,19 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     is one Macaulay top.  Otherwise f(n) = sum_i C(n-d-2+i, i) m[i][r],
     every m[i][r] >= 0, is increasing and discretely convex for n >= d+1.
     The top term alone reaches the value at one top (its argument is >= 1,
-    as m[delta][r] <= m[0][r] < value), so f(n) >= value there.  From such
-    an n, convexity gives f(n-k) >= f(n) - k(f(n+1) - f(n)), so the step
-    down by k = (f(n) - value) // (f(n+1) - f(n)) never passes n2; unit
-    steps end the descent.
+    as m[delta][r] <= m[0][r] < value), so f(n) >= value there, and n > d+1.
+    From such an n, convexity gives f(n-k) >= f(n) - k(f(n) - f(n-1)), so
+    the step down by k = (f(n) - value) // (f(n) - f(n-1)) never passes
+    n2; and k = 0 means f(n-1) < value, so the descent stops at n2.
     """
     _check_r(d, r, f_r_value)
     n1, f_low = _largest_n_up_to(f_r_value, STACKED, d, r)
-    n2 = _cyclic_n2(d, r, f_r_value, _md_columns(d)[r])
-    f_high = f_from_g(d, g_entries(CYCLIC, n2, d))
+    columns = _md_columns(d)
+    n2 = _cyclic_n2(d, r, f_r_value, columns[r])
+    g_high = g_entries(CYCLIC, n2, d)  # f_s(C(n2,d)) is needed for s > r only
     conclusions = {
-        s: BoundConclusion(True, f_low[s], f_high[s]) for s in range(r + 1, d)
+        s: BoundConclusion(True, f_low[s], sum(map(mul, g_high, columns[s])))
+        for s in range(r + 1, d)
     }
     return ComparisonReport(d, r, True, True, conclusions, None, (n1, n2))
 

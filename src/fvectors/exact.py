@@ -1,6 +1,5 @@
-"""Exact integer arithmetic: binomials, binomial determinants, the
-monotone integer search every parameter lookup uses, and the integer check
-every vector entry and scalar parameter passes.
+"""Exact integer arithmetic: binomials, binomial determinants, and the
+integer check every vector entry and scalar parameter passes.
 
 Everything here is pure integer arithmetic on Python's arbitrary-precision
 ints.  No floating point is used anywhere in the package; inequalities
@@ -36,24 +35,3 @@ def int_entries(values, what: str = "vector entries") -> tuple:
 def binom_det(p: int, q: int, t: int, u: int) -> int:
     """The 2x2 binomial determinant C(p,t)*C(q,u) - C(p,u)*C(q,t)."""
     return binomial(p, t) * binomial(q, u) - binomial(p, u) * binomial(q, t)
-
-
-def largest_true(pred, lo: int) -> int:
-    """Largest integer x >= lo with pred(x), for pred true at lo and
-    monotone (true up to some point, false from there on).
-
-    Gallops with doubling steps to bracket the last true value, then
-    bisects the bracket, so pred is evaluated O(log(x - lo + 2)) times.
-    """
-    step = 1
-    while pred(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step  # pred(lo) holds and pred(hi) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -57,9 +57,12 @@ def g_entries(family: str, n: int, d: int) -> tuple:
     """The entries of g for the member (family, n, d) as a plain tuple, for
     parameters that `FamilySpec` accepts; nothing is checked here."""
     if family == CYCLIC:
-        # g_0 is pinned to 1: the closed form would give C(n-d-2, 0), which
-        # the vanishing-binomial convention sends to 0 at n = d+1 (the simplex)
-        return (1,) + tuple(binomial(n - d - 2 + i, i) for i in range(1, delta(d) + 1))
+        # g_i = C(x+i, i) = g_{i-1}*(x+i)/i, x = n-d-2; the simplex has x+1 = 0
+        x, c, g = n - d - 2, 1, [1]
+        for i in range(1, delta(d) + 1):
+            c = c * (x + i) // i
+            g.append(c)
+        return tuple(g)
     if family == STACKED:
         return (1, n - d - 1) + (0,) * (delta(d) - 1)
     return (1, 2 * n - d - 1) + tuple(

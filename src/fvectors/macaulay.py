@@ -20,7 +20,7 @@ entry is 1, so truncations can be validated too.
 import math
 from typing import NamedTuple
 
-from .exact import binomial, int_entries, largest_true
+from .exact import binomial, int_entries
 
 
 class MacaulayExpansion(NamedTuple):
@@ -34,55 +34,62 @@ class MacaulayExpansion(NamedTuple):
         return sum(binomial(a, j) for a, j in self.terms)
 
 
-def _top(n: int, j: int) -> int:
-    """The largest a >= j with C(a, j) <= n, for n >= 1.
+def _top(n: int, j: int) -> tuple:
+    """(a, C(a, j)) for the largest a >= j with C(a, j) <= n, for n >= 1.
 
     With x the integer j-th root of j!*n, C(x, j) <= x^j/j! <= n, and
-    C(a, j) <= n forces (a-j+1)^j <= j!*n, so a <= x+j-1: the search starts
-    at x and takes about log2(j) probes.  The root pays only while j! and x
-    are small next to n, so it is taken when n > 4^j (which puts a above
-    2j); below that the search gallops up from j.
+    C(a, j) <= n forces (a-j+1)^j <= j!*n, so a <= x+j-1.  The root pays
+    only while j! and x are small next to n, so it is taken when n > 4^j
+    (which puts a above 2j); below that the walk starts at j.  From the
+    start, C(a+1, j) = C(a, j)*(a+1)/(a+1-j) is exact, so each step up is
+    one multiply and one floor division: one math.comb per top.
     """
     if j == 1:
-        return n
-    x = j
+        return n, n
+    a = j
     if 2 * j < n.bit_length():
         m = math.factorial(j) * n
         # integer Newton from above falls to floor(m^(1/j)) and stops there;
         # for j = 2 math.isqrt starts it at the root
-        x = math.isqrt(m) if j == 2 else 1 << -(-m.bit_length() // j)
-        while (y := ((j - 1) * x + m // x ** (j - 1)) // j) < x:
-            x = y
-    return largest_true(lambda a: binomial(a, j) <= n, x)
+        a = math.isqrt(m) if j == 2 else 1 << -(-m.bit_length() // j)
+        while (y := ((j - 1) * a + m // a ** (j - 1)) // j) < a:
+            a = y
+    c = math.comb(a, j)
+    while (up := c * (a + 1) // (a + 1 - j)) <= n:
+        a += 1
+        c = up
+    return a, c
 
 
 def _greedy(n: int, k: int) -> tuple:
     """The Macaulay terms of n >= 1 from j = k down, stopping once the
     remainder rem is at most j: then C(j+1, j) = j+1 > rem, so the rest is
-    rem unit terms (i, i) for i = j down to j-rem+1.  Returns (terms, rem, j)."""
-    terms = []
+    rem unit terms (i, i) for i = j down to j-rem+1.  Returns (terms,
+    shifted, rem, j), shifted being the sum of C(a-1, j-1) over the terms."""
+    terms, shifted = [], 0
     rem, j = n, k
     while rem > j:
-        a = _top(rem, j)
+        a, c = _top(rem, j)
         terms.append((a, j))
-        rem -= binomial(a, j)
+        shifted += c * j // a
+        rem -= c
         j -= 1
-    return terms, rem, j
+    return terms, shifted, rem, j
 
 
 def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
     """Unique greedy expansion: largest a_k with C(a_k, k) <= n, then recurse.
 
-    Each a_j with a_j > j is found by one `_top` search, which C(a, j)
-    being strictly increasing in a >= j permits, so the cost grows with
-    k log(n); the unit terms (j, j) at the tail need no search.
+    Each a_j with a_j > j is one `_top`, which C(a, j) being strictly
+    increasing in a >= j permits; the unit terms (j, j) at the tail need
+    no top.
     """
     int_entries((n, k), "parameters")
     if n <= 0:
         raise ValueError(f"macaulay_expand needs n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"macaulay_expand needs k >= 1, got {k}")
-    terms, rem, j = _greedy(n, k)
+    terms, _, rem, j = _greedy(n, k)
     terms.extend((i, i) for i in range(j, j - rem, -1))
     return MacaulayExpansion(n, k, tuple(terms))
 
@@ -90,8 +97,9 @@ def macaulay_expand(n: int, k: int) -> MacaulayExpansion:
 def del_k(n: int, k: int) -> int:
     """del^k(n): shift every expansion term down by one in both arguments.
 
-    Each unit term (i, i) of the tail shifts to C(i-1, i-1) = 1, so the
-    tail adds its length, the remainder, in one step.
+    A term C(a, j) shifts to C(a-1, j-1) = C(a, j)*j/a, and each unit term
+    (i, i) of the tail to C(i-1, i-1) = 1, so the tail adds its length, the
+    remainder, in one step.
     """
     int_entries((n, k), "parameters")
     if n < 0:
@@ -100,8 +108,8 @@ def del_k(n: int, k: int) -> int:
         return 0
     if k < 1:
         raise ValueError(f"del_k needs k >= 1, got {k}")
-    terms, rem, _ = _greedy(n, k)
-    return sum(binomial(a - 1, j - 1) for a, j in terms) + rem
+    _, shifted, rem, _ = _greedy(n, k)
+    return shifted + rem
 
 
 def _entries(v):
@@ -133,8 +141,8 @@ def is_m_sequence_upper(v) -> bool:
         nj = entries[j]
         if nj == 0:
             continue
-        m = _top(nj, j)
-        if entries[j - 1] < binomial(m - 1, j - 1):
+        m, c = _top(nj, j)
+        if entries[j - 1] < c * j // m:  # C(m-1, j-1)
             return False
     return True
 

@@ -190,6 +190,8 @@ def test_verify_minors(capsys):
     code, doc = invoke(capsys, "verify", "minors", "--d", "5", "--order", "all")
     assert code == EXIT_OK
     assert doc["all_nonnegative"] is True
+    code, doc = invoke(capsys, "verify", "minors", "--d", "5", "--order", "2")
+    assert code == EXIT_OK and doc["order"] == 2
 
 
 def test_verify_ratio_chain(capsys):
@@ -330,6 +332,42 @@ def test_integer_options_past_the_digit_cap_are_refused(capsys, digits):
     assert json.loads(out) == {
         "error": f"argument --value: integers have at most 4300 digits, got {digits}"}
     assert "0" * 100 not in out + err
+
+
+@pytest.mark.parametrize("option", ["--vec", "--file", "--g1", "--g2"])
+def test_deeply_nested_json_is_a_json_error(capsys, tmp_path, option):
+    # json raised RecursionError here, which escaped run as a traceback
+    deep = "[" * 100000
+    if option == "--g1":
+        argv = ["compare", "--d", "4", "--r", "0", "--g1", deep, "--g2", "[1,1,1]"]
+    elif option == "--g2":
+        argv = ["compare", "--d", "4", "--r", "0", "--g1", "[1,1,1]", "--g2", deep]
+    elif option == "--file":
+        (path := tmp_path / "deep.json").write_text(deep)
+        argv = ["check", "m-sequence", "--file", str(path)]
+    else:
+        argv = ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", deep]
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": "JSON input is nested too deeply"}
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0664", "\uff17", " 7", "7 ", "+7", "-", ""])
+@pytest.mark.parametrize("option", ["--d", "--value"])
+def test_integer_options_take_only_ascii_digits(capsys, option, text):
+    # int() read 1_0 as 10, the Arabic-Indic and fullwidth digits as 4 and
+    # 7, and took surrounding spaces and a leading +
+    argv = {"--d": "4", "--r": "0", "--value": "50", option: text}
+    code, doc = invoke(capsys, "bounds", "simplicial", *[x for kv in argv.items() for x in kv])
+    assert code == EXIT_USAGE
+    assert doc == {"error": f"argument {option}: invalid integer value: {text!r}"}
+
+
+@pytest.mark.parametrize("text", ["+2", " 2", "2_0", "\u0662", "ALL", "x"])
+def test_order_is_all_or_an_integer_option(capsys, text):
+    code, doc = invoke(capsys, "verify", "minors", "--d", "5", "--order", text)
+    assert code == EXIT_USAGE
+    assert doc == {"error": f"argument --order: invalid order value: {text!r}"}
 
 
 def test_vector_integers_past_the_digit_cap_are_refused(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -17,7 +18,7 @@ from fvectors.transforms import GVector, _md_columns, build_md, delta, f_from_g
 
 from deadline import timed
 from oracles import (
-    crossing_index_by_scan, cyclic_n2_by_bisection, family_f_r,
+    crossing_index_by_scan, cyclic_fvector_gale, cyclic_n2_by_bisection, family_f_r,
     largest_n_below_by_scan, sandwich_params_by_scan,
 )
 
@@ -431,6 +432,23 @@ def test_cyclic_n2_matches_bisection_oracle():
                 for v in (family_f_r("cyclic", n, d, r) + k for k in (-1, 0, 1)):
                     m = comparison._cyclic_n2(d, r, v, column)
                     assert family_f_r("cyclic", m - 1, d, r) < v <= family_f_r("cyclic", m, d, r)
+
+
+def test_cyclic_step_matches_closed_form_and_gale_oracles():
+    # (f(n), f(n+1) - f(n)) from one pass, the simplex n = d+1 included;
+    # Gale's evenness enumerates C(n+1, d) candidate facets and 2^d faces
+    # of each, so it checks the members it reaches quickly (d <= 11) and
+    # the h-vector closed form checks all
+    for d in range(3, 20):
+        columns = _md_columns(d)
+        for n in range(d + 1, d + 61):
+            gale = (cyclic_fvector_gale(n, d), cyclic_fvector_gale(n + 1, d)) \
+                if d <= 11 and math.comb(n + 1, d) <= 1000 else None
+            for r, column in enumerate(columns):
+                f, f_next = family_f_r("cyclic", n, d, r), family_f_r("cyclic", n + 1, d, r)
+                assert comparison._cyclic_step(n, d, column) == (f, f_next - f), (n, d, r)
+                if gale:
+                    assert (f, f_next) == (gale[0][r], gale[1][r])
 
 
 @pytest.mark.parametrize("d, r, seconds", [(10, 2, 0.2), (10, 6, 0.2), (20, 3, 1.0)])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fvectors.exact import binomial, binom_det, largest_true
+from fvectors.exact import binomial, binom_det
 
 from oracles import bareiss_det, cofactor_det
 
@@ -86,20 +86,3 @@ def test_det_against_cofactor_expansion():
         for _ in range(40):
             m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
             assert bareiss_det(m) == cofactor_det(m)
-
-
-def test_largest_true_exhaustive():
-    for lo in range(-3, 4):
-        for t in range(lo, lo + 130):
-            assert largest_true(lambda x: x <= t, lo) == t
-
-
-def test_largest_true_probes_logarithmically():
-    probes = []
-
-    def pred(x):
-        probes.append(x)
-        return x <= 10**100
-
-    assert largest_true(pred, 0) == 10**100
-    assert len(probes) <= 2 * 333 + 2  # 10**100 < 2**333

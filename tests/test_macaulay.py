@@ -238,9 +238,41 @@ def test_top_on_both_sides_of_its_guard():
             ns += [math.comb(a, j), math.comb(a, j) - 1]
         for n in ns:
             if n >= 1:
-                a = _top(n, j)
-                assert a >= j
-                assert math.comb(a, j) <= n < math.comb(a + 1, j), (n, j)
+                a, c = _top(n, j)
+                assert a >= j and c == math.comb(a, j)
+                assert c <= n < math.comb(a + 1, j), (n, j)
+
+
+def test_top_matches_linear_scan_oracle():
+    # 4^j, where the root start is first taken, lies inside 1..3000 for
+    # j = 2..5; j = 6..8 walk up from j throughout
+    for j in range(2, 9):
+        for n in range(1, 3001):
+            a = macaulay_terms_by_scan(n, j)[0][0]
+            assert _top(n, j) == (a, math.comb(a, j)), (n, j)
+
+
+def test_top_calls_math_comb_once(monkeypatch):
+    rng = random.Random(1813)
+    cases = [(n, j) for j in range(2, 41)
+             for n in (1, 2 ** (2 * j) - 1, 2 ** (2 * j), 2 ** (2 * j) + 1,
+                       rng.randint(1, 10 ** rng.randint(1, 300)))]
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, j: calls.append(a) or comb(a, j))
+    for n, j in cases:
+        calls.clear()
+        a, c = _top(n, j)
+        assert len(calls) == 1, (n, j)
+        assert c == comb(a, j) <= n < comb(a + 1, j)
+
+
+def test_expand_at_four_to_the_thousand_is_fast():
+    # 4^1000 - 1 has 2j bits at j = 1000, so every top walks up from j
+    n = 4**1000 - 1
+    terms = timed(macaulay_expand, n, 1000, seconds=3.0).terms
+    assert sum(math.comb(a, j) for a, j in terms) == n
+    assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
 
 
 def test_del_matches_linear_scan_oracle_for_large_k():
