@@ -34,9 +34,6 @@ CASE_2A = "2a"
 CASE_2B = "2b"
 CASE_2C = "2c"
 
-# how verify_phi reports an intersecting image; the text reaches CLI JSON
-_INTERSECTING = "image paths must be vertex-disjoint"
-
 
 class _PathFamilyFields(NamedTuple):
     p: int
@@ -92,18 +89,19 @@ def _paths_with_masks(start: tuple, end: tuple) -> dict:
     (x0, y0), (x1, y1) = start, end
     if x1 < x0 or y1 < y0:
         return {}
-    words, masks = [""], [1 << _vertex_bit(x0, y0)]
+    words, masks, xs = [""], [1 << _vertex_bit(x0, y0)], [x0]
     for level in range(x0 + y0 + 1, x1 + y1 + 1):
-        grown_words, grown_masks = [], []
-        for word, mask in zip(words, masks):
-            x = x0 + word.count("E")
+        grown_words, grown_masks, grown_xs = [], [], []
+        for word, mask, x in zip(words, masks, xs):
             if x < x1:
                 grown_words.append(word + "E")
                 grown_masks.append(mask | 1 << _vertex_bit(x + 1, level - x - 1))
+                grown_xs.append(x + 1)
             if level - x <= y1:
                 grown_words.append(word + "N")
                 grown_masks.append(mask | 1 << _vertex_bit(x, level - x))
-        words, masks = grown_words, grown_masks
+                grown_xs.append(x)
+        words, masks, xs = grown_words, grown_masks, grown_xs
     return dict(zip(words, masks))
 
 
@@ -127,37 +125,48 @@ def _count(p: int, q: int, t: int, u: int) -> int:
     x_Q <= u and x_Q < x_P <= t; prefixes with too many N steps never
     reach (t, u), so the mask need not drop them.
 
-    No cell carries into the next: a masked cell counts pairs of a P and a
-    Q prefix, at most C(p, x_P)*C(q, x_Q) <= K = C(p, min(t, p//2)) *
-    C(q, min(u, q//2)) as binomials rise towards the middle, and before
-    the mask any cell sums at most four masked ones, so 4K < 2^B for
-    B = K.bit_length() + 2.
+    No cell carries into the next, for B = K.bit_length() with K =
+    C(p, min(t, p//2)) * C(q, min(u, q//2)).  Before the mask as after it a
+    cell counts distinct pairs of a P and a Q prefix (the shifted tables
+    add pairs that differ in their last steps; cell t shifts into the next
+    row's cell 0 as x_P = t+1).  P has at most C(p, x_P) prefixes with
+    x_P <= t, or C(p-1, t) with t+1, each at most C(p, min(t, p//2)) as
+    binomials rise towards the middle; likewise Q, from x_Q <= u: K < 2^B.
 
-    The seed row holds C(p-q, x) in cell x for 0 < x <= t.  When p-q <= t
-    it is (2^B + 1)^(p-q) less its cell 0, one power: its cells are the
-    C(p-q, x) <= C(p, x) <= K < 2^B, so none carries, and its degree p-q
-    fits the row.  Past t the power would need the cells above t cut off
-    after every squaring, each squaring as wide as the row, so there the
-    seed takes the t binomials instead."""
+    The seed row holds C(p-q, x) <= C(p, x) <= K in cell x, 0 < x <= t.
+    When p-q <= t it is (2^B + 1)^(p-q) less its cell 0, one power whose
+    degree fits the row.  Past t the power would need the cells above t
+    cut off after every squaring, so there the seed takes the ratios
+    C(p-q, x) = C(p-q, x-1) * (p-q+1-x) / x."""
     if not (0 <= t <= p and 0 <= u <= q):
         return 0
     if p < q:
         p, q, t, u = q, p, u, t
     if t <= u:
         return 0
-    b = (binomial(p, min(t, p // 2)) * binomial(q, min(u, q // 2))).bit_length() + 2
+    b = (binomial(p, min(t, p // 2)) * binomial(q, min(u, q // 2))).bit_length()
     row = b * (t + 1)
     n = p - q
     if n <= t:
         v = ((1 << b) + 1) ** n - 1
     else:
-        v = sum(binomial(n, x) << b * x for x in range(1, t + 1))
-    mask = sum(((1 << b * (t - y)) - 1) << (row * y + b * (y + 1)) for y in range(u + 1))
+        v, c = 0, 1
+        for x in range(1, t + 1):
+            c = c * (n + 1 - x) // x
+            v |= c << b * x
+    # mask row y (cells y+1..t) is 2^(row*(y+1)) - 2^((row+b)*y + b); its two
+    # sums grow by doubling, where dividing by 2^row - 1 would be quadratic,
+    # and each row they add past u is a multiple of 2^(row*(u+1)), cut off
+    ends = starts = 1
+    for i in range(u.bit_length()):
+        ends |= ends << (row << i)
+        starts |= starts << (row + b << i)
+    mask = ((ends << row) - (starts << b)) & ((1 << row * (u + 1)) - 1)
     for _ in range(q):
         v += v << b
         v += v << row
         v &= mask
-    return (v >> (row * u + b * t)) & ((1 << b) - 1)
+    return v >> (row * u + b * t)  # the top cell the mask keeps
 
 
 def count_disjoint_pairs(spec: PathFamilySpec) -> int:
@@ -198,18 +207,6 @@ def verify_gv(bound: int) -> GVSweepReport:
     return GVSweepReport(bound, (bound + 1) ** 4, failures)
 
 
-def _case(first: bool, p_steps: str, q_steps: str) -> str:
-    """Which construction case applies to a domain pair, from its family
-    (L(a, a+1) when first) and how its paths begin."""
-    if first:
-        return CASE_1
-    if q_steps.startswith("E"):
-        return CASE_2B
-    if p_steps.startswith("N"):
-        return CASE_2A
-    return CASE_2C
-
-
 def _factor_2c(p_steps: str, q_steps: str):
     """Split P = E^k N P' and Q = N R E N^v E Q', the two E's being the
     k-th and (k+1)-st occurrences of E in Q.
@@ -233,17 +230,17 @@ def _factor_2c(p_steps: str, q_steps: str):
 def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
     """The injection on step words: (case, image P word, image Q word) for
     a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words.
-    The image start points follow from the case: (0, -a) and (0, 1-A) in
-    case 1 and subcase 2a, (0, 1-A) and (0, -A) in subcases 2b and 2c."""
+    The case is 1 on L(a, a+1); on L(a+1, A) it is 2b when Q begins E, 2a
+    when P begins N, else 2c.  The image start points follow from it:
+    (0, -a) and (0, 1-A) in cases 1 and 2a, (0, 1-A) and (0, -A) in 2b and
+    2c."""
     at = d + 1 - a
-    case = _case(first, p_steps, q_steps)
-    lift = "N" * ((at - 1) - (a + 1))
-    if case == CASE_1:
-        return case, p_steps, lift + q_steps
-    if case == CASE_2A:
-        return case, p_steps[1:], q_steps[1:]
-    if case == CASE_2B:
-        return case, lift + p_steps, q_steps
+    if first:
+        return CASE_1, p_steps, "N" * (at - a - 2) + q_steps
+    if q_steps.startswith("E"):
+        return CASE_2B, "N" * (at - a - 2) + p_steps, q_steps
+    if p_steps.startswith("N"):
+        return CASE_2A, p_steps[1:], q_steps[1:]
     k, p_rest, r_word, v, q_rest, h = _factor_2c(p_steps, q_steps)
     prefix = at - a - h - 3
     if prefix < 0:
@@ -255,7 +252,7 @@ def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, 
     else:
         p_bar = "N" * prefix + "E" + r_word + "NN" + p_rest
     q_bar = "E" * k + "N" * v + "E" + "N" * (h + 1) + q_rest
-    return case, p_bar, q_bar
+    return CASE_2C, p_bar, q_bar
 
 
 def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
@@ -318,7 +315,6 @@ def verify_phi(d: int) -> PhiReport:
     """
     check_dim(d)
     dl = delta(d)
-    instances = 0
     pairs_checked = 0
     failures = []
     injective = cases_partition = membership_ok = anchors_ok = counts_ok = True
@@ -327,52 +323,50 @@ def verify_phi(d: int) -> PhiReport:
         anchor = 1 << _vertex_bit(0, -(a + 1))
         for r, s in combinations(range(d), 2):
             sb, rb = d - s, d - r
-            instances += 1
             low_target = PathFamilySpec(a, at - 1, sb, rb)
             high_target = PathFamilySpec(at - 1, at, sb, rb)
-            # (target P and Q dicts, image start points) of each image side
-            low_side = _family_paths(low_target), ((0, -a), (0, 1 - at))
-            high_side = _family_paths(high_target), ((0, 1 - at), (0, -at))
-            images = set()
+            # target P and Q dicts, image start points and images of each side
+            low_side = *_family_paths(low_target), (0, -a), (0, 1 - at), set()
+            high_side = *_family_paths(high_target), (0, 1 - at), (0, -at), set()
             domain_size = 0
-            for first, spec in (
-                (True, PathFamilySpec(a, a + 1, sb, rb)),
-                (False, PathFamilySpec(a + 1, at, sb, rb)),
-            ):
+            for first, spec in ((True, PathFamilySpec(a, a + 1, sb, rb)),
+                                (False, PathFamilySpec(a + 1, at, sb, rb))):
                 p_paths, q_paths = _family_paths(spec)
                 for pw, pm in p_paths.items():
                     for qw, qm in q_paths.items():
                         if pm & qm:
                             continue
                         domain_size += 1
-                        tag = (a, r, s, pw, qw)
                         try:
                             case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
-                            low = case in (CASE_1, CASE_2A)
-                            (target_p, target_q), (p_start, q_start) = (
-                                low_side if low else high_side)
-                            in_family = image_pw in target_p and image_qw in target_q
-                            # a mask is never 0, so `or` walks only words off the target
-                            image_pm = target_p.get(image_pw) or _walk(p_start, image_pw)
-                            image_qm = target_q.get(image_qw) or _walk(q_start, image_qw)
+                            target_p, target_q, p_start, q_start, images = (
+                                low_side if case in (CASE_1, CASE_2A) else high_side)
+                            # a mask is never 0, so 0 marks a word off the target
+                            image_pm = target_p.get(image_pw, 0)
+                            image_qm = target_q.get(image_qw, 0)
+                            in_family = image_pm and image_qm
+                            if not in_family:
+                                image_pm = image_pm or _walk(p_start, image_pw)
+                                image_qm = image_qm or _walk(q_start, image_qw)
                             if image_pm & image_qm:
-                                raise ValueError(_INTERSECTING)
+                                raise ValueError("image paths must be vertex-disjoint")
                         except ValueError as exc:
                             cases_partition = False
-                            failures.append((tag, f"construction failed: {exc}"))
+                            failures.append(((a, r, s, pw, qw), f"construction failed: {exc}"))
                             continue
                         if not in_family:
                             membership_ok = False
-                            failures.append((tag, f"case {case} image in wrong family"))
-                        on_image = bool((image_pm | image_qm) & anchor)
-                        if on_image != (case in (CASE_1, CASE_2B)):
+                            failures.append(
+                                ((a, r, s, pw, qw), f"case {case} image in wrong family"))
+                        if bool((image_pm | image_qm) & anchor) != (case in (CASE_1, CASE_2B)):
                             anchors_ok = False
-                            failures.append((tag, f"case {case} anchor invariant broken"))
-                        key = (low, image_pw, image_qw)
-                        if key in images:
+                            failures.append(
+                                ((a, r, s, pw, qw), f"case {case} anchor invariant broken"))
+                        size = len(images)
+                        images.add((image_pw, image_qw))
+                        if len(images) == size:
                             injective = False
-                            failures.append((tag, "image collision"))
-                        images.add(key)
+                            failures.append(((a, r, s, pw, qw), "image collision"))
             pairs_checked += domain_size
             target_total = count_disjoint_pairs(low_target) + count_disjoint_pairs(high_target)
             minor = phi_minor(d, a, a + 1, r, s)
@@ -385,7 +379,7 @@ def verify_phi(d: int) -> PhiReport:
                 counts_ok = False
                 failures.append(((a, r, s), f"negative minor: {minor}"))
     return PhiReport(
-        d, instances, pairs_checked,
+        d, dl * d * (d - 1) // 2, pairs_checked,
         injective, cases_partition, membership_ok, anchors_ok, counts_ok,
         tuple(failures),
     )

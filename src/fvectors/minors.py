@@ -9,7 +9,7 @@ at finite scale with one exact minor scanner.
 """
 
 from functools import partial, reduce
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional, Union
 
@@ -79,24 +79,30 @@ def _scan(d: int, orders: range):
     last = len(signed_rows) - 1
     top = orders[-1]
     levels = _column_levels(d, top)
+    # the top order's entries of each row it can end at, shared by all parents
+    top_entries = {r: [gather(signed_rows[r]) for gather, _ in levels[top]]
+                   for r in range(top - 1, last + 1)}
     checked, best = 0, None  # best: least (value, k, rows, rank of the columns)
 
     def visit(rows, parent, k):
         nonlocal checked, best
-        pieces = [(entries, minors(parent)) for entries, minors in levels[k]]
+        pieces = [minors(parent) for _, minors in levels[k]]
         for r in range(rows[-1] + 1 if rows else 0, last + 1):
-            row = signed_rows[r]
-            values = list(reduce(_add_each, [map(mul, entries(row), piece)
-                                             for entries, piece in pieces]))
-            child_rows = rows + (r,)
+            entries = (top_entries[r] if k == top
+                       else [gather(signed_rows[r]) for gather, _ in levels[k]])
+            values = reduce(_add_each, map(map, repeat(mul), entries, pieces))
+            if k < top:
+                values = list(values)
+                del entries  # not held down the recursion
             if k in orders:
-                checked += len(values)
+                checked += len(pieces[0])
                 low = min(values)
-                node_best = (low, k, child_rows, values.index(low))
-                if best is None or node_best < best:
-                    best = node_best
+                if best is None or (low, k) < best[:2]:  # same-order row sets come sorted
+                    if k == top:  # its rank, from the minors again
+                        values = list(reduce(_add_each, map(map, repeat(mul), entries, pieces)))
+                    best = (low, k, rows + (r,), values.index(low))
             if k < top and r < last:
-                visit(child_rows, values, k + 1)
+                visit(rows + (r,), values, k + 1)
 
     visit((), [1], 1)  # the empty minor is 1
     value, k, rows, index = best

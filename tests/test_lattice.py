@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -94,10 +94,10 @@ def test_count_disjoint_pairs_matches_dict_level_walk():
 
 
 def test_count_disjoint_pairs_limbs_follow_the_cell_bound():
-    # 2999 lockstep levels on cells as wide as C(3000, 40)*C(2999, 20) plus
-    # two bits, 466 bits, took 0.25 s on a 2-core Xeon VM; cells of
-    # p + q + 3 = 6002 bits took over 4 s.  With t > u the swapped term
-    # vanishes, so Gessel-Viennot gives the count.
+    # 2999 lockstep levels on cells as wide as C(3000, 40)*C(2999, 20), 473
+    # bits, took 0.13 s on a 2-core Xeon VM; cells of p + q + 3 = 6002 bits
+    # took over 4 s.  With t > u the swapped term vanishes, so
+    # Gessel-Viennot gives the count.
     spec = PathFamilySpec(3000, 2999, 40, 20)
     assert timed(count_disjoint_pairs, spec, seconds=1.0) == binom_det(3000, 2999, 40, 20)
 
@@ -379,6 +379,35 @@ def test_verify_phi_catches_image_outside_target(monkeypatch):
     assert not report.membership_ok
     assert "case 1 image in wrong family" in _messages(report)
     assert report.cases_partition and report.injective
+
+
+def test_verify_phi_calls_its_seams_once_per_pair_and_target(monkeypatch):
+    # the planted-fault tests patch _phi_words and count_disjoint_pairs, so
+    # verify_phi must call the first once for every domain pair and the
+    # second once for each of the two targets of every instance
+    real_words, real_count = lattice._phi_words, lattice.count_disjoint_pairs
+    words, counts = [], []
+
+    def recording_words(first, p_steps, q_steps, d, a, r, s):
+        words.append((first, a, r, s, p_steps, q_steps))
+        return real_words(first, p_steps, q_steps, d, a, r, s)
+
+    def recording_count(spec):
+        counts.append(spec)
+        return real_count(spec)
+
+    monkeypatch.setattr(lattice, "_phi_words", recording_words)
+    monkeypatch.setattr(lattice, "count_disjoint_pairs", recording_count)
+    for d in range(3, 9):
+        words.clear()
+        counts.clear()
+        report = verify_phi(d)
+        domain = [(first, *pair) for first in (True, False) for pair in _domain_pairs(d, first)]
+        assert sorted(words) == sorted(domain) and report.pairs_checked == len(domain)
+        targets = [PathFamilySpec(low, high, d - s, d - r)
+                   for a in range(delta(d)) for r, s in combinations(range(d), 2)
+                   for low, high in ((a, d - a), (d - a, d + 1 - a))]
+        assert sorted(counts) == sorted(targets) and len(counts) == 2 * report.instances
 
 
 def _count_by_scan(spec):

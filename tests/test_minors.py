@@ -94,6 +94,29 @@ def test_scanner_reports_negative_minor_of_top_order_only(monkeypatch):
     assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, True)
 
 
+def test_scanner_keeps_the_first_of_tied_top_order_minima(monkeypatch):
+    # rows 2 and 3 of M_6 both made (0, 1, 15, 10, 9, 3): the least minors of
+    # orders 2 and 3 are negative, each met on a row set holding row 2 and
+    # again with row 3 in its place, so a scan whose top order leaves out a
+    # row meets the tie there and must keep the first row set as witness
+    d = 6
+    planted = _planted(d, 2, 2, 15)
+    planted = planted[:3] + planted[2:3]
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted)
+    ties = [(((0, 2), (2, 3)), ((0, 3), (2, 3))),
+            (((0, 1, 2), (1, 2, 3)), ((0, 1, 3), (1, 2, 3)))]
+    for (_, low, witness), (first, second) in zip(per_order[1:3], ties):
+        rows, cols = second
+        assert low < 0 and witness == first
+        assert bareiss_det([[planted[i][j] for j in cols] for i in rows]) == low
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert (low, witness) == (-175, ties[0][0])
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
 def test_phi_minor_examples():
     assert phi_minor(10, 0, 1, 0, 1) == 55  # 11*10 - 55*1
     assert phi_minor(10, 2, 3, 2, 3) == 36  # 9*8 - 36*1
