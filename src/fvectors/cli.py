@@ -43,10 +43,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE_MAX else obj
+    if type(obj) is int and abs(obj) > _SAFE_MAX:
+        return str(obj)
     return obj
 
 
@@ -70,7 +68,7 @@ def _loads(text: str):
 
 
 def _parse_vec(args) -> list:
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file) as fh:
             payload = _loads(fh.read())
     else:
@@ -167,11 +165,8 @@ def _cmd_compare(args):
 
 
 def _cmd_bounds(args):
-    if args.which == "simplicial":
-        report = sandwich_simplicial(args.d, args.r, args.value)
-    else:
-        report = lower_bound_cs(args.d, args.r, args.value)
-    return _emit(report, EXIT_OK)
+    bound = sandwich_simplicial if args.which == "simplicial" else lower_bound_cs
+    return _emit(bound(args.d, args.r, args.value), EXIT_OK)
 
 
 def _no_failures(report) -> bool:

@@ -203,17 +203,16 @@ def _largest_n_up_to(value: int, family: str, d: int, r: int) -> tuple:
 
 
 def _cyclic_step(n: int, d: int, column: tuple) -> tuple:
-    """(f(n), f(n+1) - f(n)) for f(n) = f_r(C(n, d)), n >= d+1, column
-    being column r of M_d: with x = n-d-2, the sums of m[i][r] C(x+i, i)
-    and of m[i][r] C(x+i, i-1), both binomials by exact ratio steps that
-    never divide by x+1 (0 at the simplex)."""
+    """(f(n), f(n) - f(n-1)) for f(n) = f_r(C(n, d)), n >= d+2, column
+    being column r of M_d: with x = n-d-2 and c_i = C(x+i, i), f(n) is the
+    sum of m[i][r] c_i and, by Pascal's rule, f(n) - f(n-1) that of
+    m[i][r] c_(i-1), one running product by exact ratio steps."""
     x = n - d - 2
-    f, df, c, e = column[0], 0, 1, 1
+    f, df, c = column[0], 0, 1
     for i in range(1, len(column)):
+        df += column[i] * c
         c = c * (x + i) // i
         f += column[i] * c
-        df += column[i] * e
-        e = e * (x + i + 1) // i
     return f, df
 
 
@@ -225,10 +224,10 @@ def _cyclic_n2(d: int, r: int, value: int, column: tuple) -> int:
     if r < dl:
         return _top(value - 1, r + 1)[0] + 1
     n = _top(-(-value // column[dl]) - 1, dl)[0] + d + 3 - dl
-    f, df = _cyclic_step(n - 1, d, column)
-    while k := (f + df - value) // df:
+    f, df = _cyclic_step(n, d, column)
+    while k := (f - value) // df:
         n -= k
-        f, df = _cyclic_step(n - 1, d, column)
+        f, df = _cyclic_step(n, d, column)
     return n
 
 

@@ -207,33 +207,19 @@ def verify_gv(bound: int) -> GVSweepReport:
     return GVSweepReport(bound, (bound + 1) ** 4, failures)
 
 
-def _factor_2c(p_steps: str, q_steps: str):
-    """Split P = E^k N P' and Q = N R E N^v E Q', the two E's being the
-    k-th and (k+1)-st occurrences of E in Q.
-
-    When P consists of E steps only (which happens exactly when the P
-    endpoints force d - s = a + 1), P' is None and the image construction
-    drops the north step that P could not supply.
-    """
-    k = len(p_steps) - len(p_steps.lstrip("E"))
-    p_rest = p_steps[k + 1:] if "N" in p_steps else None
-    parts = q_steps.split("E", k + 1)
-    if len(parts) < k + 2:
-        raise ValueError("Q lacks the k-th and (k+1)-st E steps")
-    r_word = "E".join(parts[:k])[1:]
-    v = len(parts[k])
-    q_rest = parts[k + 1]
-    h = r_word.count("N")
-    return k, p_rest, r_word, v, q_rest, h
-
-
 def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
     """The injection on step words: (case, image P word, image Q word) for
     a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words.
     The case is 1 on L(a, a+1); on L(a+1, A) it is 2b when Q begins E, 2a
     when P begins N, else 2c.  The image start points follow from it:
     (0, -a) and (0, 1-A) in cases 1 and 2a, (0, 1-A) and (0, -A) in 2b and
-    2c."""
+    2c.
+
+    Subcase 2c splits P = E^k N P' and Q = N R E N^v E Q', the two E's
+    being the k-th and (k+1)-st occurrences of E in Q.  When P consists of
+    E steps only (which happens exactly when the P endpoints force
+    d - s = a + 1), there is no P' and the image drops the north step that
+    P could not supply."""
     at = d + 1 - a
     if first:
         return CASE_1, p_steps, "N" * (at - a - 2) + q_steps
@@ -241,17 +227,18 @@ def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, 
         return CASE_2B, "N" * (at - a - 2) + p_steps, q_steps
     if p_steps.startswith("N"):
         return CASE_2A, p_steps[1:], q_steps[1:]
-    k, p_rest, r_word, v, q_rest, h = _factor_2c(p_steps, q_steps)
+    k = len(p_steps) - len(p_steps.lstrip("E"))
+    parts = q_steps.split("E", k + 1)
+    if len(parts) < k + 2:
+        raise ValueError("Q lacks the k-th and (k+1)-st E steps")
+    r_word = "E".join(parts[:k])[1:]
+    h = r_word.count("N")
     prefix = at - a - h - 3
     if prefix < 0:
-        raise ValueError(
-            f"negative north prefix in subcase 2c (a={a}, r={r}, s={s}, d={d})"
-        )
-    if p_rest is None:
-        p_bar = "N" * prefix + "E" + r_word + "N"
-    else:
-        p_bar = "N" * prefix + "E" + r_word + "NN" + p_rest
-    q_bar = "E" * k + "N" * v + "E" + "N" * (h + 1) + q_rest
+        raise ValueError(f"negative north prefix in subcase 2c (a={a}, r={r}, s={s}, d={d})")
+    p_rest = "N" + p_steps[k + 1:] if k < len(p_steps) else ""
+    p_bar = "N" * prefix + "E" + r_word + "N" + p_rest
+    q_bar = "E" * k + "N" * len(parts[k]) + "E" + "N" * (h + 1) + parts[k + 1]
     return CASE_2C, p_bar, q_bar
 
 
@@ -286,13 +273,7 @@ class PhiReport(NamedTuple):
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.injective
-            and self.cases_partition
-            and self.membership_ok
-            and self.anchors_ok
-            and self.counts_consistent
-        )
+        return all(self[3:8])  # the five flags
 
 
 def verify_phi(d: int) -> PhiReport:
@@ -311,13 +292,17 @@ def verify_phi(d: int) -> PhiReport:
     Pairs are carried as step words and vertex bitmasks: an image is in
     its target family when each word is a path of that family's P or Q
     dict and the two masks are disjoint.  Failures are collected in the
-    report, never raised.
+    report, never raised; each clears the flag it names.
     """
     check_dim(d)
     dl = delta(d)
     pairs_checked = 0
-    failures = []
-    injective = cases_partition = membership_ok = anchors_ok = counts_ok = True
+    failures, broken = [], set()
+
+    def fail(flag, tag, reason):
+        broken.add(flag)
+        failures.append((tag, reason))
+
     for a in range(dl):
         at = d + 1 - a
         anchor = 1 << _vertex_bit(0, -(a + 1))
@@ -325,9 +310,9 @@ def verify_phi(d: int) -> PhiReport:
             sb, rb = d - s, d - r
             low_target = PathFamilySpec(a, at - 1, sb, rb)
             high_target = PathFamilySpec(at - 1, at, sb, rb)
-            # target P and Q dicts, image start points and images of each side
-            low_side = *_family_paths(low_target), (0, -a), (0, 1 - at), set()
-            high_side = *_family_paths(high_target), (0, 1 - at), (0, -at), set()
+            # each side: its target, the target's P and Q dicts, its images
+            low_side = low_target, *_family_paths(low_target), set()
+            high_side = high_target, *_family_paths(high_target), set()
             domain_size = 0
             for first, spec in ((True, PathFamilySpec(a, a + 1, sb, rb)),
                                 (False, PathFamilySpec(a + 1, at, sb, rb))):
@@ -337,49 +322,38 @@ def verify_phi(d: int) -> PhiReport:
                         if pm & qm:
                             continue
                         domain_size += 1
+                        tag = (a, r, s, pw, qw)
                         try:
                             case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
-                            target_p, target_q, p_start, q_start, images = (
+                            target, target_p, target_q, images = (
                                 low_side if case in (CASE_1, CASE_2A) else high_side)
                             # a mask is never 0, so 0 marks a word off the target
                             image_pm = target_p.get(image_pw, 0)
                             image_qm = target_q.get(image_qw, 0)
                             in_family = image_pm and image_qm
                             if not in_family:
-                                image_pm = image_pm or _walk(p_start, image_pw)
-                                image_qm = image_qm or _walk(q_start, image_qw)
+                                image_pm = image_pm or _walk((0, -target.p), image_pw)
+                                image_qm = image_qm or _walk((0, -target.q), image_qw)
                             if image_pm & image_qm:
                                 raise ValueError("image paths must be vertex-disjoint")
                         except ValueError as exc:
-                            cases_partition = False
-                            failures.append(((a, r, s, pw, qw), f"construction failed: {exc}"))
+                            fail("cases_partition", tag, f"construction failed: {exc}")
                             continue
                         if not in_family:
-                            membership_ok = False
-                            failures.append(
-                                ((a, r, s, pw, qw), f"case {case} image in wrong family"))
+                            fail("membership_ok", tag, f"case {case} image in wrong family")
                         if bool((image_pm | image_qm) & anchor) != (case in (CASE_1, CASE_2B)):
-                            anchors_ok = False
-                            failures.append(
-                                ((a, r, s, pw, qw), f"case {case} anchor invariant broken"))
+                            fail("anchors_ok", tag, f"case {case} anchor invariant broken")
                         size = len(images)
                         images.add((image_pw, image_qw))
                         if len(images) == size:
-                            injective = False
-                            failures.append(((a, r, s, pw, qw), "image collision"))
+                            fail("injective", tag, "image collision")
             pairs_checked += domain_size
             target_total = count_disjoint_pairs(low_target) + count_disjoint_pairs(high_target)
             minor = phi_minor(d, a, a + 1, r, s)
             if target_total - domain_size != minor:
-                counts_ok = False
-                failures.append(
-                    ((a, r, s), f"count mismatch: {target_total} - {domain_size} != {minor}")
-                )
+                fail("counts_consistent", (a, r, s),
+                     f"count mismatch: {target_total} - {domain_size} != {minor}")
             elif minor < 0:
-                counts_ok = False
-                failures.append(((a, r, s), f"negative minor: {minor}"))
-    return PhiReport(
-        d, dl * d * (d - 1) // 2, pairs_checked,
-        injective, cases_partition, membership_ok, anchors_ok, counts_ok,
-        tuple(failures),
-    )
+                fail("counts_consistent", (a, r, s), f"negative minor: {minor}")
+    flags = (name not in broken for name in PhiReport._fields[3:8])
+    return PhiReport(d, dl * d * (d - 1) // 2, pairs_checked, *flags, tuple(failures))

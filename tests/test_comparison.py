@@ -435,20 +435,21 @@ def test_cyclic_n2_matches_bisection_oracle():
 
 
 def test_cyclic_step_matches_closed_form_and_gale_oracles():
-    # (f(n), f(n+1) - f(n)) from one pass, the simplex n = d+1 included;
-    # Gale's evenness enumerates C(n+1, d) candidate facets and 2^d faces
-    # of each, so it checks the members it reaches quickly (d <= 11) and
-    # the h-vector closed form checks all
+    # (f(n), f(n) - f(n-1)) from one pass, n = d+2 (next to the simplex)
+    # on, as the n2 descent never steps at the simplex; Gale's evenness
+    # enumerates C(n, d) candidate facets and 2^d faces of each, so it
+    # checks the members it reaches quickly (d <= 11) and the h-vector
+    # closed form checks all
     for d in range(3, 20):
         columns = _md_columns(d)
-        for n in range(d + 1, d + 61):
-            gale = (cyclic_fvector_gale(n, d), cyclic_fvector_gale(n + 1, d)) \
-                if d <= 11 and math.comb(n + 1, d) <= 1000 else None
+        for n in range(d + 2, d + 61):
+            gale = (cyclic_fvector_gale(n - 1, d), cyclic_fvector_gale(n, d)) \
+                if d <= 11 and math.comb(n, d) <= 1000 else None
             for r, column in enumerate(columns):
-                f, f_next = family_f_r("cyclic", n, d, r), family_f_r("cyclic", n + 1, d, r)
-                assert comparison._cyclic_step(n, d, column) == (f, f_next - f), (n, d, r)
+                f_prev, f = family_f_r("cyclic", n - 1, d, r), family_f_r("cyclic", n, d, r)
+                assert comparison._cyclic_step(n, d, column) == (f, f - f_prev), (n, d, r)
                 if gale:
-                    assert (f, f_next) == (gale[0][r], gale[1][r])
+                    assert (f_prev, f) == (gale[0][r], gale[1][r])
 
 
 @pytest.mark.parametrize("d, r, seconds", [(10, 2, 0.2), (10, 6, 0.2), (20, 3, 1.0)])

@@ -11,7 +11,7 @@ from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
     PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_gv, verify_phi,
-    _factor_2c, _paths_with_masks, _vertex_bit, _walk,
+    _paths_with_masks, _phi_words, _vertex_bit, _walk,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
@@ -320,11 +320,11 @@ def test_case_dispatch_is_partition():
         assert case == (CASE_2A, CASE_2B, CASE_2C)[preds.index(True)]
 
 
-def test_factor_2c_needs_k_plus_one_e_steps_in_q():
+def test_phi_words_2c_needs_k_plus_one_e_steps_in_q():
     # P = EEN gives k = 2, so Q must hold at least three E steps
-    assert _factor_2c("EEN", "NEENE") == (2, "", "E", 1, "", 0)
+    assert _phi_words(False, "EEN", "NEENE", 6, 1, 2, 3) == (CASE_2C, "NNEENN", "EENEN")
     with pytest.raises(ValueError, match="Q lacks the k-th and \\(k\\+1\\)-st E steps"):
-        _factor_2c("EEN", "NEEN")
+        _phi_words(False, "EEN", "NEEN", 6, 1, 2, 3)
 
 
 def _messages(report):
@@ -379,6 +379,23 @@ def test_verify_phi_catches_image_outside_target(monkeypatch):
     assert not report.membership_ok
     assert "case 1 image in wrong family" in _messages(report)
     assert report.cases_partition and report.injective
+
+
+def test_verify_phi_catches_broken_anchor(monkeypatch):
+    # case 1 is relabelled 2a: the same words land in the same target, but
+    # the anchor (0, -a-1) lies on them, which case 2a must avoid
+    real = lattice._phi_words
+
+    def relabelled(first, p_steps, q_steps, d, a, r, s):
+        case, image_pw, image_qw = real(first, p_steps, q_steps, d, a, r, s)
+        return (CASE_2A if case == CASE_1 else case), image_pw, image_qw
+
+    monkeypatch.setattr(lattice, "_phi_words", relabelled)
+    report = verify_phi(6)
+    assert not report.anchors_ok and not report.all_ok
+    assert [message for _, message in report.failures] == ["case 2a anchor invariant broken"] * 7
+    assert report.injective and report.cases_partition
+    assert report.membership_ok and report.counts_consistent
 
 
 def test_verify_phi_calls_its_seams_once_per_pair_and_target(monkeypatch):
