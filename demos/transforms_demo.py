@@ -24,8 +24,11 @@ print("\nM_%d matrix (%d rows x %d cols):" % (d, delta(d) + 1, d))
 for row in md:
     print("   ", row)
 
+# g_to_f computes that map without the table: h by prefix sums of g,
+# mirrored by h_{d-i} = h_i, then the h -> f passes
 back = g_to_f(g)
-print("\ng * M_d recovers f exactly:", back.entries == f.entries)
+product = tuple(sum(gi * row[j] for gi, row in zip(g.entries, md)) for j in range(d))
+print("\ng * M_d recovers f exactly:", back.entries == f.entries == product)
 
 # entries grow but stay exact: a larger round trip through h
 from fvectors import h_to_f

@@ -27,9 +27,9 @@ from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple, Optional
 
-from .exact import int_entries
+from .exact import binomial, int_entries
 from .macaulay import _top
-from .transforms import GVector, _md_columns, build_md, check_dim, check_rs, delta, f_from_g
+from .transforms import GVector, _shift_up, check_dim, check_rs, delta, f_from_g, md_entry
 from .families import CYCLIC, STACKED, CS_STACKED, first_n, g_entries
 
 
@@ -107,8 +107,7 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
         raise NoCrossingError(
             "no crossing pattern: the comparison hypothesis is unmet"
         )
-    f_delta = f_from_g(d, g_delta.entries)
-    f_gamma = f_from_g(d, g_gamma.entries)
+    f_delta, f_gamma = f_from_g(d, g_delta.entries), f_from_g(d, g_gamma.entries)
     if f_delta[r] > f_gamma[r]:
         return ComparisonReport(d, r, False, False, {}, witness)
     guaranteed = witness.t <= r + 1
@@ -152,20 +151,14 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
     degenerate gracefully.
     """
     check_rs(d, r, s)
-    columns = _md_columns(d)
-    cr, cs = columns[r], columns[s]
+    cr, cs = _column(d, r), _column(d, s)
     comparisons = tuple(map(sub, map(mul, cr, cs[1:]), map(mul, cs, cr[1:])))
     tail_start = cs.index(0) if 0 in cs else None
-    tail_ok = True
-    if tail_start is not None:
-        tail_ok = (
-            not any(cs[tail_start:])
-            and not any(cr[max(tail_start - 1, 0):])
-            and min(cs[:tail_start], default=1) > 0
-        )
+    tail_ok = tail_start is None or (
+        not any(cs[tail_start:]) and not any(cr[max(tail_start - 1, 0):])
+        and min(cs[:tail_start], default=1) > 0)
     # Final chain element >= 0: entries of M_d are nonnegative.
-    nonneg_tail = cr[-1] >= 0 and cs[-1] >= 0
-    all_hold = min(comparisons) >= 0 and tail_ok and nonneg_tail
+    all_hold = min(comparisons) >= 0 and tail_ok and min(cr[-1], cs[-1]) >= 0
     return RatioChainReport(d, r, s, comparisons, tail_start, tail_ok, all_hold)
 
 
@@ -184,22 +177,28 @@ def verify_ratio_chain(d: int) -> ChainSweepReport:
 
 
 @lru_cache(maxsize=None)
+def _column(d: int, r: int) -> tuple:
+    """Column r of M_d, m[i][r] for 0 <= i <= delta, from its closed form."""
+    return tuple(md_entry(d, i, r) for i in range(delta(d) + 1))
+
+
+@lru_cache(maxsize=None)
 def _affine_family(family: str, d: int) -> tuple:
     """(first n, f of the first member, f step per unit of n): stacked and
     cs-stacked members differ from the first only in g_1, by 1 or 2 per n."""
     first = first_n(family, d)
-    step = tuple((2 if family == CS_STACKED else 1) * m for m in build_md(d)[1])
-    return first, f_from_g(d, g_entries(family, first, d)), step
+    unit = (0, 2 if family == CS_STACKED else 1) + (0,) * (delta(d) - 1)
+    return first, f_from_g(d, g_entries(family, first, d)), f_from_g(d, unit)
 
 
 def _largest_n_up_to(value: int, family: str, d: int, r: int) -> tuple:
     """Largest n whose stacked or cs-stacked member has f_r <= value, and
-    that member's f-vector: one floor division by the step, m[1][r] > 0."""
+    that member's f_s for s > r: one floor division by the step, m[1][r] > 0."""
     first, base, step = _affine_family(family, d)
     k = (value - base[r]) // step[r]
     if k < 0:
         raise BelowFloorError(f"f_{r} = {value} is below the minimal {family} value for d={d}")
-    return first + k, tuple(b + k * m for b, m in zip(base, step))
+    return first + k, [b + k * m for b, m in zip(base[r + 1:], step[r + 1:])]
 
 
 def _cyclic_step(n: int, d: int, column: tuple) -> tuple:
@@ -216,13 +215,14 @@ def _cyclic_step(n: int, d: int, column: tuple) -> tuple:
     return f, df
 
 
-def _cyclic_n2(d: int, r: int, value: int, column: tuple) -> int:
-    """n2 of `sandwich_simplicial`, column being column r of M_d."""
-    if value <= column[0]:
+def _cyclic_n2(d: int, r: int, value: int) -> int:
+    """n2 of `sandwich_simplicial`."""
+    if value <= binomial(d + 1, r + 1):  # f_r of the simplex C(d+1, d)
         return d + 1
     dl = delta(d)
     if r < dl:
         return _top(value - 1, r + 1)[0] + 1
+    column = _column(d, r)
     n = _top(-(-value // column[dl]) - 1, dl)[0] + d + 3 - dl
     f, df = _cyclic_step(n, d, column)
     while k := (f - value) // df:
@@ -250,13 +250,12 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     """
     _check_r(d, r, f_r_value)
     n1, f_low = _largest_n_up_to(f_r_value, STACKED, d, r)
-    columns = _md_columns(d)
-    n2 = _cyclic_n2(d, r, f_r_value, columns[r])
-    g_high = g_entries(CYCLIC, n2, d)  # f_s(C(n2,d)) is needed for s > r only
-    conclusions = {
-        s: BoundConclusion(True, f_low[s], sum(map(mul, g_high, columns[s])))
-        for s in range(r + 1, d)
-    }
+    n2 = _cyclic_n2(d, r, f_r_value)
+    # h_i(C(n2,d)) = g_i(C(n2+1,d)) for i <= delta, mirrored; f_s for s > r
+    h = g_entries(CYCLIC, n2 + 1, d)
+    f_high = _shift_up(h + h[d - len(h)::-1], r + 2)
+    conclusions = {s: BoundConclusion(True, low, high)
+                   for s, low, high in zip(range(r + 1, d), f_low, f_high)}
     return ComparisonReport(d, r, True, True, conclusions, None, (n1, n2))
 
 
@@ -272,5 +271,5 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     _check_r(d, r, f_r_value)
     n, f_low = _largest_n_up_to(f_r_value, CS_STACKED, d, r)
     witness = CrossingWitness(int(n > d), (0, 2 * (n - d)) + (0,) * (delta(d) - 1))
-    conclusions = {s: BoundConclusion(True, f_low[s]) for s in range(r + 1, d)}
+    conclusions = {s: BoundConclusion(True, low) for s, low in zip(range(r + 1, d), f_low)}
     return ComparisonReport(d, r, True, True, conclusions, witness, (n,))

@@ -86,5 +86,5 @@ def g_of_family(spec: FamilySpec) -> GVector:
 
 
 def f_of_family(spec: FamilySpec) -> FVector:
-    """f-vector of the family member, via f = g * M_d."""
+    """f-vector of the family member: f = g * M_d by g_to_f, with no table."""
     return g_to_f(g_of_family(spec))

@@ -8,15 +8,16 @@ linear transform defined by
 
 and the g-vector is g_0 = 1, g_i = h_i - h_{i-1} for 1 <= i <= delta(d).
 When the Dehn-Sommerville equations h_i = h_{d-i} hold (homology spheres),
-the whole f-vector is recovered from the g-vector by the row-vector /
-matrix product f = g * M_d, where M_d is the (delta+1) x d integer matrix
-with entries
+the whole f-vector is recovered from the g-vector, with no table, by prefix
+sums (h), the mirror h_{d-i} = h_i and the h -> f passes.  That map is the
+row-vector / matrix product f = g * M_d, where M_d is the (delta+1) x d
+integer matrix with entries
 
     m[i][j] = C(d+1-i, d-j) - C(i, d-j).
 """
 
 from functools import lru_cache
-from operator import mul
+from itertools import accumulate
 
 from .exact import binomial, int_entries
 
@@ -140,18 +141,24 @@ def build_md(d: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _md_columns(d: int) -> tuple:
-    """The columns of M_d, each the coefficients of one f-entry in g."""
-    return tuple(zip(*build_md(d)))
+def _shift_up(a, first: int = 1) -> list:
+    """The h -> f passes on a = [h_0, ..., h_d], synthetic division by y-1 with
+    y = x+1: the one ending at j = d, d-1, ... takes a[0..j] to its prefix sums
+    (linear in a), leaving a[j] = f_{j-1}; returns those for j >= first."""
+    tail = []
+    for _ in range(len(a) - first):
+        *a, last = accumulate(a)
+        tail.append(last)
+    return tail[::-1]
 
 
 def f_from_g(d: int, g) -> tuple:
     """Raw row-vector product g * M_d on a plain integer sequence."""
-    columns = _md_columns(d)  # raises first for d < 3
+    check_dim(d)
     if len(g) != delta(d) + 1:
         raise ValueError("g sequence has wrong length for g * M_d")
-    return tuple(sum(map(mul, g, column)) for column in columns)
+    h = list(accumulate(g))
+    return tuple(_shift_up(h + h[d - len(h)::-1]))
 
 
 def g_to_f(g: GVector) -> FVector:
@@ -176,14 +183,8 @@ def f_to_h(f: FVector) -> HVector:
 
 
 def h_to_f(h: HVector) -> FVector:
-    """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d: the passes
-    of f_to_h with additions (synthetic division by y-1, with y = x+1)."""
-    a = [*h.entries]
-    for top in range(h.d, 0, -1):
-        s = 1
-        for j in range(1, top + 1):
-            s = a[j] = a[j] + s
-    return FVector(h.d, a[1:])
+    """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d: the h -> f passes."""
+    return FVector(h.d, _shift_up(h.entries))
 
 
 def h_to_g(h: HVector) -> GVector:

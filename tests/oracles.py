@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own computation paths:
 cofactor and fraction-free (Bareiss) determinants, M_d from its closed
-form, k-major minor scans and a direct 2x2 minor scan, direct polynomial
-expansion, Gale-evenness face enumeration for cyclic polytopes,
-stellar-subdivision face-count updates for stacked polytopes, closed-form
+form and the product g * M_d with it, k-major minor scans and a direct
+2x2 minor scan, direct polynomial expansion, Gale-evenness face
+enumeration for cyclic polytopes, stellar-subdivision face-count updates
+for stacked polytopes, closed-form
 h-vectors of the extremal families, exhaustive search for Macaulay
 expansions, the one-step-at-a-time linear scans that the library's
 monotone search replaced, the galloping-then-bisecting search for the
@@ -68,6 +69,13 @@ def md_by_closed_form(d):
         [math.comb(d + 1 - i, d - j) - math.comb(i, d - j) for j in range(d)]
         for i in range(d // 2 + 1)
     ]
+
+
+def f_by_md_product(d, g):
+    """The row vector g times M_d, M_d from md_by_closed_form: f_j is the
+    sum of g_i m[i][j] over i."""
+    md = md_by_closed_form(d)
+    return tuple(sum(gi * row[j] for gi, row in zip(g, md)) for j in range(d))
 
 
 def minors_by_order(md, det=cofactor_det):

@@ -14,7 +14,7 @@ from fvectors.minors import phi_minor
 from fvectors.families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family, g_of_family, stanley_cs_floor,
 )
-from fvectors.transforms import GVector, _md_columns, build_md, delta, f_from_g
+from fvectors.transforms import GVector, build_md, delta, f_from_g, g_to_f
 
 from deadline import timed
 from oracles import (
@@ -259,7 +259,7 @@ def test_ratio_chain_reports_planted_failure(monkeypatch):
     md = [list(row) for row in build_md(6)]
     md[2][4] = 10
     planted = tuple(zip(*md))
-    monkeypatch.setattr(comparison, "_md_columns", lambda _: planted)
+    monkeypatch.setattr(comparison, "_column", lambda _, r: planted[r])
     chain = ratio_chain(6, 4, 5)
     assert chain.comparisons == (0, -5, 1)
     assert chain.tail_start is None
@@ -270,8 +270,8 @@ def test_ratio_chain_reports_planted_failure(monkeypatch):
 
 def _plant_columns(monkeypatch, d, cr, cs):
     """M_d's columns 0 and 1 replaced by cr and cs, the rest kept."""
-    planted = (cr, cs) + _md_columns(d)[2:]
-    monkeypatch.setattr(comparison, "_md_columns", lambda _: planted)
+    planted = (cr, cs) + tuple(zip(*build_md(d)))[2:]
+    monkeypatch.setattr(comparison, "_column", lambda _, r: planted[r])
 
 
 def test_ratio_chain_reports_planted_tail_break(monkeypatch):
@@ -419,18 +419,17 @@ def test_cyclic_n2_matches_bisection_oracle():
     # r < delta takes the neighborly top; r >= delta the Newton steps from above
     for d in range(3, 20):
         for r in range(d - 1):
-            column = _md_columns(d)[r]
             values = {10**e for e in (1, 3, 10, 30, 100, 300)}
             values |= _boundary_values("cyclic", d, r, d + 1, count=8)
             for v in sorted(values):
                 # f_0(C(n, d)) = n, so r = 0 needs no bisection
                 expected = max(v, d + 1) if r == 0 else cyclic_n2_by_bisection(d, r, v)
-                assert comparison._cyclic_n2(d, r, v, column) == expected
+                assert comparison._cyclic_n2(d, r, v) == expected
             # next to members far out, the answer brackets the value
             for e in (30, 100, 300):
-                n = comparison._cyclic_n2(d, r, 10**e, column)
+                n = comparison._cyclic_n2(d, r, 10**e)
                 for v in (family_f_r("cyclic", n, d, r) + k for k in (-1, 0, 1)):
-                    m = comparison._cyclic_n2(d, r, v, column)
+                    m = comparison._cyclic_n2(d, r, v)
                     assert family_f_r("cyclic", m - 1, d, r) < v <= family_f_r("cyclic", m, d, r)
 
 
@@ -441,7 +440,7 @@ def test_cyclic_step_matches_closed_form_and_gale_oracles():
     # checks the members it reaches quickly (d <= 11) and the h-vector
     # closed form checks all
     for d in range(3, 20):
-        columns = _md_columns(d)
+        columns = tuple(zip(*build_md(d)))
         for n in range(d + 2, d + 61):
             gale = (cyclic_fvector_gale(n - 1, d), cyclic_fvector_gale(n, d)) \
                 if d <= 11 and math.comb(n, d) <= 1000 else None
@@ -450,6 +449,32 @@ def test_cyclic_step_matches_closed_form_and_gale_oracles():
                 assert comparison._cyclic_step(n, d, column) == (f, f - f_prev), (n, d, r)
                 if gale:
                     assert (f_prev, f) == (gale[0][r], gale[1][r])
+
+
+def _clear_bound_caches():
+    for cached in (build_md, comparison._affine_family, comparison._column):
+        cached.cache_clear()
+
+
+def test_f_vectors_and_bounds_build_no_md():
+    # M_d is built only by the engines that verify it
+    _clear_bound_caches()
+    for d in range(3, 21):
+        stacked, cyclic = (g_of_family(FamilySpec(family, d + 9, d)) for family in (STACKED, CYCLIC))
+        g_to_f(cyclic)
+        f_of_family(FamilySpec(CS_STACKED, d + 9, d))
+        compare(stacked, cyclic, 0)
+        for r in (1, delta(d), d - 2):  # r < delta and r >= delta
+            sandwich_simplicial(d, r, 10**40)
+            lower_bound_cs(d, r, 10**40)
+    assert build_md.cache_info().currsize == 0
+
+
+def test_cold_sandwich_at_d_800():
+    _clear_bound_caches()
+    n1, n2 = timed(sandwich_simplicial, 800, 3, 10**60, seconds=0.5).family_params
+    assert family_f_r("stacked", n1, 800, 3) <= 10**60 < family_f_r("stacked", n1 + 1, 800, 3)
+    assert math.comb(n2 - 1, 4) < 10**60 <= math.comb(n2, 4)
 
 
 @pytest.mark.parametrize("d, r, seconds", [(10, 2, 0.2), (10, 6, 0.2), (20, 3, 1.0)])

@@ -11,7 +11,7 @@ from fvectors.transforms import (
     is_dehn_sommerville,
 )
 
-from oracles import h_side_coefficients, f_side_coefficients
+from oracles import f_by_md_product, h_side_coefficients, f_side_coefficients
 
 M10_EXPECTED = (
     (11, 55, 165, 330, 462, 462, 330, 165, 55, 11),
@@ -217,3 +217,18 @@ def test_f_from_g_raw():
     assert f_from_g(3, (1, 2)) == (6, 12, 8)
     with pytest.raises(ValueError):
         f_from_g(3, (1, 2, 3))
+    # the dimension is checked before the length
+    with pytest.raises(ValueError, match="dimension d must be >= 3, got 2"):
+        f_from_g(2, (1, 1))
+
+
+def test_f_from_g_matches_md_product_oracle():
+    # g_0 is drawn too, 0 and negative included: the map is linear in g,
+    # which a sweep starting from 1 instead of h_0 would break
+    rng = random.Random(2106)
+    for d in range(3, 61):
+        for g0 in (0, 1, -1, -7, rng.randint(-10**6, 10**9)):
+            g = (g0,) + tuple(rng.randint(-10**6, 10**9) for _ in range(delta(d)))
+            assert f_from_g(d, g) == f_by_md_product(d, g), (d, g)
+        unit = (0, 1) + (0,) * (delta(d) - 1)
+        assert f_from_g(d, unit) == f_by_md_product(d, unit) == build_md(d)[1]
