@@ -21,6 +21,7 @@ checks injectivity, case dispatch, membership, and the anchor invariants
 that keep the cases from colliding.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -207,39 +208,55 @@ def verify_gv(bound: int) -> GVSweepReport:
     return GVSweepReport(bound, (bound + 1) ** 4, failures)
 
 
-def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
-    """The injection on step words: (case, image P word, image Q word) for
-    a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words.
-    The case is 1 on L(a, a+1); on L(a+1, A) it is 2b when Q begins E, 2a
-    when P begins N, else 2c.  The image start points follow from it:
-    (0, -a) and (0, 1-A) in cases 1 and 2a, (0, 1-A) and (0, -A) in 2b and
-    2c.
+def _lift_q(steps: str, d: int, a: int) -> str:
+    """Case 1's map on Q, and case 2b's on P (_lift_p, a name of its own so
+    that either case's map can be replaced alone): N^(A-a-2) before the
+    word climbs the y-axis from (0, 1-A) to its start (0, -a-1)."""
+    return "N" * (d - 1 - 2 * a) + steps
 
-    Subcase 2c splits P = E^k N P' and Q = N R E N^v E Q', the two E's
-    being the k-th and (k+1)-st occurrences of E in Q.  When P consists of
-    E steps only (which happens exactly when the P endpoints force
-    d - s = a + 1), there is no P' and the image drops the north step that
-    P could not supply."""
-    at = d + 1 - a
-    if first:
-        return CASE_1, p_steps, "N" * (at - a - 2) + q_steps
-    if q_steps.startswith("E"):
-        return CASE_2B, "N" * (at - a - 2) + p_steps, q_steps
-    if p_steps.startswith("N"):
-        return CASE_2A, p_steps[1:], q_steps[1:]
-    k = len(p_steps) - len(p_steps.lstrip("E"))
+
+_lift_p = _lift_q
+
+
+def _drop(steps: str) -> str:
+    """Case 2a's map on either word: its first step, an N, dropped."""
+    return steps[1:]
+
+
+def _head_2c(q_steps: str, k: int, d: int, a: int, r: int, s: int):
+    """Subcase 2c's map on P = E^k N P' and Q = N R E N^v E Q', the two E's
+    being the k-th and (k+1)-st occurrences of E in Q: (the image P word
+    up to its tail N P', the image Q word).  When P consists of E steps
+    only (exactly when the P endpoints force d - s = a + 1), there is no
+    N P' and the image drops the north step that P could not supply."""
     parts = q_steps.split("E", k + 1)
     if len(parts) < k + 2:
         raise ValueError("Q lacks the k-th and (k+1)-st E steps")
     r_word = "E".join(parts[:k])[1:]
     h = r_word.count("N")
-    prefix = at - a - h - 3
+    prefix = d - 2 * a - h - 2
     if prefix < 0:
         raise ValueError(f"negative north prefix in subcase 2c (a={a}, r={r}, s={s}, d={d})")
-    p_rest = "N" + p_steps[k + 1:] if k < len(p_steps) else ""
-    p_bar = "N" * prefix + "E" + r_word + "N" + p_rest
-    q_bar = "E" * k + "N" * len(parts[k]) + "E" + "N" * (h + 1) + parts[k + 1]
-    return CASE_2C, p_bar, q_bar
+    return ("N" * prefix + "E" + r_word + "N",
+            "E" * k + "N" * len(parts[k]) + "E" + "N" * (h + 1) + parts[k + 1])
+
+
+def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
+    """The injection on step words: (case, image P word, image Q word) for
+    a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words,
+    built from the case's word maps.  The case is 1 on L(a, a+1); on
+    L(a+1, A) it is 2b when Q begins E, 2a when P begins N, else 2c.  The
+    image start points follow from it: (0, -a) and (0, 1-A) in cases 1 and
+    2a, (0, 1-A) and (0, -A) in 2b and 2c."""
+    if first:
+        return CASE_1, p_steps, _lift_q(q_steps, d, a)
+    if q_steps.startswith("E"):
+        return CASE_2B, _lift_p(p_steps, d, a), q_steps
+    if p_steps.startswith("N"):
+        return CASE_2A, _drop(p_steps), _drop(q_steps)
+    k = len(p_steps) - len(p_steps.lstrip("E"))
+    p_head, q_bar = _head_2c(q_steps, k, d, a, r, s)
+    return CASE_2C, p_head + p_steps[k:], q_bar
 
 
 def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
@@ -276,6 +293,122 @@ class PhiReport(NamedTuple):
         return all(self[3:8])  # the five flags
 
 
+def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, checked: set):
+    """The domain size of instance (a, r, s), or None if a check fails.
+
+    Cases 1, 2a and 2b are checked per word.  Each image word lies in its
+    target with its domain word's mask (case 1's P, 2b's Q), that mask plus
+    the y-axis from (0, 1-A) to the anchor (0, -a-1), which misses the
+    other side (case 1's Q, 2b's P), or a subset of it off the anchor (2a).
+    So each image pair is disjoint, its masks give back the domain pair,
+    and the anchor keeps a target's cases apart: only 2c's images are
+    collected, pair by pair, from head words built once per (Q word, k).
+    The P words and their targets depend on (a, s) alone, the Q words on
+    (a, r): checked holds the sides that passed.  The domain size counts
+    the disjoint mask pairs."""
+    anchor = 1 << _vertex_bit(0, -a - 1)
+    axis = _walk((0, -high.p), "N" * (d - 1 - 2 * a))
+    (p1, q1), (p2, q2) = map(_family_paths, domains)
+    (low_p, low_q), (high_p, high_q) = _family_paths(low), _family_paths(high)
+    # the words come sorted, E-words first; last come the Q words through
+    # the anchor, N^(A-a-1)..., which meet every P at its start
+    p2_items, q2_items = list(p2.items()), list(q2.items())
+    pn = bisect_left(p2_items, ("N",))
+    qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
+    p2_east, p2_north, q2_east, q2_north = p2_items[:pn], p2_items[pn:], q2_items[:qn], q2_items[qn:qa]
+    for side, (kept, kept_in), (lifted, lift, lifted_in), (dropped, dropped_in) in (
+            (("P", a, s), (p1.items(), low_p), (p2_items, _lift_p, high_p), (p2_north, low_p)),
+            (("Q", a, r), (q2_east, high_q), (q1.items(), _lift_q, low_q), (q2_north, low_q))):
+        if side in checked:
+            continue
+        if not all(map(kept_in.items().__contains__, kept)) or any(m & axis for _, m in kept):
+            return None
+        for w, m in lifted:
+            image = lifted_in.get(lift(w, d, a))
+            if image != m | axis or not image & anchor:
+                return None
+        for w, m in dropped:
+            image = dropped_in.get(_drop(w))
+            if image is None or image & ~m or image & anchor:
+                return None
+        checked.add(side)
+    images, heads, pairs = set(), {}, 0
+    for pw, pm in p2_east:
+        k = len(pw) - len(pw.lstrip("E"))
+        rest, by_q = pw[k:], heads.setdefault(k, {})
+        for qw, qm in q2_north:
+            if pm & qm:
+                continue
+            head = by_q.get(qw)
+            if head is None:
+                try:
+                    p_head, q_bar = _head_2c(qw, k, d, a, r, s)
+                except ValueError:
+                    return None
+                image_qm = high_q.get(q_bar)
+                if image_qm is None or image_qm & anchor:
+                    return None
+                head = by_q[qw] = p_head, q_bar, image_qm | anchor
+            image_pw = head[0] + rest
+            image_pm = high_p.get(image_pw)
+            if image_pm is None or image_pm & head[2]:
+                return None
+            images.add((image_pw, head[1]))
+            pairs += 1
+    if len(images) < pairs:
+        return None
+    size = 0
+    for p_paths, q_paths in ((p1, q1), (p2, q2)):
+        q_masks = list(q_paths.values())
+        for pm in p_paths.values():
+            size += list(map(pm.__and__, q_masks)).count(0)
+    return size
+
+
+def _phi_by_pairs(d: int, a: int, r: int, s: int, domains: tuple, low, high, fail) -> int:
+    """The domain size of instance (a, r, s), each pair's image from
+    _phi_words checked on its own and each failure passed to fail(flag,
+    tag, reason): the reference that _phi_by_words stands in for."""
+    anchor = 1 << _vertex_bit(0, -(a + 1))
+    # each side: its target, the target's P and Q dicts, its images
+    low_side = low, *_family_paths(low), set()
+    high_side = high, *_family_paths(high), set()
+    domain_size = 0
+    for first, spec in zip((True, False), domains):
+        p_paths, q_paths = _family_paths(spec)
+        for pw, pm in p_paths.items():
+            for qw, qm in q_paths.items():
+                if pm & qm:
+                    continue
+                domain_size += 1
+                tag = (a, r, s, pw, qw)
+                try:
+                    case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
+                    target, target_p, target_q, images = (
+                        low_side if case in (CASE_1, CASE_2A) else high_side)
+                    # a mask is never 0, so 0 marks a word off the target
+                    image_pm = target_p.get(image_pw, 0)
+                    image_qm = target_q.get(image_qw, 0)
+                    in_family = image_pm and image_qm
+                    if not in_family:
+                        image_pm = image_pm or _walk((0, -target.p), image_pw)
+                        image_qm = image_qm or _walk((0, -target.q), image_qw)
+                    if image_pm & image_qm:
+                        raise ValueError("image paths must be vertex-disjoint")
+                except ValueError as exc:
+                    fail("cases_partition", tag, f"construction failed: {exc}")
+                    continue
+                if not in_family:
+                    fail("membership_ok", tag, f"case {case} image in wrong family")
+                if bool((image_pm | image_qm) & anchor) != (case in (CASE_1, CASE_2B)):
+                    fail("anchors_ok", tag, f"case {case} anchor invariant broken")
+                size = len(images)
+                images.add((image_pw, image_qw))
+                if len(images) == size:
+                    fail("injective", tag, "image collision")
+    return domain_size
+
+
 def verify_phi(d: int) -> PhiReport:
     """Run the injection over every admissible (a, r, s) instance for
     dimension d and check all of its claimed properties:
@@ -291,13 +424,16 @@ def verify_phi(d: int) -> PhiReport:
 
     Pairs are carried as step words and vertex bitmasks: an image is in
     its target family when each word is a path of that family's P or Q
-    dict and the two masks are disjoint.  Failures are collected in the
-    report, never raised; each clears the flag it names.
+    dict and the two masks are disjoint.  Each instance is checked word by
+    word (_phi_by_words); one that fails there is checked again pair by
+    pair (_phi_by_pairs), which records its failures.  Failures are
+    collected in the report, never raised; each clears the flag it names.
     """
     check_dim(d)
     dl = delta(d)
     pairs_checked = 0
     failures, broken = [], set()
+    checked = set()  # the word sides that passed, shared by every instance
 
     def fail(flag, tag, reason):
         broken.add(flag)
@@ -305,50 +441,15 @@ def verify_phi(d: int) -> PhiReport:
 
     for a in range(dl):
         at = d + 1 - a
-        anchor = 1 << _vertex_bit(0, -(a + 1))
         for r, s in combinations(range(d), 2):
             sb, rb = d - s, d - r
-            low_target = PathFamilySpec(a, at - 1, sb, rb)
-            high_target = PathFamilySpec(at - 1, at, sb, rb)
-            # each side: its target, the target's P and Q dicts, its images
-            low_side = low_target, *_family_paths(low_target), set()
-            high_side = high_target, *_family_paths(high_target), set()
-            domain_size = 0
-            for first, spec in ((True, PathFamilySpec(a, a + 1, sb, rb)),
-                                (False, PathFamilySpec(a + 1, at, sb, rb))):
-                p_paths, q_paths = _family_paths(spec)
-                for pw, pm in p_paths.items():
-                    for qw, qm in q_paths.items():
-                        if pm & qm:
-                            continue
-                        domain_size += 1
-                        tag = (a, r, s, pw, qw)
-                        try:
-                            case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
-                            target, target_p, target_q, images = (
-                                low_side if case in (CASE_1, CASE_2A) else high_side)
-                            # a mask is never 0, so 0 marks a word off the target
-                            image_pm = target_p.get(image_pw, 0)
-                            image_qm = target_q.get(image_qw, 0)
-                            in_family = image_pm and image_qm
-                            if not in_family:
-                                image_pm = image_pm or _walk((0, -target.p), image_pw)
-                                image_qm = image_qm or _walk((0, -target.q), image_qw)
-                            if image_pm & image_qm:
-                                raise ValueError("image paths must be vertex-disjoint")
-                        except ValueError as exc:
-                            fail("cases_partition", tag, f"construction failed: {exc}")
-                            continue
-                        if not in_family:
-                            fail("membership_ok", tag, f"case {case} image in wrong family")
-                        if bool((image_pm | image_qm) & anchor) != (case in (CASE_1, CASE_2B)):
-                            fail("anchors_ok", tag, f"case {case} anchor invariant broken")
-                        size = len(images)
-                        images.add((image_pw, image_qw))
-                        if len(images) == size:
-                            fail("injective", tag, "image collision")
+            low, high = PathFamilySpec(a, at - 1, sb, rb), PathFamilySpec(at - 1, at, sb, rb)
+            domains = PathFamilySpec(a, a + 1, sb, rb), PathFamilySpec(a + 1, at, sb, rb)
+            domain_size = _phi_by_words(d, a, r, s, domains, low, high, checked)
+            if domain_size is None:
+                domain_size = _phi_by_pairs(d, a, r, s, domains, low, high, fail)
             pairs_checked += domain_size
-            target_total = count_disjoint_pairs(low_target) + count_disjoint_pairs(high_target)
+            target_total = count_disjoint_pairs(low) + count_disjoint_pairs(high)
             minor = phi_minor(d, a, a + 1, r, s)
             if target_total - domain_size != minor:
                 fail("counts_consistent", (a, r, s),

@@ -6,9 +6,14 @@ chain behind the comparison theorem.  M_d is in fact totally nonnegative
 Engström proved ("The g-theorem matrices are totally nonnegative",
 J. Combin. Theory Ser. A 116 (2009)); this module verifies both claims
 at finite scale with one exact minor scanner.
+
+At even d, M_d has rank delta, one less than its delta+1 rows, so every
+(delta+1)-order minor is 0; an all-order scan computes these zeros too
+(43,758 of the 13,123,109 minors at d = 18), as skipping them would save
+little.
 """
 
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, islice, repeat
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional, Union
@@ -40,12 +45,19 @@ def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
 _add_each = partial(map, add)
 
 
+@lru_cache(maxsize=2 * 30)  # two orders per d (lemma 3's 2 and one top order) to d = 30
 def _column_levels(d: int, top: int):
     """The Laplace terms of the k-subsets C of range(d), k = 1..top, in
     lexicographic order, by position j < k: a getter of the entries
     (-1)^(k-1-j) m[r][c_j] from signed row r (the row, then its negation),
     and a getter of the minors det(R, C - c_j), by rank, from the list of
-    order-(k-1) minors.  Each picks C(d, k) >= 2 items, so gives a tuple."""
+    order-(k-1) minors.  Each picks C(d, k) >= 2 items, so gives a tuple.
+
+    The tables depend on (d, top) alone, so they are built once and shared
+    by every scan: callers must not modify them.  The cache keeps the 60
+    (d, top) pairs used last.  Measured with tracemalloc, the all-order
+    tables of d = 3..13 hold 1.2 MB, with order 2 of d = 3..30 1.35 MB,
+    and d = 18's all-order tables alone 29 MB."""
     levels, rank = {}, {0: 0}  # the rank of each (k-1)-subset by bitmask
     powers = [1 << c for c in range(d)]
     for k in range(1, top + 1):

@@ -132,16 +132,10 @@ def test_verify_phi(capsys):
 
 
 def test_verify_phi_failures_are_structured(monkeypatch, capsys):
-    # case 1 returns its input words, off the target family and its anchor;
-    # a failure is [[a, r, s, P word, Q word], reason], with integer a, r, s
-    real = lattice._phi_words
-
-    def identity_on_case_1(first, p_steps, q_steps, d, a, r, s):
-        if first:
-            return "1", p_steps, q_steps
-        return real(first, p_steps, q_steps, d, a, r, s)
-
-    monkeypatch.setattr(lattice, "_phi_words", identity_on_case_1)
+    # case 1's Q map returns its input word, off the target family and its
+    # anchor; a failure is [[a, r, s, P word, Q word], reason], with integer
+    # a, r, s
+    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: q)
     code, doc = invoke(capsys, "verify", "phi", "--d", "4")
     assert code == EXIT_FAIL
     assert doc["failures"] == [

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,7 @@ from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
     PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_gv, verify_phi,
-    _paths_with_masks, _phi_words, _vertex_bit, _walk,
+    _family_paths, _head_2c, _paths_with_masks, _phi_words, _vertex_bit, _walk,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
@@ -332,15 +333,10 @@ def _messages(report):
 
 
 def test_verify_phi_catches_image_collision(monkeypatch):
-    # every case-1 pair of an instance maps to that instance's first image
-    real = lattice._phi_words
-    first_image = {}
-
-    def colliding(first, p_steps, q_steps, d, a, r, s):
-        image = real(first, p_steps, q_steps, d, a, r, s)
-        return first_image.setdefault((a, r, s), image) if first else image
-
-    monkeypatch.setattr(lattice, "_phi_words", colliding)
+    # case 1's Q map sorts Q's steps, E's first: every Q becomes the path
+    # below and right of every P, so the pairs that share a P share an image
+    real = lattice._lift_q
+    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: real("".join(sorted(q)), d, a))
     report = verify_phi(6)
     assert not report.injective
     assert _messages(report) == {"image collision"}
@@ -348,15 +344,8 @@ def test_verify_phi_catches_image_collision(monkeypatch):
 
 
 def test_verify_phi_catches_intersecting_image(monkeypatch):
-    # case 1 keeps P from (0, -a) and lets Q climb the y-axis onto P's start
-    real = lattice._phi_words
-
-    def intersecting(first, p_steps, q_steps, d, a, r, s):
-        if first:
-            return CASE_1, p_steps, "N" * (d - 2 * a) + p_steps
-        return real(first, p_steps, q_steps, d, a, r, s)
-
-    monkeypatch.setattr(lattice, "_phi_words", intersecting)
+    # case 1's Q map climbs one step past Q's start onto P's start (0, -a)
+    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: "N" * (d - 2 * a) + q)
     report = verify_phi(6)
     assert not report.cases_partition
     assert _messages(report) == {
@@ -365,16 +354,9 @@ def test_verify_phi_catches_intersecting_image(monkeypatch):
 
 
 def test_verify_phi_catches_image_outside_target(monkeypatch):
-    # case 1 returns its input words, so Q starts at (0, 1-A) but keeps the
-    # length of a path from (0, -a-1) and misses the (u, -u) endpoint
-    real = lattice._phi_words
-
-    def identity_on_case_1(first, p_steps, q_steps, d, a, r, s):
-        if first:
-            return CASE_1, p_steps, q_steps
-        return real(first, p_steps, q_steps, d, a, r, s)
-
-    monkeypatch.setattr(lattice, "_phi_words", identity_on_case_1)
+    # case 1's Q map returns its input word, so Q starts at (0, 1-A) but
+    # keeps the length of a path from (0, -a-1) and misses the (u, -u) endpoint
+    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: q)
     report = verify_phi(6)
     assert not report.membership_ok
     assert "case 1 image in wrong family" in _messages(report)
@@ -383,7 +365,10 @@ def test_verify_phi_catches_image_outside_target(monkeypatch):
 
 def test_verify_phi_catches_broken_anchor(monkeypatch):
     # case 1 is relabelled 2a: the same words land in the same target, but
-    # the anchor (0, -a-1) lies on them, which case 2a must avoid
+    # the anchor (0, -a-1) lies on them, which case 2a must avoid.  Case 1
+    # maps onto every pair of its target through the anchor, so no fault of
+    # a word map moves the anchor alone: the label is planted in _phi_words
+    # and every instance checked pair by pair
     real = lattice._phi_words
 
     def relabelled(first, p_steps, q_steps, d, a, r, s):
@@ -391,6 +376,7 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
         return (CASE_2A if case == CASE_1 else case), image_pw, image_qw
 
     monkeypatch.setattr(lattice, "_phi_words", relabelled)
+    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: None)
     report = verify_phi(6)
     assert not report.anchors_ok and not report.all_ok
     assert [message for _, message in report.failures] == ["case 2a anchor invariant broken"] * 7
@@ -398,33 +384,114 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
     assert report.membership_ok and report.counts_consistent
 
 
-def test_verify_phi_calls_its_seams_once_per_pair_and_target(monkeypatch):
-    # the planted-fault tests patch _phi_words and count_disjoint_pairs, so
-    # verify_phi must call the first once for every domain pair and the
-    # second once for each of the two targets of every instance
-    real_words, real_count = lattice._phi_words, lattice.count_disjoint_pairs
-    words, counts = [], []
+def _spy(monkeypatch, name, calls, key):
+    real = getattr(lattice, name)
 
-    def recording_words(first, p_steps, q_steps, d, a, r, s):
-        words.append((first, a, r, s, p_steps, q_steps))
-        return real_words(first, p_steps, q_steps, d, a, r, s)
+    def recording(*args):
+        calls.append(key(*args))
+        return real(*args)
 
-    def recording_count(spec):
-        counts.append(spec)
-        return real_count(spec)
+    monkeypatch.setattr(lattice, name, recording)
 
-    monkeypatch.setattr(lattice, "_phi_words", recording_words)
-    monkeypatch.setattr(lattice, "count_disjoint_pairs", recording_count)
+
+def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
+    # the planted-fault tests patch the word maps and count_disjoint_pairs.
+    # On sound maps every instance is checked word by word: each map sees
+    # every word of its case's domain pairs, at most once per side (the P
+    # words of each (a, s), the Q words of each (a, r)), the 2c head once
+    # per instance, Q word and k, and count_disjoint_pairs each target once;
+    # the pair loop, and so _phi_words, never runs
+    calls = {name: [] for name in ("_lift_q", "_lift_p", "_drop", "_head_2c", "_phi_words")}
+    _spy(monkeypatch, "_lift_q", calls["_lift_q"], lambda q, d, a: (a, q))
+    _spy(monkeypatch, "_lift_p", calls["_lift_p"], lambda p, d, a: (a, p))
+    _spy(monkeypatch, "_drop", calls["_drop"], lambda w: w)
+    _spy(monkeypatch, "_head_2c", calls["_head_2c"], lambda q, k, d, a, r, s: (a, r, s, q, k))
+    _spy(monkeypatch, "_phi_words", calls["_phi_words"], lambda *args: args)
+    counts = []
+    _spy(monkeypatch, "count_disjoint_pairs", counts, lambda spec: spec)
     for d in range(3, 9):
-        words.clear()
-        counts.clear()
+        for recorded in (*calls.values(), counts):
+            recorded.clear()
         report = verify_phi(d)
-        domain = [(first, *pair) for first in (True, False) for pair in _domain_pairs(d, first)]
-        assert sorted(words) == sorted(domain) and report.pairs_checked == len(domain)
+        assert report.all_ok and not calls["_phi_words"]
+        needed = {name: set() for name in calls}
+        allowed = {name: Counter() for name in calls}
+        for a in range(delta(d)):
+            at = d + 1 - a
+            for t in range(1, d):  # every t = d - s and u = t + 1 = d - r
+                q1 = _family_paths(PathFamilySpec(a, a + 1, t, t + 1))[1]
+                p2, q2 = _family_paths(PathFamilySpec(a + 1, at, t, t + 1))
+                allowed["_lift_q"].update((a, q) for q in q1)
+                allowed["_lift_p"].update((a, p) for p in p2)
+                allowed["_drop"].update(w for w in (*p2, *q2) if w.startswith("N"))
+            for r, s in combinations(range(d), 2):
+                needed["_lift_q"] |= {(a, q) for _, q in disjoint_word_pairs(a, a + 1, d - s, d - r)}
+                pairs = disjoint_word_pairs(a + 1, at, d - s, d - r)
+                needed["_lift_p"] |= {(a, p) for p, q in pairs if q.startswith("E")}
+                needed["_drop"] |= {w for p, q in pairs if p.startswith("N") and q.startswith("N")
+                                    for w in (p, q)}
+                needed["_head_2c"] |= {(a, r, s, q, len(p) - len(p.lstrip("E")))
+                                       for p, q in pairs if p.startswith("E") and q.startswith("N")}
+        allowed["_head_2c"] = Counter(needed["_head_2c"])
+        for name in ("_lift_q", "_lift_p", "_drop", "_head_2c"):
+            made = Counter(calls[name])
+            assert needed[name] <= set(made) and made <= allowed[name], (d, name)
         targets = [PathFamilySpec(low, high, d - s, d - r)
                    for a in range(delta(d)) for r, s in combinations(range(d), 2)
                    for low, high in ((a, d - a), (d - a, d + 1 - a))]
         assert sorted(counts) == sorted(targets) and len(counts) == 2 * report.instances
+
+
+def _by_pairs_only(monkeypatch):
+    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: None)
+
+
+def test_verify_phi_by_words_matches_the_pair_loop(monkeypatch):
+    by_words = [repr(verify_phi(d)) for d in range(3, 13)]
+    _by_pairs_only(monkeypatch)
+    assert [repr(verify_phi(d)) for d in range(3, 13)] == by_words
+
+
+def _sorted(word):
+    # the same steps, E's first: the path below and right of the others
+    return "".join(sorted(word))
+
+
+def _head_with(p_head=None, q_bar=None):
+    # subcase 2c's map with one of its two words rebuilt from the real ones
+    def head(q, k, d, a, r, s):
+        real = _head_2c(q, k, d, a, r, s)
+        return (p_head or (lambda w, k, d, a: w))(real[0], k, d, a), (q_bar or str)(real[1])
+    return head
+
+
+# each fault breaks one case's word map; together they reach every check of
+# the word-by-word path that no other check of it implies
+_WORD_MAP_FAULTS = {
+    "1-unlifted": ("_lift_q", lambda q, d, a: q),
+    "1-colliding": ("_lift_q", lambda q, d, a: "N" * (d - 1 - 2 * a) + _sorted(q)),
+    "1-unlifted-at-u3": ("_lift_q", lambda q, d, a: "N" * (d - 1 - 2 * a) * (q.count("E") != 3) + q),
+    "2b-unlifted": ("_lift_p", lambda p, d, a: p),
+    "2b-unlifted-at-t2": ("_lift_p", lambda p, d, a: "N" * (d - 1 - 2 * a) * (p.count("E") != 2) + p),
+    "2a-kept": ("_drop", lambda w: w),
+    "2a-colliding": ("_drop", lambda w: _sorted(w[1:])),
+    "2c-one-E-short": ("_head_2c", lambda q, k, d, a, r, s: _head_2c(q, k + 1, d, a, r, s)),
+    "2c-Q-off-target": ("_head_2c", _head_with(q_bar=lambda w: w + "E")),
+    "2c-intersecting": ("_head_2c", _head_with(q_bar=lambda w: "N" + w.replace("N", "", 1))),
+    "2c-anchored": ("_head_2c", _head_with(p_head=lambda w, k, d, a: "N" * (d - 1 - 2 * a) + "E" * k)),
+    "2c-colliding": ("_head_2c", _head_with(q_bar=_sorted)),
+}
+
+
+@pytest.mark.parametrize("fault", _WORD_MAP_FAULTS)
+def test_a_planted_word_map_fault_falls_back_to_the_pair_loop(monkeypatch, fault):
+    monkeypatch.setattr(lattice, *_WORD_MAP_FAULTS[fault])
+    real, sizes = lattice._phi_by_words, []
+    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: sizes.append(real(*args)) or sizes[-1])
+    by_words = [verify_phi(d) for d in range(3, 9)]
+    assert None in sizes and not all(report.all_ok for report in by_words)
+    _by_pairs_only(monkeypatch)
+    assert [verify_phi(d) for d in range(3, 9)] == by_words
 
 
 def _count_by_scan(spec):

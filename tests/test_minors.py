@@ -205,6 +205,46 @@ def test_max_order_truncation():
     assert r1.min_value == min(min(row) for row in md)
 
 
+def _cold(scan, *args):
+    minors._column_levels.cache_clear()
+    return repr(scan(*args))
+
+
+def test_scans_give_the_same_reports_with_the_column_tables_cold_and_warm():
+    cases = ([(verify_total_nonnegativity, d) for d in range(3, 13)]
+             + [(verify_lemma3, d) for d in range(3, 31)])
+    cold = [_cold(scan, d) for scan, d in cases]
+    filling = [repr(scan(d)) for scan, d in cases]
+    hits = minors._column_levels.cache_info().hits
+    assert [repr(scan(d)) for scan, d in cases] == filling == cold
+    assert minors._column_levels.cache_info().hits == hits + len(cases)
+
+
+def test_scans_give_the_same_reports_with_max_orders_interleaved():
+    d = 11
+    orders = [*range(1, delta(d) + 3), "all"]  # 7 > delta + 1 scans every order
+    cold = {order: _cold(verify_total_nonnegativity, d, order) for order in orders}
+    lemma3 = _cold(verify_lemma3, d)
+    for order in ["all", 2, 6, 1, 3, "all", 5, 2, 4, 7, 1]:
+        assert repr(verify_total_nonnegativity(d, order)) == cold[order], order
+        assert repr(verify_lemma3(d)) == lemma3
+
+
+def test_column_table_cache_holds_two_orders_per_d_to_30():
+    # verify_lemma3 scans order 2 and verify_total_nonnegativity one top
+    # order, so two tables per d, for every d up to 30, stay cached
+    assert minors._column_levels.cache_info().maxsize == 2 * 30
+    minors._column_levels.cache_clear()
+    for d in range(3, 31):
+        verify_lemma3(d)
+        verify_total_nonnegativity(d, 1)
+    assert minors._column_levels.cache_info().currsize == 2 * 28
+    for d in range(3, 31):
+        verify_lemma3(d)
+        verify_total_nonnegativity(d, 1)
+    assert minors._column_levels.cache_info().misses == 2 * 28
+
+
 def test_step1_ratio_equiv():
     # the reduction to consecutive-row ratios: every 2x2 minor of M_d is
     # nonnegative, and for each column pair the consecutive-row minors being
