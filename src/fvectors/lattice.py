@@ -290,22 +290,31 @@ class PhiReport(NamedTuple):
 
     @property
     def all_ok(self) -> bool:
-        return all(self[3:8])  # the five flags
+        return all(getattr(self, flag) for flag in _PHI_FLAGS)
+
+
+_PHI_FLAGS = PhiReport._fields[3:8]  # each false exactly when a failure names it
 
 
 def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, checked: set):
     """The domain size of instance (a, r, s), or None if a check fails.
 
-    Cases 1, 2a and 2b are checked per word.  Each image word lies in its
-    target with its domain word's mask (case 1's P, 2b's Q), that mask plus
-    the y-axis from (0, 1-A) to the anchor (0, -a-1), which misses the
-    other side (case 1's Q, 2b's P), or a subset of it off the anchor (2a).
-    So each image pair is disjoint, its masks give back the domain pair,
-    and the anchor keeps a target's cases apart: only 2c's images are
-    collected, pair by pair, from head words built once per (Q word, k).
-    The P words and their targets depend on (a, s) alone, the Q words on
-    (a, r): checked holds the sides that passed.  The domain size counts
-    the disjoint mask pairs."""
+    Cases 1, 2a and 2b are checked per word: a lifted word's image (case
+    1's Q, 2b's P) must be its mask plus the y-axis from (0, 1-A) to the
+    anchor (0, -a-1), a dropped word's (2a) must lie in its target within
+    its mask.  The rest is implied.  Case 1's P dict is low's and L(a+1,
+    A)'s Q dict is high's (one cached dict each), and those kept words miss
+    the axis: a P word from (0, -a) stays above it, an E-first Q word
+    leaves x = 0 at once.  So each image pair is disjoint and its masks
+    give back the domain pair.  The anchor is on every case 1 and 2b image
+    (the axis ends there) and on no 2a image: the P image starts at (0, -a),
+    above it, and the Q image lies within a Q word that does not climb to
+    it (the ones that do come last and are cut off).  Only 2c's images are
+    collected, pair by pair; a P image must miss the anchor, and a Q image
+    through it climbs through (0, 1-A), the P image's start, so fails the
+    P test.  The P words and targets depend on (a, s) alone, the Q words
+    on (a, r): checked holds the sides that passed.  The domain size
+    counts the disjoint mask pairs."""
     anchor = 1 << _vertex_bit(0, -a - 1)
     axis = _walk((0, -high.p), "N" * (d - 1 - 2 * a))
     (p1, q1), (p2, q2) = map(_family_paths, domains)
@@ -315,45 +324,35 @@ def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, che
     p2_items, q2_items = list(p2.items()), list(q2.items())
     pn = bisect_left(p2_items, ("N",))
     qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
-    p2_east, p2_north, q2_east, q2_north = p2_items[:pn], p2_items[pn:], q2_items[:qn], q2_items[qn:qa]
-    for side, (kept, kept_in), (lifted, lift, lifted_in), (dropped, dropped_in) in (
-            (("P", a, s), (p1.items(), low_p), (p2_items, _lift_p, high_p), (p2_north, low_p)),
-            (("Q", a, r), (q2_east, high_q), (q1.items(), _lift_q, low_q), (q2_north, low_q))):
+    p2_east, p2_north, q2_north = p2_items[:pn], p2_items[pn:], q2_items[qn:qa]
+    for side, (lifted, lift, lifted_in), (dropped, dropped_in) in (
+            (("P", a, s), (p2_items, _lift_p, high_p), (p2_north, low_p)),
+            (("Q", a, r), (q1.items(), _lift_q, low_q), (q2_north, low_q))):
         if side in checked:
             continue
-        if not all(map(kept_in.items().__contains__, kept)) or any(m & axis for _, m in kept):
-            return None
         for w, m in lifted:
-            image = lifted_in.get(lift(w, d, a))
-            if image != m | axis or not image & anchor:
+            if lifted_in.get(lift(w, d, a)) != m | axis:
                 return None
         for w, m in dropped:
             image = dropped_in.get(_drop(w))
-            if image is None or image & ~m or image & anchor:
+            if image is None or image & ~m:
                 return None
         checked.add(side)
-    images, heads, pairs = set(), {}, 0
+    images, pairs = set(), 0
     for pw, pm in p2_east:
-        k = len(pw) - len(pw.lstrip("E"))
-        rest, by_q = pw[k:], heads.setdefault(k, {})
+        rest = pw.lstrip("E")
+        k = len(pw) - len(rest)
         for qw, qm in q2_north:
             if pm & qm:
                 continue
-            head = by_q.get(qw)
-            if head is None:
-                try:
-                    p_head, q_bar = _head_2c(qw, k, d, a, r, s)
-                except ValueError:
-                    return None
-                image_qm = high_q.get(q_bar)
-                if image_qm is None or image_qm & anchor:
-                    return None
-                head = by_q[qw] = p_head, q_bar, image_qm | anchor
-            image_pw = head[0] + rest
-            image_pm = high_p.get(image_pw)
-            if image_pm is None or image_pm & head[2]:
+            try:
+                p_head, q_bar = _head_2c(qw, k, d, a, r, s)
+            except ValueError:
                 return None
-            images.add((image_pw, head[1]))
+            image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
+            if image_pm is None or image_qm is None or image_pm & (image_qm | anchor):
+                return None
+            images.add((image_pm, image_qm))
             pairs += 1
     if len(images) < pairs:
         return None
@@ -456,5 +455,5 @@ def verify_phi(d: int) -> PhiReport:
                      f"count mismatch: {target_total} - {domain_size} != {minor}")
             elif minor < 0:
                 fail("counts_consistent", (a, r, s), f"negative minor: {minor}")
-    flags = (name not in broken for name in PhiReport._fields[3:8])
+    flags = (name not in broken for name in _PHI_FLAGS)
     return PhiReport(d, dl * d * (d - 1) // 2, pairs_checked, *flags, tuple(failures))

@@ -384,6 +384,31 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
     assert report.membership_ok and report.counts_consistent
 
 
+def test_the_word_path_rests_on_shared_dicts_and_an_axis_through_the_anchor():
+    # the facts that let the word-by-word path of verify_phi skip checks:
+    # case 1's P words and 2b's Q words are their targets' own and miss the
+    # climbed axis, the axis ends at the anchor, and no 2a image can hold it
+    for d in range(3, 13):
+        for a in range(delta(d)):
+            at = d + 1 - a
+            anchor = _mask((0, -a - 1))
+            axis = _walk((0, 1 - at), "N" * (d - 1 - 2 * a))
+            assert axis & anchor
+            for r, s in combinations(range(d), 2):
+                t, u = d - s, d - r
+                p1 = _family_paths(PathFamilySpec(a, a + 1, t, u))[0]
+                q2 = _family_paths(PathFamilySpec(a + 1, at, t, u))[1]
+                low_p = _family_paths(PathFamilySpec(a, at - 1, t, u))[0]
+                high_q = _family_paths(PathFamilySpec(at - 1, at, t, u))[1]
+                assert p1 is low_p and q2 is high_q
+                assert not any(m & axis for m in p1.values())
+                assert not any(m & axis for w, m in q2.items() if w.startswith("E"))
+                assert not any(m & anchor for m in low_p.values())
+                q2_north = [m for w, m in q2.items()
+                            if w.startswith("N") and not w.startswith("N" * (d - 2 * a))]
+                assert not any(m & anchor for m in q2_north)
+
+
 def _spy(monkeypatch, name, calls, key):
     real = getattr(lattice, name)
 
@@ -399,8 +424,8 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
     # On sound maps every instance is checked word by word: each map sees
     # every word of its case's domain pairs, at most once per side (the P
     # words of each (a, s), the Q words of each (a, r)), the 2c head once
-    # per instance, Q word and k, and count_disjoint_pairs each target once;
-    # the pair loop, and so _phi_words, never runs
+    # per disjoint 2c domain pair, and count_disjoint_pairs each target
+    # once; the pair loop, and so _phi_words, never runs
     calls = {name: [] for name in ("_lift_q", "_lift_p", "_drop", "_head_2c", "_phi_words")}
     _spy(monkeypatch, "_lift_q", calls["_lift_q"], lambda q, d, a: (a, q))
     _spy(monkeypatch, "_lift_p", calls["_lift_p"], lambda p, d, a: (a, p))
@@ -430,9 +455,9 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
                 needed["_lift_p"] |= {(a, p) for p, q in pairs if q.startswith("E")}
                 needed["_drop"] |= {w for p, q in pairs if p.startswith("N") and q.startswith("N")
                                     for w in (p, q)}
-                needed["_head_2c"] |= {(a, r, s, q, len(p) - len(p.lstrip("E")))
-                                       for p, q in pairs if p.startswith("E") and q.startswith("N")}
-        allowed["_head_2c"] = Counter(needed["_head_2c"])
+                allowed["_head_2c"].update((a, r, s, q, len(p) - len(p.lstrip("E")))
+                                           for p, q in pairs if p.startswith("E") and q.startswith("N"))
+        needed["_head_2c"] = set(allowed["_head_2c"])
         for name in ("_lift_q", "_lift_p", "_drop", "_head_2c"):
             made = Counter(calls[name])
             assert needed[name] <= set(made) and made <= allowed[name], (d, name)
