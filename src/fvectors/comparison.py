@@ -22,14 +22,14 @@ when t >= r + 2, so strict inequalities always propagate.  Reports carry
 a `guaranteed` flag distinguishing the two regimes.
 """
 
-from functools import lru_cache
-from itertools import combinations
-from operator import mul, sub
+from functools import lru_cache, partial
+from itertools import combinations, repeat
+from operator import le, mul, sub
 from typing import NamedTuple, Optional
 
 from .exact import binomial, int_entries
 from .macaulay import _top
-from .transforms import GVector, _shift_up, check_dim, check_rs, delta, f_from_g, md_entry
+from .transforms import GVector, _f_tail, check_dim, check_rs, delta, f_from_g, md_entry
 from .families import CYCLIC, STACKED, CS_STACKED, first_n, g_entries
 
 
@@ -53,6 +53,9 @@ class BoundConclusion(NamedTuple):
     bound_holds: bool
     lhs: int
     rhs: Optional[int] = None
+
+
+_conclusion = partial(tuple.__new__, BoundConclusion)  # of a triple, built in C
 
 
 class ComparisonReport(NamedTuple):
@@ -79,13 +82,13 @@ def find_crossing(g_delta: GVector, g_gamma: GVector) -> Optional[CrossingWitnes
     nonpositive suffix over indices 1..delta, or None if no t works."""
     if g_delta.d != g_gamma.d:
         raise ValueError("g-vectors must share a dimension")
-    diffs = tuple(a - b for a, b in zip(g_delta.entries, g_gamma.entries))
+    diffs = tuple(map(sub, g_delta.entries, g_gamma.entries))
     # t is at least the last positive difference, and that index works
     # exactly when no difference before it is negative
-    t = max((i for i in range(1, len(diffs)) if diffs[i] > 0), default=0)
-    if any(v < 0 for v in diffs[1:t]):
-        return None
-    return CrossingWitness(t, diffs)
+    t = len(diffs) - 1
+    while t and diffs[t] <= 0:
+        t -= 1
+    return None if min(diffs[1:t], default=0) < 0 else CrossingWitness(t, diffs)
 
 
 def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
@@ -104,29 +107,24 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     _check_r(d, r)
     witness = find_crossing(g_delta, g_gamma)
     if witness is None:
-        raise NoCrossingError(
-            "no crossing pattern: the comparison hypothesis is unmet"
-        )
-    f_delta, f_gamma = f_from_g(d, g_delta.entries), f_from_g(d, g_gamma.entries)
-    if f_delta[r] > f_gamma[r]:
+        raise NoCrossingError("no crossing pattern: the comparison hypothesis is unmet")
+    # f_r, ..., f_{d-1} of each side, so f_s is at index s - r
+    f_delta, f_gamma = _f_tail(d, g_delta.entries, r + 1), _f_tail(d, g_gamma.entries, r + 1)
+    if f_delta[0] > f_gamma[0]:
         return ComparisonReport(d, r, False, False, {}, witness)
     guaranteed = witness.t <= r + 1
-    if not guaranteed and f_delta[r] != f_gamma[r]:
+    if not guaranteed and f_delta[0] != f_gamma[0]:
         # t >= r+2 zeroes every m[i][r] weighting a positive difference,
         # so the premise can then only hold with equality
-        raise RuntimeError(
-            f"strict premise with crossing index t={witness.t} > r+1 at "
-            f"d={d}, r={r}: impossible by the column-vanishing pattern"
-        )
-    conclusions = {}
-    for s in range(r + 1, d):
-        holds = f_delta[s] <= f_gamma[s]
-        conclusions[s] = BoundConclusion(holds, f_delta[s], f_gamma[s])
-        if guaranteed and not holds:
-            raise RuntimeError(
-                f"certified comparison violated at d={d}, r={r}, s={s}: "
-                f"{f_delta[s]} > {f_gamma[s]}"
-            )
+        raise RuntimeError(f"strict premise with crossing index t={witness.t} > r+1 at "
+                           f"d={d}, r={r}: impossible by the column-vanishing pattern")
+    holds = list(map(le, f_delta, f_gamma))
+    if guaranteed and not all(holds):
+        i = holds.index(False)
+        raise RuntimeError(f"certified comparison violated at d={d}, r={r}, s={r + i}: "
+                           f"{f_delta[i]} > {f_gamma[i]}")
+    conclusions = dict(zip(range(r + 1, d),
+                           map(_conclusion, zip(holds[1:], f_delta[1:], f_gamma[1:]))))
     return ComparisonReport(d, r, True, guaranteed, conclusions, witness)
 
 
@@ -251,11 +249,8 @@ def sandwich_simplicial(d: int, r: int, f_r_value: int) -> ComparisonReport:
     _check_r(d, r, f_r_value)
     n1, f_low = _largest_n_up_to(f_r_value, STACKED, d, r)
     n2 = _cyclic_n2(d, r, f_r_value)
-    # h_i(C(n2,d)) = g_i(C(n2+1,d)) for i <= delta, mirrored; f_s for s > r
-    h = g_entries(CYCLIC, n2 + 1, d)
-    f_high = _shift_up(h + h[d - len(h)::-1], r + 2)
-    conclusions = {s: BoundConclusion(True, low, high)
-                   for s, low, high in zip(range(r + 1, d), f_low, f_high)}
+    f_high = _f_tail(d, g_entries(CYCLIC, n2, d), r + 2)
+    conclusions = dict(zip(range(r + 1, d), map(_conclusion, zip(repeat(True), f_low, f_high))))
     return ComparisonReport(d, r, True, True, conclusions, None, (n1, n2))
 
 
@@ -271,5 +266,6 @@ def lower_bound_cs(d: int, r: int, f_r_value: int) -> ComparisonReport:
     _check_r(d, r, f_r_value)
     n, f_low = _largest_n_up_to(f_r_value, CS_STACKED, d, r)
     witness = CrossingWitness(int(n > d), (0, 2 * (n - d)) + (0,) * (delta(d) - 1))
-    conclusions = {s: BoundConclusion(True, low) for s, low in zip(range(r + 1, d), f_low)}
+    conclusions = dict(zip(range(r + 1, d),
+                           map(_conclusion, zip(repeat(True), f_low, repeat(None)))))
     return ComparisonReport(d, r, True, True, conclusions, witness, (n,))

@@ -14,7 +14,7 @@ f-vectors are well-defined, so no polytope is ever built.
 from typing import NamedTuple
 
 from .exact import binomial, int_entries
-from .transforms import GVector, FVector, check_dim, delta, g_to_f
+from .transforms import GVector, FVector, _f_tail, check_dim, delta
 
 CYCLIC = "cyclic"
 STACKED = "stacked"
@@ -82,9 +82,9 @@ def stanley_cs_floor(d: int) -> GVector:
 
 
 def g_of_family(spec: FamilySpec) -> GVector:
-    return GVector(spec.d, g_entries(spec.family, spec.n, spec.d))
+    return GVector._of(spec.d, g_entries(*spec))
 
 
 def f_of_family(spec: FamilySpec) -> FVector:
-    """f-vector of the family member: f = g * M_d by g_to_f, with no table."""
-    return g_to_f(g_of_family(spec))
+    """f-vector of the family member: f = g * M_d as in g_to_f, with no table."""
+    return FVector._of(spec.d, _f_tail(spec.d, g_entries(*spec)))

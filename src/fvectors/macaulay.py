@@ -134,8 +134,7 @@ def is_m_sequence_upper(v) -> bool:
     is strictly increasing in m for m >= j.  Positions with v_j = 0 are
     vacuous (no m has C(m, j) <= 0).
     """
-    entries = _entries(v)
-    if any(x < 0 for x in entries):
+    if min(entries := _entries(v)) < 0:
         return False
     for j in range(2, len(entries)):
         nj = entries[j]

@@ -18,6 +18,7 @@ integer matrix with entries
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 from .exact import binomial, int_entries
 
@@ -67,8 +68,19 @@ class _Vector:
                 raise ValueError(f"{name}-vector must start with {name}_0 = 1")
         elif min(entries) < 0:
             raise ValueError(f"{self._name()}-vector entries must be nonnegative")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
+        _set_d(self, d)
+        _set_entries(self, entries)
+
+    @classmethod
+    def _of(cls, d: int, entries):
+        """The vector of the library's own output: ints of the right length,
+        head 1 where needed, by construction; only an f-vector's sign is checked."""
+        if not cls.head_is_one and min(entries) < 0:
+            raise ValueError(f"{cls._name()}-vector entries must be nonnegative")
+        v = object.__new__(cls)
+        _set_d(v, d)
+        _set_entries(v, tuple(entries))
+        return v
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -95,6 +107,9 @@ class _Vector:
 
     def __getitem__(self, i):
         return self.entries[i]
+
+
+_set_d, _set_entries = _Vector.d.__set__, _Vector.entries.__set__
 
 
 class FVector(_Vector):
@@ -152,18 +167,23 @@ def _shift_up(a, first: int = 1) -> list:
     return tail[::-1]
 
 
+def _f_tail(d: int, g, first: int = 1) -> list:
+    """f_{first-1}, ..., f_{d-1} of g * M_d, unchecked: h, its mirror, the h -> f passes."""
+    h = list(accumulate(g))
+    return _shift_up(h + h[d - len(h)::-1], first)
+
+
 def f_from_g(d: int, g) -> tuple:
     """Raw row-vector product g * M_d on a plain integer sequence."""
     check_dim(d)
     if len(g) != delta(d) + 1:
         raise ValueError("g sequence has wrong length for g * M_d")
-    h = list(accumulate(g))
-    return tuple(_shift_up(h + h[d - len(h)::-1]))
+    return tuple(_f_tail(d, g))
 
 
 def g_to_f(g: GVector) -> FVector:
     """f = g * M_d (valid when g came from a Dehn-Sommerville h-vector)."""
-    return FVector(g.d, f_from_g(g.d, g.entries))
+    return FVector._of(g.d, _f_tail(g.d, g.entries))
 
 
 def f_to_h(f: FVector) -> HVector:
@@ -179,18 +199,17 @@ def f_to_h(f: FVector) -> HVector:
         s = 1
         for j in range(1, top + 1):
             s = a[j] = a[j] - s
-    return HVector(f.d, a)
+    return HVector._of(f.d, a)
 
 
 def h_to_f(h: HVector) -> FVector:
     """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d: the h -> f passes."""
-    return FVector(h.d, _shift_up(h.entries))
+    return FVector._of(h.d, _shift_up(h.entries))
 
 
 def h_to_g(h: HVector) -> GVector:
     """g_0 = 1, g_i = h_i - h_{i-1} for 1 <= i <= delta."""
-    g = (1,) + tuple(h[i] - h[i - 1] for i in range(1, delta(h.d) + 1))
-    return GVector(h.d, g)
+    return GVector._of(h.d, (1, *map(sub, h.entries[1:delta(h.d) + 1], h.entries)))
 
 
 def f_to_g(f: FVector) -> GVector:

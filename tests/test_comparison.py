@@ -159,6 +159,42 @@ def test_compare_degenerate_equality_corner():
     assert not report.premise_holds
 
 
+def _plant_f(monkeypatch, target, s, value):
+    """compare reads f_s = value for the g-vector `target`: a planted
+    arithmetic fault behind its guards, in the f-tail from f_{first-1} on."""
+    real = comparison._f_tail
+
+    def planted(d, g, first=1):
+        f = real(d, g, first)
+        if tuple(g) == target:
+            f[s - first + 1] = value
+        return f
+
+    monkeypatch.setattr(comparison, "_f_tail", planted)
+
+
+def test_compare_raises_on_a_planted_certified_violation(monkeypatch):
+    # S(10, 6) against C(10, 6): t = 0 <= r + 1, f_4 is 66 against 150
+    stacked, cyclic = GVector(6, (1, 3, 0, 0)), GVector(6, (1, 3, 6, 10))
+    assert compare(stacked, cyclic, 1).guaranteed
+    _plant_f(monkeypatch, stacked.entries, 4, 151)
+    with pytest.raises(RuntimeError) as info:
+        compare(stacked, cyclic, 1)
+    assert str(info.value) == "certified comparison violated at d=6, r=1, s=4: 151 > 150"
+
+
+def test_compare_raises_on_a_planted_strict_premise(monkeypatch):
+    # t = 3 = r + 2 zeroes m[3][1], so f_1 is 28 on both sides
+    gd, gg = GVector(6, (1, 1, 1, 1)), GVector(6, (1, 1, 1, 0))
+    report = compare(gd, gg, 1)
+    assert report.premise_holds and not report.guaranteed
+    _plant_f(monkeypatch, gd.entries, 1, 27)
+    with pytest.raises(RuntimeError) as info:
+        compare(gd, gg, 1)
+    assert str(info.value) == ("strict premise with crossing index t=3 > r+1 at d=6, r=1: "
+                               "impossible by the column-vanishing pattern")
+
+
 def test_strict_premise_forces_small_crossing_index():
     # whenever f_r is strictly smaller, the minimal crossing index is at
     # most r + 1, so strict premises always land in the certified regime

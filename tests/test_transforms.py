@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvectors.exact import binomial
+from fvectors.families import (
+    CS_STACKED, CYCLIC, STACKED, FamilySpec, f_of_family, first_n, g_of_family,
+)
 from fvectors.transforms import (
     FVector, HVector, GVector,
     build_md, md_entry, delta,
@@ -232,3 +235,34 @@ def test_f_from_g_matches_md_product_oracle():
             assert f_from_g(d, g) == f_by_md_product(d, g), (d, g)
         unit = (0, 1) + (0,) * (delta(d) - 1)
         assert f_from_g(d, unit) == f_by_md_product(d, unit) == build_md(d)[1]
+
+
+def _producer_outputs(rng, d):
+    """The library-built vectors of each producer at dimension d."""
+    f = FVector(d, [rng.randint(0, 10**rng.randint(1, 15)) for _ in range(d)])
+    h = HVector(d, [1] + [rng.randint(0, 10**9) for _ in range(d)])
+    g = GVector(d, [1] + [rng.randint(0, 10**9) for _ in range(delta(d))])
+    yield from (g_to_f(g), h_to_f(h), f_to_h(f), h_to_g(h), f_to_g(f))
+    for family in (CYCLIC, STACKED, CS_STACKED):
+        spec = FamilySpec(family, first_n(family, d) + rng.randint(0, 10**6), d)
+        yield from (g_of_family(spec), f_of_family(spec))
+
+
+def test_library_built_vectors_pass_their_own_validation():
+    # producers build their results unvalidated: every entry must be an int,
+    # and the public constructor must accept the result unchanged
+    rng = random.Random(2401)
+    for d in range(3, 41):
+        for _ in range(3):
+            for v in _producer_outputs(rng, d):
+                assert type(v)(v.d, v.entries) == v, (d, v)
+                assert all(type(x) is int for x in v.entries), (d, v)
+
+
+@pytest.mark.parametrize("produce, arg", [
+    (g_to_f, GVector(4, (1, -10, 0))),  # f_0 = 5 - 4*10
+    (h_to_f, HVector(3, (1, -5, 0, 0))),  # f_0 = 3 - 5
+])
+def test_library_built_f_vectors_keep_the_sign_check(produce, arg):
+    with pytest.raises(ValueError, match="^f-vector entries must be nonnegative$"):
+        produce(arg)
