@@ -135,7 +135,7 @@ def _cmd_family(args):
 
 def _cmd_check(args):
     vec = _parse_vec(args)
-    kind = args.which
+    kind, doc = args.which, {}
     if kind == "dehn-sommerville":
         if args.d is None:
             raise ValueError("check dehn-sommerville requires --d")
@@ -147,11 +147,10 @@ def _cmd_check(args):
     else:  # M-sequence: one walk gives the answer and its witness
         violation = _first_violation(vec)
         result = violation is None
-    doc = {"result": result}
-    if kind == "M-sequence" and violation:
-        k, cut = violation
-        doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
-    return _emit(doc, EXIT_OK if result else EXIT_FAIL)
+        if violation:
+            k, cut = violation
+            doc["witness"] = {"k": k, "del": cut, "bound": vec[k - 1]}
+    return _emit({"result": result, **doc}, EXIT_OK if result else EXIT_FAIL)
 
 
 def _cmd_compare(args):

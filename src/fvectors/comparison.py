@@ -29,7 +29,8 @@ from typing import NamedTuple, Optional
 
 from .exact import binomial, int_entries
 from .macaulay import _top
-from .transforms import GVector, _f_tail, check_dim, check_rs, delta, f_from_g, md_entry
+from .transforms import (
+    GVector, _f_tail, _md_column as _column, check_dim, check_rs, delta, f_from_g)
 from .families import CYCLIC, STACKED, CS_STACKED, first_n, g_entries
 
 
@@ -172,12 +173,6 @@ def verify_ratio_chain(d: int) -> ChainSweepReport:
     failures = tuple((r, s) for r, s in combinations(range(d), 2)
                      if not ratio_chain(d, r, s).all_hold)
     return ChainSweepReport(d, d * (d - 1) // 2, failures)
-
-
-@lru_cache(maxsize=None)
-def _column(d: int, r: int) -> tuple:
-    """Column r of M_d, m[i][r] for 0 <= i <= delta, from its closed form."""
-    return tuple(md_entry(d, i, r) for i in range(delta(d) + 1))
 
 
 @lru_cache(maxsize=None)

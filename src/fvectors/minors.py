@@ -19,7 +19,7 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional, Union
 
 from .exact import int_entries
-from .transforms import build_md, check_dim, check_rs, delta
+from .transforms import _md_column, build_md, check_dim, check_rs, delta
 
 
 class MinorReport(NamedTuple):
@@ -38,8 +38,8 @@ def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
     dl = delta(d)
     if not 0 <= a < b <= dl:
         raise ValueError(f"need 0 <= a < b <= {dl}, got a={a}, b={b}")
-    md = build_md(d)
-    return md[a][r] * md[b][s] - md[a][s] * md[b][r]
+    cr, cs = _md_column(d, r), _md_column(d, s)
+    return cr[a] * cs[b] - cs[a] * cr[b]
 
 
 _add_each = partial(map, add)

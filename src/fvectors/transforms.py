@@ -148,12 +148,16 @@ def md_entry(d: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _md_column(d: int, j: int) -> tuple:
+    """Column j of M_d, m[i][j] for 0 <= i <= delta, from its closed form:
+    the one stored copy of M_d, for a valid d and 0 <= j < d."""
+    return tuple(md_entry(d, i, j) for i in range(delta(d) + 1))
+
+
 def build_md(d: int):
     """The (delta+1) x d matrix M_d as a tuple of row tuples."""
     check_dim(d)
-    return tuple(
-        tuple(md_entry(d, i, j) for j in range(d)) for i in range(delta(d) + 1)
-    )
+    return tuple(zip(*(_md_column(d, j) for j in range(d))))
 
 
 def _shift_up(a, first: int = 1) -> list:

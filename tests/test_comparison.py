@@ -9,7 +9,7 @@ from fvectors.comparison import (
     find_crossing, compare, ratio_chain, verify_ratio_chain,
     sandwich_simplicial, lower_bound_cs,
 )
-from fvectors import comparison
+from fvectors import comparison, transforms
 from fvectors.minors import phi_minor
 from fvectors.families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family, g_of_family, stanley_cs_floor,
@@ -488,12 +488,13 @@ def test_cyclic_step_matches_closed_form_and_gale_oracles():
 
 
 def _clear_bound_caches():
-    for cached in (build_md, comparison._affine_family, comparison._column):
+    for cached in (transforms._md_column, comparison._affine_family):
         cached.cache_clear()
 
 
 def test_f_vectors_and_bounds_build_no_md():
-    # M_d is built only by the engines that verify it
+    # M_d is built only by the engines that verify it: of the calls below,
+    # only the cyclic n2 at r >= delta reads M_d, and only its column r
     _clear_bound_caches()
     for d in range(3, 21):
         stacked, cyclic = (g_of_family(FamilySpec(family, d + 9, d)) for family in (STACKED, CYCLIC))
@@ -503,7 +504,8 @@ def test_f_vectors_and_bounds_build_no_md():
         for r in (1, delta(d), d - 2):  # r < delta and r >= delta
             sandwich_simplicial(d, r, 10**40)
             lower_bound_cs(d, r, 10**40)
-    assert build_md.cache_info().currsize == 0
+    read = {(d, r) for d in range(3, 21) for r in (1, delta(d), d - 2) if r >= delta(d)}
+    assert transforms._md_column.cache_info().currsize == len(read) == 34
 
 
 def test_cold_sandwich_at_d_800():

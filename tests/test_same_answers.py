@@ -1,20 +1,30 @@
-"""One sha256 over the library layer's answers to a fixed seeded corpus.
+"""Two sha256 digests over the package's answers to fixed corpora.
 
-The corpus covers the transforms, the families, compare (a failed premise
-and NoCrossingError included), both bound appliers and the Macaulay
-functions; each answer is its repr, or the type and text of the error it
-raised.  A change meant to keep every answer leaves the digest as it is.
-To print the digest of the code at hand, run
+The library corpus (seeded) covers the transforms, the families, compare
+(a failed premise and NoCrossingError included), both bound appliers and
+the Macaulay functions.  The engine corpus covers M_d, its minors, the
+minor scans, the ratio chains, phi and verify_phi, verify_gv, and the CLI:
+stdout, stderr and exit code of `cli.run` on every subcommand, every
+verify kind and the error exits.  Each answer is its repr, or the type and
+text of the error it raised.  A change meant to keep every answer leaves
+both digests as they are.  To print the digests of the code at hand, run
 
     PYTHONPATH=src python tests/test_same_answers.py
 """
 
 import hashlib
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from pathlib import Path
 
 import fvectors as fv
+from fvectors.cli import run
+from fvectors.lattice import _family_paths
 
 DIGEST = "255d62da4064c74f964c8d31c804ea688d0705047bc9315e6931c5084877b1e1"
+ENGINE_DIGEST = "362aefa22442313ed5ba4fbfaf2300d8a0b1d76890660021130b71b55f0fdc5a"
 
 
 def _answer(fn, *args):
@@ -99,9 +109,115 @@ def corpus_digest(seed=2024):
     return digest.hexdigest()
 
 
+def _phi_pairs(d):
+    """Arguments of phi at d: two domain pairs of each instance, a pair of
+    words outside the domain, and an a past delta."""
+    for a in range(d // 2):
+        for r, s in combinations(range(d), 2):
+            for first in (True, False):
+                low, high = (a, a + 1) if first else (a + 1, d + 1 - a)
+                p_paths, q_paths = _family_paths(fv.PathFamilySpec(low, high, d - s, d - r))
+                pairs = [(p, q) for p, pm in p_paths.items() for q, qm in q_paths.items()
+                         if not pm & qm]
+                for p, q in pairs[:1] + pairs[-1:]:
+                    yield first, p, q, d, a, r, s
+                yield first, "N" * (d + 9), "E", d, a, r, s
+    yield True, "", "", d, d // 2, 0, 1
+
+
+def _engine_calls():
+    """(function, args) pairs of the engine corpus, in a fixed order."""
+    for d in (2, 3.0, True, *range(3, 31)):
+        yield fv.build_md, (d,)
+    for d in range(3, 13):
+        for r, s in combinations(range(d), 2):
+            for a, b in combinations(range(d // 2 + 1), 2):
+                yield fv.phi_minor, (d, a, b, r, s)
+    for args in ((2, 0, 1, 0, 1), (5, 0, 3, 0, 1), (5, 1, 1, 0, 1), (5, 0, 1, 2, 5),
+                 (5, 0, 1.0, 0, 1)):
+        yield fv.phi_minor, args
+    for d in range(2, 25):
+        yield fv.verify_lemma3, (d,)
+        yield fv.verify_ratio_chain, (d,)
+    for d, r, s in ((2, 0, 1), (5, 2, 2), (5, 0, 5), (5, -1, 3)):
+        yield fv.ratio_chain, (d, r, s)
+    for d in range(3, 12):
+        for order in (1, 2, 3, "all"):
+            yield fv.verify_total_nonnegativity, (d, order)
+    for order in (0, "2", 2.0):
+        yield fv.verify_total_nonnegativity, (5, order)
+    for d in range(2, 9):
+        yield fv.verify_phi, (d,)
+    for d in range(3, 7):
+        for args in _phi_pairs(d):
+            yield fv.phi, args
+    yield fv.verify_gv, (5,)
+    yield fv.verify_gv, (-1,)
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+# every subcommand and verify kind, then the error exits
+CLI_RUNS = (
+    ("transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[7,21,28,14]"),
+    ("transform", "--d", "4", "--from", "h", "--to", "f",
+     "--file", str(GOLDENS / "transform_f_to_h.json")),
+    ("transform", "--d", "5", "--from", "g", "--to", "f",
+     "--vec", '{"g": [1, 4, "9007199254740993"]}'),
+    ("transform", "--d", "3", "--from", "f", "--to", "f", "--vec", "[4,6,4]"),
+    ("family", "cyclic", "--d", "6", "--n", "40"),
+    ("family", "cs-stacked", "--d", "5", "--n", "9", "--emit", "g"),
+    ("check", "m-sequence", "--vec", "[1,3,6,10]"),
+    ("check", "M-sequence", "--vec", "[1,3,6,10]"),
+    ("check", "M-sequence", "--vec", "[1,40,800,16000,320000,6400000,1000000000]"),
+    ("check", "nonnegative", "--vec", "[1,0,-1]"),
+    ("check", "dehn-sommerville", "--d", "4", "--vec", "[1,3,6,3,1]"),
+    ("compare", "--d", "6", "--g1", "[1,5,2,0]", "--g2", "[1,3,4,1]", "--r", "0"),
+    ("bounds", "simplicial", "--d", "12", "--r", "7", "--value", "10" + "0" * 60),
+    ("bounds", "cs", "--d", "9", "--r", "2", "--value", "123456"),
+    ("verify", "minors", "--d", "8", "--order", "3"),
+    ("verify", "minors", "--d", "9"),
+    ("verify", "lemma3", "--d", "16"),
+    ("verify", "gv", "--max", "3"),
+    ("verify", "phi", "--d", "6"),
+    ("verify", "ratio-chain", "--d", "12"),
+    ("transform", "--d", "3", "--from", "f", "--to", "h", "--vec", "[4,6,"),
+    ("transform", "--d", "3", "--from", "f", "--to", "h", "--vec", "[" * 100000),
+    ("transform", "--d", "3", "--from", "f", "--to", "h", "--vec", "[" + "1" * 4301 + ",1,1]"),
+    ("bounds", "simplicial", "--d", "4", "--r", "1", "--value", "1" * 4301),
+    ("transform", "--d", "3", "--from", "f", "--to", "h", "--file", "no_such_file.json"),
+    ("transform", "--d", "3", "--from", "g", "--to", "h", "--vec", "[1,2]"),
+    ("bounds", "cs", "--d", "6", "--r", "2", "--value", "3"),
+    ("compare", "--d", "4", "--g1", "[1,0,1]", "--g2", "[1,2,0]", "--r", "0"),
+    ("verify", "minors", "--d", "5", "--order", "x"),
+    ("nonsense",),
+)
+
+
+def _cli_answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return f"{out.getvalue()!r} {err.getvalue()!r} exit {code}"
+
+
+def engine_digest():
+    digest = hashlib.sha256()
+    for fn, args in _engine_calls():
+        digest.update(f"{fn.__name__}{args!r} -> {_answer(fn, *args)}\n".encode())
+    for i, argv in enumerate(CLI_RUNS):  # by index: argv holds a path
+        digest.update(f"fvectors run {i} -> {_cli_answer(argv)}\n".encode())
+    return digest.hexdigest()
+
+
 def test_corpus_answers_are_unchanged():
     assert corpus_digest() == DIGEST
 
 
+def test_engine_and_cli_answers_are_unchanged():
+    assert engine_digest() == ENGINE_DIGEST
+
+
 if __name__ == "__main__":
     print(corpus_digest())
+    print(engine_digest())
