@@ -7,7 +7,8 @@ diagnostics go to stderr.  Exit codes: 0 = success / property holds,
 
 Integers whose magnitude exceeds 2**53 - 1 are emitted as decimal strings
 so that lossy JSON consumers cannot corrupt them.  Input integers of more
-than 4,300 digits, CPython's default int <-> str cap, are refused.
+than 4,300 digits, CPython's default int <-> str cap, are refused, in
+options and JSON alike, with one error text.
 """
 
 import argparse
@@ -59,12 +60,32 @@ def _emit(doc, code):
     return code
 
 
+class _DigitCapError(argparse.ArgumentTypeError, ValueError):
+    """An integer past the cap: argparse prints its text as is, run() too."""
+
+
+def _capped(text: str) -> str:
+    """text, unless it holds more than _MAX_DIGITS digits: the one check of
+    the cap, whose error CPython words as advice for a Python session."""
+    if len(text) > _MAX_DIGITS and (n := sum(map(str.isdigit, text))) > _MAX_DIGITS:
+        raise _DigitCapError(f"integers have at most {_MAX_DIGITS} digits, got {n}")
+    return text
+
+
+_CAPPED_JSON = json.JSONDecoder(parse_int=lambda text: int(_capped(text)))
+
+
 def _loads(text: str):
-    """json.loads, with nesting too deep for its parser as a ValueError."""
+    """json.loads, with nesting too deep for its parser, and an integer
+    past the cap, as a ValueError of their own."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    except ValueError as exc:
+        if not isinstance(exc, json.JSONDecodeError):  # the cap: decode again to name it
+            _CAPPED_JSON.decode(text)
+        raise
 
 
 def _parse_vec(args) -> list:
@@ -100,7 +121,7 @@ def _int_list(payload) -> list:
         if isinstance(x, int) and not isinstance(x, bool):
             out.append(x)
         elif isinstance(x, str) and _is_int_text(x):
-            out.append(int(x))
+            out.append(int(_capped(x)))
         else:
             raise ValueError(f"vector entries must be integers, got {json.dumps(x)}")
     return out
@@ -193,9 +214,7 @@ def _cmd_verify(args):
 
 def integer(text: str) -> int:
     """An integer option (`_is_int_text`); past _MAX_DIGITS digits the error names the cap."""
-    if (n := sum(map(str.isdigit, text))) > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"integers have at most {_MAX_DIGITS} digits, got {n}")
-    if not _is_int_text(text):
+    if not _is_int_text(_capped(text)):
         raise ValueError(text)  # argparse reports: invalid integer value: 'text'
     return int(text)
 

@@ -16,9 +16,9 @@ into the signed count
 over the fixed endpoint parameters t = d-s, u = d-r, with A = d+1-a.
 Nonnegativity then follows from an explicit injection phi from the two
 negative families into the two positive ones, built case by case on how
-the paths begin.  verify_phi runs that construction exhaustively and
-checks injectivity, case dispatch, membership, and the anchor invariants
-that keep the cases from colliding.
+the paths begin.  verify_phi runs that construction exhaustively, word
+by word where it can, and checks injectivity, case dispatch, membership,
+and the anchor invariants that keep the cases from colliding.
 """
 
 from bisect import bisect_left
@@ -296,25 +296,33 @@ class PhiReport(NamedTuple):
 _PHI_FLAGS = PhiReport._fields[3:8]  # each false exactly when a failure names it
 
 
-def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, checked: set):
-    """The domain size of instance (a, r, s), or None if a check fails.
+def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, checked: set,
+                  fail) -> int:
+    """The domain size of instance (a, r, s); each failed check goes to
+    fail(flag, tag, reason).
 
-    Cases 1, 2a and 2b are checked per word: a lifted word's image (case
-    1's Q, 2b's P) must be its mask plus the y-axis from (0, 1-A) to the
-    anchor (0, -a-1), a dropped word's (2a) must lie in its target within
-    its mask.  The rest is implied.  Case 1's P dict is low's and L(a+1,
-    A)'s Q dict is high's (one cached dict each), and those kept words miss
-    the axis: a P word from (0, -a) stays above it, an E-first Q word
-    leaves x = 0 at once.  So each image pair is disjoint and its masks
-    give back the domain pair.  The anchor is on every case 1 and 2b image
-    (the axis ends there) and on no 2a image: the P image starts at (0, -a),
-    above it, and the Q image lies within a Q word that does not climb to
-    it (the ones that do come last and are cut off).  Only 2c's images are
-    collected, pair by pair; a P image must miss the anchor, and a Q image
-    through it climbs through (0, 1-A), the P image's start, so fails the
-    P test.  The P words and targets depend on (a, s) alone, the Q words
-    on (a, r): checked holds the sides that passed.  The domain size
-    counts the disjoint mask pairs."""
+    Cases 1, 2a and 2b are checked per word, tagged (a, r, s, "P" or "Q",
+    word): a lifted word's image (case 1's Q, 2b's P) must be its mask plus
+    the y-axis from (0, 1-A) to the anchor (0, -a-1), a dropped word's (2a)
+    must lie within its mask.  An image off its target clears
+    membership_ok, one off its word injective.  The rest is implied.  Case
+    1's P dict is low's and L(a+1, A)'s Q dict high's (one cached dict
+    each), and those kept words miss the axis: a P word from (0, -a) stays
+    above it, an E-first Q word leaves x = 0 at once.  So each image pair
+    is disjoint and its masks give back the domain pair.  The axis ends at
+    the anchor, and no 2a image holds it: the P image starts above it, and
+    the Q image lies within a Q word that does not climb to it (those come
+    last and are cut off).  So an anchor fault in these cases fails a word
+    check; anchors_ok fails only in 2c.  The P words and targets depend on
+    (a, s) alone, the Q words on (a, r): checked holds the sides done, so
+    each failure is recorded once.
+
+    2c is checked per pair, tagged (a, r, s, P word, Q word): a head that
+    cannot be built or an intersecting image clears cases_partition, an
+    image off its target membership_ok (each skips the pair), a P image
+    through the anchor anchors_ok, a repeated image injective.  A Q image
+    through the anchor meets the P image at its start (0, 1-A).  The domain
+    size counts the disjoint mask pairs."""
     anchor = 1 << _vertex_bit(0, -a - 1)
     axis = _walk((0, -high.p), "N" * (d - 1 - 2 * a))
     (p1, q1), (p2, q2) = map(_family_paths, domains)
@@ -325,20 +333,27 @@ def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, che
     pn = bisect_left(p2_items, ("N",))
     qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
     p2_east, p2_north, q2_north = p2_items[:pn], p2_items[pn:], q2_items[qn:qa]
-    for side, (lifted, lift, lifted_in), (dropped, dropped_in) in (
-            (("P", a, s), (p2_items, _lift_p, high_p), (p2_north, low_p)),
-            (("Q", a, r), (q1.items(), _lift_q, low_q), (q2_north, low_q))):
+
+    def word_failed(image, case, label, w):
+        flag, off = ("membership_ok", "in wrong family") if image is None else (
+            "injective", "off its word")
+        fail(flag, (a, r, s, label, w), f"case {case} image {off}")
+
+    for side, (case, lifted, lift, lifted_in), (dropped, dropped_in) in (
+            (("P", a, s), (CASE_2B, p2_items, _lift_p, high_p), (p2_north, low_p)),
+            (("Q", a, r), (CASE_1, q1.items(), _lift_q, low_q), (q2_north, low_q))):
         if side in checked:
             continue
+        checked.add(side)
         for w, m in lifted:
-            if lifted_in.get(lift(w, d, a)) != m | axis:
-                return None
+            image = lifted_in.get(lift(w, d, a))
+            if image != m | axis:
+                word_failed(image, case, side[0], w)
         for w, m in dropped:
             image = dropped_in.get(_drop(w))
             if image is None or image & ~m:
-                return None
-        checked.add(side)
-    images, pairs = set(), 0
+                word_failed(image, CASE_2A, side[0], w)
+    images = set()
     for pw, pm in p2_east:
         rest = pw.lstrip("E")
         k = len(pw) - len(rest)
@@ -347,65 +362,27 @@ def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, che
                 continue
             try:
                 p_head, q_bar = _head_2c(qw, k, d, a, r, s)
-            except ValueError:
-                return None
-            image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
-            if image_pm is None or image_qm is None or image_pm & (image_qm | anchor):
-                return None
-            images.add((image_pm, image_qm))
-            pairs += 1
-    if len(images) < pairs:
-        return None
+            except ValueError as exc:
+                fail("cases_partition", (a, r, s, pw, qw), f"construction failed: {exc}")
+                continue
+            image = image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
+            if image_pm is None or image_qm is None:
+                fail("membership_ok", (a, r, s, pw, qw), "case 2c image in wrong family")
+            elif image_pm & image_qm:
+                fail("cases_partition", (a, r, s, pw, qw),
+                     "construction failed: image paths must be vertex-disjoint")
+            else:
+                if image_pm & anchor:
+                    fail("anchors_ok", (a, r, s, pw, qw), "case 2c anchor invariant broken")
+                if image in images:
+                    fail("injective", (a, r, s, pw, qw), "image collision")
+                images.add(image)
     size = 0
     for p_paths, q_paths in ((p1, q1), (p2, q2)):
         q_masks = list(q_paths.values())
         for pm in p_paths.values():
             size += list(map(pm.__and__, q_masks)).count(0)
     return size
-
-
-def _phi_by_pairs(d: int, a: int, r: int, s: int, domains: tuple, low, high, fail) -> int:
-    """The domain size of instance (a, r, s), each pair's image from
-    _phi_words checked on its own and each failure passed to fail(flag,
-    tag, reason): the reference that _phi_by_words stands in for."""
-    anchor = 1 << _vertex_bit(0, -(a + 1))
-    # each side: its target, the target's P and Q dicts, its images
-    low_side = low, *_family_paths(low), set()
-    high_side = high, *_family_paths(high), set()
-    domain_size = 0
-    for first, spec in zip((True, False), domains):
-        p_paths, q_paths = _family_paths(spec)
-        for pw, pm in p_paths.items():
-            for qw, qm in q_paths.items():
-                if pm & qm:
-                    continue
-                domain_size += 1
-                tag = (a, r, s, pw, qw)
-                try:
-                    case, image_pw, image_qw = _phi_words(first, pw, qw, d, a, r, s)
-                    target, target_p, target_q, images = (
-                        low_side if case in (CASE_1, CASE_2A) else high_side)
-                    # a mask is never 0, so 0 marks a word off the target
-                    image_pm = target_p.get(image_pw, 0)
-                    image_qm = target_q.get(image_qw, 0)
-                    in_family = image_pm and image_qm
-                    if not in_family:
-                        image_pm = image_pm or _walk((0, -target.p), image_pw)
-                        image_qm = image_qm or _walk((0, -target.q), image_qw)
-                    if image_pm & image_qm:
-                        raise ValueError("image paths must be vertex-disjoint")
-                except ValueError as exc:
-                    fail("cases_partition", tag, f"construction failed: {exc}")
-                    continue
-                if not in_family:
-                    fail("membership_ok", tag, f"case {case} image in wrong family")
-                if bool((image_pm | image_qm) & anchor) != (case in (CASE_1, CASE_2B)):
-                    fail("anchors_ok", tag, f"case {case} anchor invariant broken")
-                size = len(images)
-                images.add((image_pw, image_qw))
-                if len(images) == size:
-                    fail("injective", tag, "image collision")
-    return domain_size
 
 
 def verify_phi(d: int) -> PhiReport:
@@ -423,10 +400,10 @@ def verify_phi(d: int) -> PhiReport:
 
     Pairs are carried as step words and vertex bitmasks: an image is in
     its target family when each word is a path of that family's P or Q
-    dict and the two masks are disjoint.  Each instance is checked word by
-    word (_phi_by_words); one that fails there is checked again pair by
-    pair (_phi_by_pairs), which records its failures.  Failures are
-    collected in the report, never raised; each clears the flag it names.
+    dict and the two masks are disjoint.  _phi_by_words checks each
+    instance, word by word where the cases allow.  Failures, (tag, reason)
+    pairs, are collected in the report, never raised; each clears the flag
+    it names.
     """
     check_dim(d)
     dl = delta(d)
@@ -444,9 +421,7 @@ def verify_phi(d: int) -> PhiReport:
             sb, rb = d - s, d - r
             low, high = PathFamilySpec(a, at - 1, sb, rb), PathFamilySpec(at - 1, at, sb, rb)
             domains = PathFamilySpec(a, a + 1, sb, rb), PathFamilySpec(a + 1, at, sb, rb)
-            domain_size = _phi_by_words(d, a, r, s, domains, low, high, checked)
-            if domain_size is None:
-                domain_size = _phi_by_pairs(d, a, r, s, domains, low, high, fail)
+            domain_size = _phi_by_words(d, a, r, s, domains, low, high, checked, fail)
             pairs_checked += domain_size
             target_total = count_disjoint_pairs(low) + count_disjoint_pairs(high)
             minor = phi_minor(d, a, a + 1, r, s)

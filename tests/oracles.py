@@ -14,7 +14,9 @@ steps replaced, the try-every-t crossing scan that the
 library's one-pass search replaced, the vertex-disjoint lattice path
 pairs of a family as step-word pairs, found by testing the vertex sets of
 every pair, and their count by a level walk with one dict entry per
-x-coordinate pair, which the library's packed-integer walk replaced.
+x-coordinate pair, which the library's packed-integer walk replaced, and
+the injection phi checked one domain pair at a time, which the library's
+word-by-word check replaced.
 """
 
 import math
@@ -380,3 +382,54 @@ def disjoint_pairs_by_levels(p, q, t, u):
             if x > y
         }
     return pairs.get((t, u), 0)
+
+
+def phi_by_pairs(d, phi_words):
+    """The injection phi at dimension d, given as its word map
+    phi_words(first, P word, Q word, d, a, r, s) -> (case, image P word,
+    image Q word), checked one domain pair at a time: (domain pairs, the
+    flags the checks clear, the (tag, reason) failures), tagged (a, r, s,
+    P word, Q word).  A construction error or an intersecting image clears
+    cases_partition and skips the pair; an image outside its target clears
+    membership_ok, an image that holds the anchor (0, -a-1) in cases 2a and
+    2c or misses it in 1 and 2b anchors_ok, and a repeated image injective.
+    Domains and targets are the vertex-tested pairs of disjoint_word_pairs,
+    case 1 and 2a images in L(a, A-1), 2b and 2c ones in L(A-1, A)."""
+    pairs, cleared, failures = 0, set(), []
+
+    def fail(flag, tag, reason):
+        cleared.add(flag)
+        failures.append((tag, reason))
+
+    for a in range(d // 2):
+        at, anchor = d + 1 - a, (0, -a - 1)
+        for r, s in combinations(range(d), 2):
+            t, u = d - s, d - r
+            targets = {pq: (set(disjoint_word_pairs(*pq, t, u)), set())
+                       for pq in ((a, at - 1), (at - 1, at))}
+            for first, domain in ((True, (a, a + 1)), (False, (a + 1, at))):
+                for pw, qw in disjoint_word_pairs(*domain, t, u):
+                    pairs += 1
+                    tag = (a, r, s, pw, qw)
+                    try:
+                        case, image_pw, image_qw = phi_words(first, pw, qw, d, a, r, s)
+                    except ValueError as exc:
+                        fail("cases_partition", tag, f"construction failed: {exc}")
+                        continue
+                    p, q = (a, at - 1) if case in ("1", "2a") else (at - 1, at)
+                    members, images = targets[p, q]
+                    image_p = set(path_vertices((0, -p), image_pw))
+                    image_q = set(path_vertices((0, -q), image_qw))
+                    if image_p & image_q:
+                        fail("cases_partition", tag,
+                             "construction failed: image paths must be vertex-disjoint")
+                        continue
+                    image = image_pw, image_qw
+                    if image not in members:
+                        fail("membership_ok", tag, f"case {case} image in wrong family")
+                    if (anchor in image_p | image_q) != (case in ("1", "2b")):
+                        fail("anchors_ok", tag, f"case {case} anchor invariant broken")
+                    if image in images:
+                        fail("injective", tag, "image collision")
+                    images.add(image)
+    return pairs, cleared, failures

@@ -132,16 +132,12 @@ def test_verify_phi(capsys):
 
 
 def test_verify_phi_failures_are_structured(monkeypatch, capsys):
-    # case 1's Q map returns its input word, off the target family and its
-    # anchor; a failure is [[a, r, s, P word, Q word], reason], with integer
-    # a, r, s
+    # case 1's Q map returns its input word, off the target family; a failed
+    # word is [[a, r, s, side, word], reason], with integer a, r, s
     monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: q)
     code, doc = invoke(capsys, "verify", "phi", "--d", "4")
     assert code == EXIT_FAIL
-    assert doc["failures"] == [
-        [[1, 2, 3, "E", "EE"], "case 1 image in wrong family"],
-        [[1, 2, 3, "E", "EE"], "case 1 anchor invariant broken"],
-    ]
+    assert doc["failures"] == [[[1, 2, 3, "Q", "EE"], "case 1 image in wrong family"]]
 
 
 def test_verify_phi_count_mismatch_is_structured(monkeypatch, capsys):
@@ -371,6 +367,23 @@ def test_vector_integers_past_the_digit_cap_are_refused(capsys):
         assert code == EXIT_USAGE
         assert "4300 digits" in json.loads(out)["error"]
         assert "0" * 100 not in out + err
+
+
+@pytest.mark.parametrize("source", ["--vec", "--file", "--g2", "string entry"])
+def test_json_integers_past_the_digit_cap_have_the_options_error(capsys, tmp_path, source):
+    # CPython's own text advised sys.set_int_max_str_digits()
+    big = "-" + "1" * 4302
+    vec = f'[1,"{big}",1]' if source == "string entry" else f"[1,{big},1]"
+    if source == "--g2":
+        argv = ["compare", "--d", "4", "--r", "0", "--g1", "[1,1,1]", "--g2", vec]
+    elif source == "--file":
+        (path := tmp_path / "vec.json").write_text(vec)
+        argv = ["transform", "--d", "3", "--from", "f", "--to", "h", "--file", str(path)]
+    else:
+        argv = ["transform", "--d", "3", "--from", "f", "--to", "h", "--vec", vec]
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": "integers have at most 4300 digits, got 4302"}
 
 
 def test_huge_m_sequence_check_is_fast(capsys):

@@ -6,7 +6,7 @@ import pytest
 from deadline import timed
 from oracles import (
     _ne_paths, disjoint_pairs_by_levels, disjoint_pairs_by_scan, disjoint_word_pairs,
-    path_vertices,
+    path_vertices, phi_by_pairs,
 )
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
@@ -334,21 +334,32 @@ def _messages(report):
 
 def test_verify_phi_catches_image_collision(monkeypatch):
     # case 1's Q map sorts Q's steps, E's first: every Q becomes the path
-    # below and right of every P, so the pairs that share a P share an image
+    # below and right of every P, so the pairs that share a P share an image.
+    # verify_phi sees each unsorted Q word's image off its word; pair by
+    # pair, the oracle sees the collisions
     real = lattice._lift_q
     monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: real("".join(sorted(q)), d, a))
     report = verify_phi(6)
     assert not report.injective
-    assert _messages(report) == {"image collision"}
+    assert _messages(report) == {"case 1 image off its word"}
     assert report.cases_partition and report.membership_ok and report.counts_consistent
+    pairs, cleared, failures = phi_by_pairs(6, lattice._phi_words)
+    assert pairs == report.pairs_checked and cleared == {"injective"}
+    assert {message for _, message in failures} == {"image collision"}
 
 
 def test_verify_phi_catches_intersecting_image(monkeypatch):
-    # case 1's Q map climbs one step past Q's start onto P's start (0, -a)
+    # case 1's Q map climbs one step past Q's start onto P's start (0, -a).
+    # The longer Q word is off its target, which verify_phi reports without
+    # testing it against P; pair by pair, the oracle finds the intersection
     monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: "N" * (d - 2 * a) + q)
     report = verify_phi(6)
-    assert not report.cases_partition
-    assert _messages(report) == {
+    assert not report.membership_ok
+    assert _messages(report) == {"case 1 image in wrong family"}
+    assert report.cases_partition and report.injective and report.anchors_ok
+    _, cleared, failures = phi_by_pairs(6, lattice._phi_words)
+    assert cleared == {"cases_partition"}
+    assert {message for _, message in failures} == {
         "construction failed: image paths must be vertex-disjoint"
     }
 
@@ -367,8 +378,9 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
     # case 1 is relabelled 2a: the same words land in the same target, but
     # the anchor (0, -a-1) lies on them, which case 2a must avoid.  Case 1
     # maps onto every pair of its target through the anchor, so no fault of
-    # a word map moves the anchor alone: the label is planted in _phi_words
-    # and every instance checked pair by pair
+    # a word map moves the anchor alone: the label is planted in the map
+    # the oracle checks pair by pair.  verify_phi checks the word maps,
+    # which the relabelling leaves as they are
     real = lattice._phi_words
 
     def relabelled(first, p_steps, q_steps, d, a, r, s):
@@ -376,12 +388,11 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
         return (CASE_2A if case == CASE_1 else case), image_pw, image_qw
 
     monkeypatch.setattr(lattice, "_phi_words", relabelled)
-    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: None)
     report = verify_phi(6)
-    assert not report.anchors_ok and not report.all_ok
-    assert [message for _, message in report.failures] == ["case 2a anchor invariant broken"] * 7
-    assert report.injective and report.cases_partition
-    assert report.membership_ok and report.counts_consistent
+    assert report.all_ok
+    pairs, cleared, failures = phi_by_pairs(6, lattice._phi_words)
+    assert pairs == report.pairs_checked and cleared == {"anchors_ok"}
+    assert [message for _, message in failures] == ["case 2a anchor invariant broken"] * 7
 
 
 def test_the_word_path_rests_on_shared_dicts_and_an_axis_through_the_anchor():
@@ -425,7 +436,7 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
     # every word of its case's domain pairs, at most once per side (the P
     # words of each (a, s), the Q words of each (a, r)), the 2c head once
     # per disjoint 2c domain pair, and count_disjoint_pairs each target
-    # once; the pair loop, and so _phi_words, never runs
+    # once; _phi_words, the dispatch of phi, never runs
     calls = {name: [] for name in ("_lift_q", "_lift_p", "_drop", "_head_2c", "_phi_words")}
     _spy(monkeypatch, "_lift_q", calls["_lift_q"], lambda q, d, a: (a, q))
     _spy(monkeypatch, "_lift_p", calls["_lift_p"], lambda p, d, a: (a, p))
@@ -467,14 +478,17 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
         assert sorted(counts) == sorted(targets) and len(counts) == 2 * report.instances
 
 
-def _by_pairs_only(monkeypatch):
-    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: None)
-
-
-def test_verify_phi_by_words_matches_the_pair_loop(monkeypatch):
-    by_words = [repr(verify_phi(d)) for d in range(3, 13)]
-    _by_pairs_only(monkeypatch)
-    assert [repr(verify_phi(d)) for d in range(3, 13)] == by_words
+def test_verify_phi_by_words_matches_the_pair_loop():
+    for d in range(3, 11):
+        report = verify_phi(d)
+        assert report.all_ok and phi_by_pairs(d, _phi_words) == (report.pairs_checked, set(), [])
+    for d in (11, 12):  # the oracle's pair loop takes seconds here; its pair count does not
+        report = verify_phi(d)
+        assert report.all_ok
+        assert report.pairs_checked == sum(
+            disjoint_pairs_by_levels(p, q, d - s, d - r)
+            for a in range(delta(d)) for r, s in combinations(range(d), 2)
+            for p, q in ((a, a + 1), (a + 1, d + 1 - a)))
 
 
 def _sorted(word):
@@ -508,15 +522,42 @@ _WORD_MAP_FAULTS = {
 }
 
 
+# the faults whose flags verify_phi clears are all the oracle's.  In the
+# others a lifted or dropped word is off its target, which the word path
+# reports as such, while the pair loop also finds the image pair off the
+# anchor or through it, or intersecting
+_FAULTS_SEEN_ALIKE = {
+    "1-colliding", "2a-colliding", "2c-one-E-short", "2c-Q-off-target", "2c-intersecting",
+    "2c-anchored", "2c-colliding",
+}
+
+
 @pytest.mark.parametrize("fault", _WORD_MAP_FAULTS)
 def test_a_planted_word_map_fault_falls_back_to_the_pair_loop(monkeypatch, fault):
+    # verify_phi sees the fault, and clears only flags that the pair loop of
+    # the oracle clears too, over d = 3..8 (the word path checks every word
+    # of a side, so at d=3 it sees the 2a faults on words no disjoint pair uses)
     monkeypatch.setattr(lattice, *_WORD_MAP_FAULTS[fault])
-    real, sizes = lattice._phi_by_words, []
-    monkeypatch.setattr(lattice, "_phi_by_words", lambda *args: sizes.append(real(*args)) or sizes[-1])
-    by_words = [verify_phi(d) for d in range(3, 9)]
-    assert None in sizes and not all(report.all_ok for report in by_words)
-    _by_pairs_only(monkeypatch)
-    assert [verify_phi(d) for d in range(3, 9)] == by_words
+    by_words, by_pairs = set(), set()
+    for d in range(3, 9):
+        report = verify_phi(d)
+        pairs, cleared, _ = phi_by_pairs(d, lattice._phi_words)
+        assert pairs == report.pairs_checked
+        by_words |= {flag for flag in lattice._PHI_FLAGS if not getattr(report, flag)}
+        by_pairs |= cleared
+    assert by_words and by_words <= by_pairs
+    if fault in _FAULTS_SEEN_ALIKE:
+        assert by_words == by_pairs
+
+
+def test_verify_phi_catches_an_anchored_2c_image(monkeypatch):
+    # 2c's P head climbs the y-axis to the anchor before its E's, so the
+    # word path, which checks 2c pair by pair, clears anchors_ok
+    monkeypatch.setattr(lattice, *_WORD_MAP_FAULTS["2c-anchored"])
+    report = verify_phi(6)
+    assert not report.anchors_ok
+    assert _messages(report) == {"case 2c anchor invariant broken", "image collision"}
+    assert report.membership_ok and report.cases_partition and report.counts_consistent
 
 
 def _count_by_scan(spec):

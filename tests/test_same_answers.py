@@ -10,11 +10,15 @@ text of the error it raised.  A change meant to keep every answer leaves
 both digests as they are.  To print the digests of the code at hand, run
 
     PYTHONPATH=src python tests/test_same_answers.py
+
+and with --lines, the lines each digest hashes, one per call, so the
+answers a change moved show in a diff of two such dumps.
 """
 
 import hashlib
 import io
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -24,7 +28,7 @@ from fvectors.cli import run
 from fvectors.lattice import _family_paths
 
 DIGEST = "255d62da4064c74f964c8d31c804ea688d0705047bc9315e6931c5084877b1e1"
-ENGINE_DIGEST = "362aefa22442313ed5ba4fbfaf2300d8a0b1d76890660021130b71b55f0fdc5a"
+ENGINE_DIGEST = "62f999767afc621bdc374925e1cb7a8c57cef4bc83e5b8ad7a1425837d9630da"
 
 
 def _answer(fn, *args):
@@ -102,11 +106,24 @@ def _calls(rng):
         yield fv.is_M_sequence, (seq,)
 
 
-def corpus_digest(seed=2024):
+def _call_lines(calls):
+    for fn, args in calls:
+        yield f"{fn.__name__}{args!r} -> {_answer(fn, *args)}\n"
+
+
+def _digest(lines):
     digest = hashlib.sha256()
-    for fn, args in _calls(random.Random(seed)):
-        digest.update(f"{fn.__name__}{args!r} -> {_answer(fn, *args)}\n".encode())
+    for line in lines:
+        digest.update(line.encode())
     return digest.hexdigest()
+
+
+def corpus_lines(seed=2024):
+    return _call_lines(_calls(random.Random(seed)))
+
+
+def corpus_digest(seed=2024):
+    return _digest(corpus_lines(seed))
 
 
 def _phi_pairs(d):
@@ -201,13 +218,14 @@ def _cli_answer(argv):
     return f"{out.getvalue()!r} {err.getvalue()!r} exit {code}"
 
 
-def engine_digest():
-    digest = hashlib.sha256()
-    for fn, args in _engine_calls():
-        digest.update(f"{fn.__name__}{args!r} -> {_answer(fn, *args)}\n".encode())
+def engine_lines():
+    yield from _call_lines(_engine_calls())
     for i, argv in enumerate(CLI_RUNS):  # by index: argv holds a path
-        digest.update(f"fvectors run {i} -> {_cli_answer(argv)}\n".encode())
-    return digest.hexdigest()
+        yield f"fvectors run {i} -> {_cli_answer(argv)}\n"
+
+
+def engine_digest():
+    return _digest(engine_lines())
 
 
 def test_corpus_answers_are_unchanged():
@@ -219,5 +237,9 @@ def test_engine_and_cli_answers_are_unchanged():
 
 
 if __name__ == "__main__":
-    print(corpus_digest())
-    print(engine_digest())
+    if sys.argv[1:] == ["--lines"]:
+        sys.stdout.writelines(corpus_lines())
+        sys.stdout.writelines(engine_lines())
+    else:
+        print(corpus_digest())
+        print(engine_digest())
