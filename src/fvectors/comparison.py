@@ -22,7 +22,7 @@ when t >= r + 2, so strict inequalities always propagate.  Reports carry
 a `guaranteed` flag distinguishing the two regimes.
 """
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, repeat
 from operator import le, mul, sub
 from typing import NamedTuple, Optional
@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional
 from .exact import binomial, int_entries
 from .macaulay import _top
 from .transforms import (
-    GVector, _f_tail, _md_column as _column, check_dim, check_rs, delta, f_from_g)
-from .families import CYCLIC, STACKED, CS_STACKED, first_n, g_entries
+    GVector, _f_tail, _md_column as _column, check_dim, check_rs, delta)
+from .families import CYCLIC, STACKED, CS_STACKED, _affine_family, g_entries
 
 
 class NoCrossingError(ValueError):
@@ -103,29 +103,33 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     which forces f_r(Delta) = f_r(Gamma)), the report carries the actual
     truth value of each conclusion with guaranteed = False.  If the
     premise fails, premise_holds is False and nothing is claimed.
+
+    The premise reads one column: f_r(Delta) - f_r(Gamma) is the crossing
+    differences times column r of M_d.  Only if it holds do the h -> f
+    passes run, for f_(r+1), ..., f_(d-1) of each side.
     """
     d = g_delta.d
     _check_r(d, r)
     witness = find_crossing(g_delta, g_gamma)
     if witness is None:
         raise NoCrossingError("no crossing pattern: the comparison hypothesis is unmet")
-    # f_r, ..., f_{d-1} of each side, so f_s is at index s - r
-    f_delta, f_gamma = _f_tail(d, g_delta.entries, r + 1), _f_tail(d, g_gamma.entries, r + 1)
-    if f_delta[0] > f_gamma[0]:
+    gap = sum(map(mul, witness.diffs, _column(d, r)))  # f_r(Delta) - f_r(Gamma)
+    if gap > 0:
         return ComparisonReport(d, r, False, False, {}, witness)
     guaranteed = witness.t <= r + 1
-    if not guaranteed and f_delta[0] != f_gamma[0]:
+    if not guaranteed and gap != 0:
         # t >= r+2 zeroes every m[i][r] weighting a positive difference,
         # so the premise can then only hold with equality
         raise RuntimeError(f"strict premise with crossing index t={witness.t} > r+1 at "
                            f"d={d}, r={r}: impossible by the column-vanishing pattern")
+    # f_{r+1}, ..., f_{d-1} of each side, so f_s is at index s - r - 1
+    f_delta, f_gamma = _f_tail(d, g_delta.entries, r + 2), _f_tail(d, g_gamma.entries, r + 2)
     holds = list(map(le, f_delta, f_gamma))
     if guaranteed and not all(holds):
         i = holds.index(False)
-        raise RuntimeError(f"certified comparison violated at d={d}, r={r}, s={r + i}: "
+        raise RuntimeError(f"certified comparison violated at d={d}, r={r}, s={r + 1 + i}: "
                            f"{f_delta[i]} > {f_gamma[i]}")
-    conclusions = dict(zip(range(r + 1, d),
-                           map(_conclusion, zip(holds[1:], f_delta[1:], f_gamma[1:]))))
+    conclusions = dict(zip(range(r + 1, d), map(_conclusion, zip(holds, f_delta, f_gamma))))
     return ComparisonReport(d, r, True, guaranteed, conclusions, witness)
 
 
@@ -173,15 +177,6 @@ def verify_ratio_chain(d: int) -> ChainSweepReport:
     failures = tuple((r, s) for r, s in combinations(range(d), 2)
                      if not ratio_chain(d, r, s).all_hold)
     return ChainSweepReport(d, d * (d - 1) // 2, failures)
-
-
-@lru_cache(maxsize=None)
-def _affine_family(family: str, d: int) -> tuple:
-    """(first n, f of the first member, f step per unit of n): stacked and
-    cs-stacked members differ from the first only in g_1, by 1 or 2 per n."""
-    first = first_n(family, d)
-    unit = (0, 2 if family == CS_STACKED else 1) + (0,) * (delta(d) - 1)
-    return first, f_from_g(d, g_entries(family, first, d)), f_from_g(d, unit)
 
 
 def _largest_n_up_to(value: int, family: str, d: int, r: int) -> tuple:

@@ -9,8 +9,19 @@ Three families of simplicial d-polytopes play the extremal roles:
 Only the g/f-vectors are represented.  The combinatorial types of stacked
 polytopes depend on choices made during their construction, but their
 f-vectors are well-defined, so no polytope is ever built.
+
+Stacked and cs-stacked g-vectors grow only in g_1, so their f-vectors are
+affine in n, f_j = base_j + (n - first)*step_j, with no h -> f pass:
+
+  stacked     first = d+1, base_j = C(d+1, j+1) (the simplex), and step_j =
+              C(d, j) for j <= d-2, d-1 for j = d-1 (row 1 of M_d)
+  cs_stacked  first = d, base_j = 2^(j+1) C(d, j+1) (the cross-polytope),
+              and twice the stacked step
 """
 
+from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .exact import binomial, int_entries
@@ -85,6 +96,26 @@ def g_of_family(spec: FamilySpec) -> GVector:
     return GVector._of(spec.d, g_entries(*spec))
 
 
+@lru_cache(maxsize=None)
+def _affine_family(family: str, d: int) -> tuple:
+    """(first n, base, step) of the stacked or cs-stacked family, from the
+    closed forms above: C(d, j) by exact ratio steps, C(d+1, j+1) by Pascal."""
+    row = [1]
+    for j in range(1, d + 1):
+        row.append(row[-1] * (d + 1 - j) // j)
+    step = (*row[:d - 1], d - 1)
+    if family == STACKED:
+        base = tuple(map(add, row, row[1:]))
+    else:
+        base, step = tuple(c << j for j, c in enumerate(row[1:], 1)), tuple(c << 1 for c in step)
+    return first_n(family, d), base, step
+
+
 def f_of_family(spec: FamilySpec) -> FVector:
-    """f-vector of the family member: f = g * M_d as in g_to_f, with no table."""
-    return FVector._of(spec.d, _f_tail(spec.d, g_entries(*spec)))
+    """f-vector of the family member: the affine form for stacked and
+    cs-stacked members, f = g * M_d as in g_to_f for cyclic ones."""
+    family, n, d = spec
+    if family == CYCLIC:
+        return FVector._of(d, _f_tail(d, g_entries(*spec)))
+    first, base, step = _affine_family(family, d)
+    return FVector._of(d, tuple(map(add, base, map(mul, step, repeat(n - first)))))

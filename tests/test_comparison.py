@@ -9,7 +9,7 @@ from fvectors.comparison import (
     find_crossing, compare, ratio_chain, verify_ratio_chain,
     sandwich_simplicial, lower_bound_cs,
 )
-from fvectors import comparison, transforms
+from fvectors import comparison, families, transforms
 from fvectors.minors import phi_minor
 from fvectors.families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED, f_of_family, g_of_family, stanley_cs_floor,
@@ -188,11 +188,31 @@ def test_compare_raises_on_a_planted_strict_premise(monkeypatch):
     gd, gg = GVector(6, (1, 1, 1, 1)), GVector(6, (1, 1, 1, 0))
     report = compare(gd, gg, 1)
     assert report.premise_holds and not report.guaranteed
-    _plant_f(monkeypatch, gd.entries, 1, 27)
+    # compare reads the premise off column 1 of M_6: a planted m[3][1] = -1
+    # makes f_1(Delta) - f_1(Gamma) = -1, a strict premise behind its guard
+    real = comparison._column
+    monkeypatch.setattr(comparison, "_column", lambda d, r: real(d, r)[:3] + (-1,))
     with pytest.raises(RuntimeError) as info:
         compare(gd, gg, 1)
     assert str(info.value) == ("strict premise with crossing index t=3 > r+1 at d=6, r=1: "
                                "impossible by the column-vanishing pattern")
+
+
+def test_compare_runs_the_passes_only_when_its_premise_holds(monkeypatch):
+    # the premise is one column of M_d; the f-tails are built only for a
+    # report that reads them
+    calls = {"_f_tail": [], "_column": []}
+    for name in calls:
+        real = getattr(comparison, name)
+        monkeypatch.setattr(comparison, name,
+                            lambda *args, real=real, seen=calls[name]: seen.append(args) or real(*args))
+    report = compare(GVector(4, (1, 1, 1)), GVector(4, (1, 1, 0)), 1)
+    assert not report.premise_holds
+    assert calls == {"_f_tail": [], "_column": [(4, 1)]}
+    report = compare(GVector(6, (1, 3, 0, 0)), GVector(6, (1, 3, 6, 10)), 1)
+    assert report.premise_holds and report.guaranteed
+    assert calls["_column"] == [(4, 1), (6, 1)]
+    assert calls["_f_tail"] == [(6, (1, 3, 0, 0), 3), (6, (1, 3, 6, 10), 3)]
 
 
 def test_strict_premise_forces_small_crossing_index():
@@ -488,13 +508,14 @@ def test_cyclic_step_matches_closed_form_and_gale_oracles():
 
 
 def _clear_bound_caches():
-    for cached in (transforms._md_column, comparison._affine_family):
+    for cached in (transforms._md_column, families._affine_family):
         cached.cache_clear()
 
 
 def test_f_vectors_and_bounds_build_no_md():
     # M_d is built only by the engines that verify it: of the calls below,
-    # only the cyclic n2 at r >= delta reads M_d, and only its column r
+    # only compare (its premise) and the cyclic n2 at r >= delta read M_d,
+    # and only column r
     _clear_bound_caches()
     for d in range(3, 21):
         stacked, cyclic = (g_of_family(FamilySpec(family, d + 9, d)) for family in (STACKED, CYCLIC))
@@ -505,7 +526,8 @@ def test_f_vectors_and_bounds_build_no_md():
             sandwich_simplicial(d, r, 10**40)
             lower_bound_cs(d, r, 10**40)
     read = {(d, r) for d in range(3, 21) for r in (1, delta(d), d - 2) if r >= delta(d)}
-    assert transforms._md_column.cache_info().currsize == len(read) == 34
+    read |= {(d, 0) for d in range(3, 21)}
+    assert transforms._md_column.cache_info().currsize == len(read) == 52
 
 
 def test_cold_sandwich_at_d_800():

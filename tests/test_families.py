@@ -1,13 +1,15 @@
 import pytest
 
+from fvectors import families
 from fvectors.exact import binomial
 from fvectors.families import (
     FamilySpec, CYCLIC, STACKED, CS_STACKED,
-    first_n, g_of_family, f_of_family, stanley_cs_floor,
+    _affine_family, first_n, g_of_family, f_of_family, stanley_cs_floor,
 )
-from fvectors.transforms import GVector, delta
+from fvectors.transforms import GVector, delta, f_from_g
 
-from oracles import cyclic_fvector_gale, family_f_r, stacked_fvector_subdivision
+from deadline import timed
+from oracles import cyclic_fvector_gale, f_by_md_product, family_f_r, stacked_fvector_subdivision
 
 
 def _g(family, n, d):
@@ -63,11 +65,12 @@ def test_parameter_floors_rejected():
 
 def test_f_r_grows_by_one_constant_step():
     # the bound search reads n1 and the cs-stacked n as floor divisions
-    # off the first two members, which needs f_r affine and increasing in n
+    # off the first two members, which needs f_r affine and increasing in n;
+    # f_of_family is affine by construction, so f comes from g * M_d
     for d in range(3, 13):
         for family in (STACKED, CS_STACKED):
             first = first_n(family, d)
-            f = [f_of_family(FamilySpec(family, n, d)) for n in range(first, first + 21)]
+            f = [f_from_g(d, _g(family, n, d)) for n in range(first, first + 21)]
             for r in range(d - 1):
                 steps = {b[r] - a[r] for a, b in zip(f, f[1:])}
                 assert len(steps) == 1 and steps.pop() > 0
@@ -151,3 +154,51 @@ def test_g_of_family_dispatch():
     assert g_of_family(FamilySpec(CYCLIC, 7, 4)) == GVector(4, (1, 2, 3))
     assert g_of_family(FamilySpec(STACKED, 6, 4)) == GVector(4, (1, 1, 0))
     assert g_of_family(FamilySpec(CS_STACKED, 5, 4)) == GVector(4, (1, 5, 2))
+
+
+def test_affine_family_matches_the_md_product():
+    # base is the first member's g times M_d, step the unit change of g_1
+    # (2 per n for cs-stacked) times M_d
+    for d in range(3, 61):
+        for family, unit in ((STACKED, 1), (CS_STACKED, 2)):
+            first = first_n(family, d)
+            step = (0, unit) + (0,) * (delta(d) - 1)
+            assert _affine_family(family, d) == (
+                first, f_by_md_product(d, _g(family, first, d)), f_by_md_product(d, step))
+
+
+@pytest.mark.parametrize("d", [200, 400])
+def test_affine_family_at_large_d(d):
+    for family in (STACKED, CS_STACKED):
+        first, base, step = _affine_family(family, d)
+        for n in (first, first + 1, first + 37, 10**20):
+            for r in (0, 1, 3, d // 2, d - 2, d - 1):
+                assert base[r] + (n - first) * step[r] == family_f_r(family, n, d, r)
+
+
+def test_affine_f_of_family_equals_g_times_md():
+    for d in range(3, 21):
+        for family in (STACKED, CS_STACKED):
+            first = first_n(family, d)
+            for n in (*range(first, first + 31), 10**30):
+                spec = FamilySpec(family, n, d)
+                assert f_of_family(spec).entries == f_from_g(d, g_of_family(spec).entries)
+
+
+@pytest.mark.parametrize("family", [STACKED, CS_STACKED])
+def test_cold_affine_family_at_d_3200(family):
+    _affine_family.cache_clear()
+    first, base, step = timed(_affine_family, family, 3200, seconds=0.1)
+    assert first == first_n(family, 3200) and len(base) == len(step) == 3200
+
+
+def test_affine_f_of_family_runs_no_passes(monkeypatch):
+    calls = []
+    real = families._f_tail
+    monkeypatch.setattr(families, "_f_tail", lambda *args: calls.append(args) or real(*args))
+    for d in range(3, 13):
+        for family in (STACKED, CS_STACKED):
+            f_of_family(FamilySpec(family, first_n(family, d) + 5, d))
+    assert calls == []
+    f_of_family(FamilySpec(CYCLIC, 9, 4))
+    assert len(calls) == 1
