@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .exact import binomial, int_entries
+from .exact import int_entries
 from .transforms import GVector, FVector, _f_tail, check_dim, delta
 
 CYCLIC = "cyclic"
@@ -76,9 +76,11 @@ def g_entries(family: str, n: int, d: int) -> tuple:
         return tuple(g)
     if family == STACKED:
         return (1, n - d - 1) + (0,) * (delta(d) - 1)
-    return (1, 2 * n - d - 1) + tuple(
-        binomial(d, i) - binomial(d, i - 1) for i in range(2, delta(d) + 1)
-    )
+    g, c = [1, 2 * n - d - 1], d  # g_i = C(d, i) - C(d, i-1), c = C(d, i-1)
+    for i in range(2, delta(d) + 1):
+        c, prev = c * (d + 1 - i) // i, c
+        g.append(c - prev)
+    return tuple(g)
 
 
 def stanley_cs_floor(d: int) -> GVector:

@@ -65,21 +65,6 @@ def _vertex_bit(x: int, y: int) -> int:
     return n * (n + 1) // 2 + x
 
 
-def _walk(start: tuple, steps: str) -> int:
-    """Vertex bitmask of the path from start (on the y-axis) along steps."""
-    x, y = start
-    mask = 1 << _vertex_bit(x, y)
-    for c in steps:
-        if c == "E":
-            x += 1
-        elif c == "N":
-            y += 1
-        else:
-            raise ValueError(f"steps must be a word over N/E, got {steps!r}")
-        mask |= 1 << _vertex_bit(x, y)
-    return mask
-
-
 @lru_cache(maxsize=None)
 def _paths_with_masks(start: tuple, end: tuple) -> dict:
     """Every monotone NE-path from start to end as {step word: vertex
@@ -324,7 +309,7 @@ def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, che
     through the anchor meets the P image at its start (0, 1-A).  The domain
     size counts the disjoint mask pairs."""
     anchor = 1 << _vertex_bit(0, -a - 1)
-    axis = _walk((0, -high.p), "N" * (d - 1 - 2 * a))
+    [axis] = _paths_with_masks((0, -high.p), (0, -a - 1)).values()
     (p1, q1), (p2, q2) = map(_family_paths, domains)
     (low_p, low_q), (high_p, high_q) = _family_paths(low), _family_paths(high)
     # the words come sorted, E-words first; last come the Q words through

@@ -43,11 +43,13 @@ def test_stanley_cs_floor_examples():
 
 
 def test_cs_floor_equals_cross_polytope_g():
-    for d in range(3, 13):
-        assert stanley_cs_floor(d).entries == (1,) + tuple(
-            binomial(d, i) - binomial(d, i - 1) for i in range(1, delta(d) + 1)
-        )
+    # the entries past g_1 do not depend on n, so every member shares them
+    for d in range(3, 61):
+        tail = tuple(binomial(d, i) - binomial(d, i - 1) for i in range(2, delta(d) + 1))
+        assert stanley_cs_floor(d).entries == (1, d - 1) + tail
         assert stanley_cs_floor(d) == g_of_family(FamilySpec(CS_STACKED, d, d))
+        for n in (d + 5, 10**20):
+            assert _g(CS_STACKED, n, d) == (1, 2 * n - d - 1) + tail
 
 
 def test_parameter_floors_rejected():

@@ -12,7 +12,7 @@ from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
     PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_gv, verify_phi,
-    _family_paths, _head_2c, _paths_with_masks, _phi_words, _vertex_bit, _walk,
+    _family_paths, _head_2c, _paths_with_masks, _phi_words, _vertex_bit,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
@@ -24,10 +24,8 @@ def _mask(*vertices):
 
 
 def test_path_geometry():
-    assert _walk((0, -2), "NE") == _mask((0, -2), (0, -1), (1, -1))
-    assert _walk((0, 1), "") == _mask((0, 1))
-    with pytest.raises(ValueError):
-        _walk((0, 0), "NX")
+    assert _mask(*path_vertices((0, -2), "NE")) == _mask((0, -2), (0, -1), (1, -1))
+    assert _mask(*path_vertices((0, 1), "")) == _mask((0, 1))
 
 
 def test_enumerate_paths_examples():
@@ -62,9 +60,9 @@ def test_prefix_built_masks_match_the_oracle_paths():
 
 
 def test_paths_disjoint_helper():
-    assert not _walk((0, 0), "EN") & _walk((0, 1), "NE")
-    assert _walk((0, 0), "EN") & _walk((0, 0), "NE")
-    assert _walk((0, -1), "E") & _walk((0, -1), "EE")
+    assert not _mask(*path_vertices((0, 0), "EN")) & _mask(*path_vertices((0, 1), "NE"))
+    assert _mask(*path_vertices((0, 0), "EN")) & _mask(*path_vertices((0, 0), "NE"))
+    assert _mask(*path_vertices((0, -1), "E")) & _mask(*path_vertices((0, -1), "EE"))
     for start in range(5):
         for dx in range(start + 1):
             for pw, pm in _paths_with_masks((0, -start), (dx, -dx)).items():
@@ -206,7 +204,7 @@ def test_phi_rejects_foreign_pairs():
 def test_path_pair_rejects_intersecting():
     # at d=4, a=1, r=2, s=3 both words are paths of L(2, 4), P = "EN" from
     # (0,-2) and Q = "ENNE" from (0,-4), but both pass through (1,-2)
-    assert _walk((0, -2), "EN") & _walk((0, -4), "ENNE")
+    assert _mask(*path_vertices((0, -2), "EN")) & _mask(*path_vertices((0, -4), "ENNE"))
     with pytest.raises(ValueError, match="does not belong to the domain"):
         phi(False, "EN", "ENNE", 4, 1, 2, 3)
     assert phi(False, "EN", "EENN", 4, 1, 2, 3)[0] == CASE_2B
@@ -307,18 +305,19 @@ def test_gv_counts_match_minor_for_actual_instances():
 
 def test_case_dispatch_is_partition():
     # every domain element matches exactly one of the four case predicates
-    d = 6
-    for a, r, s, pw, qw in _domain_pairs(d, True):
-        assert phi(True, pw, qw, d, a, r, s)[0] == CASE_1
-    for a, r, s, pw, qw in _domain_pairs(d, False):
-        case = phi(False, pw, qw, d, a, r, s)[0]
-        preds = [
-            pw.startswith("N") and qw.startswith("N"),
-            qw.startswith("E"),
-            qw.startswith("N") and pw.startswith("E"),
-        ]
-        assert sum(preds) == 1
-        assert case == (CASE_2A, CASE_2B, CASE_2C)[preds.index(True)]
+    # (verify_phi checks the word maps but never runs this dispatch)
+    for d in range(3, 11):
+        for a, r, s, pw, qw in _domain_pairs(d, True):
+            assert phi(True, pw, qw, d, a, r, s)[0] == CASE_1
+        for a, r, s, pw, qw in _domain_pairs(d, False):
+            case = phi(False, pw, qw, d, a, r, s)[0]
+            preds = [
+                pw.startswith("N") and qw.startswith("N"),
+                qw.startswith("E"),
+                qw.startswith("N") and pw.startswith("E"),
+            ]
+            assert sum(preds) == 1
+            assert case == (CASE_2A, CASE_2B, CASE_2C)[preds.index(True)]
 
 
 def test_phi_words_2c_needs_k_plus_one_e_steps_in_q():
@@ -397,13 +396,17 @@ def test_verify_phi_catches_broken_anchor(monkeypatch):
 
 def test_the_word_path_rests_on_shared_dicts_and_an_axis_through_the_anchor():
     # the facts that let the word-by-word path of verify_phi skip checks:
-    # case 1's P words and 2b's Q words are their targets' own and miss the
-    # climbed axis, the axis ends at the anchor, and no 2a image can hold it
+    # the climbed axis it reads is the one all-N path from (0, 1-A) to the
+    # anchor, case 1's P words and 2b's Q words are their targets' own and
+    # miss that axis, and no 2a image can hold the anchor
     for d in range(3, 13):
         for a in range(delta(d)):
             at = d + 1 - a
             anchor = _mask((0, -a - 1))
-            axis = _walk((0, 1 - at), "N" * (d - 1 - 2 * a))
+            word = "N" * (d - 1 - 2 * a)
+            [(axis_word, axis)] = _paths_with_masks((0, 1 - at), (0, -a - 1)).items()
+            assert axis_word == word
+            assert axis == _mask(*path_vertices((0, 1 - at), word))
             assert axis & anchor
             for r, s in combinations(range(d), 2):
                 t, u = d - s, d - r
