@@ -76,16 +76,12 @@ _CAPPED_JSON = json.JSONDecoder(parse_int=lambda text: int(_capped(text)))
 
 
 def _loads(text: str):
-    """json.loads, with nesting too deep for its parser, and an integer
-    past the cap, as a ValueError of their own."""
+    """The JSON value of text, with nesting too deep for its parser, and an
+    integer past the cap, as a ValueError of their own."""
     try:
-        return json.loads(text)
+        return _CAPPED_JSON.decode(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
-    except ValueError as exc:
-        if not isinstance(exc, json.JSONDecodeError):  # the cap: decode again to name it
-            _CAPPED_JSON.decode(text)
-        raise
 
 
 def _parse_vec(args) -> list:

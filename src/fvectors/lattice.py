@@ -281,95 +281,6 @@ class PhiReport(NamedTuple):
 _PHI_FLAGS = PhiReport._fields[3:8]  # each false exactly when a failure names it
 
 
-def _phi_by_words(d: int, a: int, r: int, s: int, domains: tuple, low, high, checked: set,
-                  fail) -> int:
-    """The domain size of instance (a, r, s); each failed check goes to
-    fail(flag, tag, reason).
-
-    Cases 1, 2a and 2b are checked per word, tagged (a, r, s, "P" or "Q",
-    word): a lifted word's image (case 1's Q, 2b's P) must be its mask plus
-    the y-axis from (0, 1-A) to the anchor (0, -a-1), a dropped word's (2a)
-    must lie within its mask.  An image off its target clears
-    membership_ok, one off its word injective.  The rest is implied.  Case
-    1's P dict is low's and L(a+1, A)'s Q dict high's (one cached dict
-    each), and those kept words miss the axis: a P word from (0, -a) stays
-    above it, an E-first Q word leaves x = 0 at once.  So each image pair
-    is disjoint and its masks give back the domain pair.  The axis ends at
-    the anchor, and no 2a image holds it: the P image starts above it, and
-    the Q image lies within a Q word that does not climb to it (those come
-    last and are cut off).  So an anchor fault in these cases fails a word
-    check; anchors_ok fails only in 2c.  The P words and targets depend on
-    (a, s) alone, the Q words on (a, r): checked holds the sides done, so
-    each failure is recorded once.
-
-    2c is checked per pair, tagged (a, r, s, P word, Q word): a head that
-    cannot be built or an intersecting image clears cases_partition, an
-    image off its target membership_ok (each skips the pair), a P image
-    through the anchor anchors_ok, a repeated image injective.  A Q image
-    through the anchor meets the P image at its start (0, 1-A).  The domain
-    size counts the disjoint mask pairs."""
-    anchor = 1 << _vertex_bit(0, -a - 1)
-    [axis] = _paths_with_masks((0, -high.p), (0, -a - 1)).values()
-    (p1, q1), (p2, q2) = map(_family_paths, domains)
-    (low_p, low_q), (high_p, high_q) = _family_paths(low), _family_paths(high)
-    # the words come sorted, E-words first; last come the Q words through
-    # the anchor, N^(A-a-1)..., which meet every P at its start
-    p2_items, q2_items = list(p2.items()), list(q2.items())
-    pn = bisect_left(p2_items, ("N",))
-    qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
-    p2_east, p2_north, q2_north = p2_items[:pn], p2_items[pn:], q2_items[qn:qa]
-
-    def word_failed(image, case, label, w):
-        flag, off = ("membership_ok", "in wrong family") if image is None else (
-            "injective", "off its word")
-        fail(flag, (a, r, s, label, w), f"case {case} image {off}")
-
-    for side, (case, lifted, lift, lifted_in), (dropped, dropped_in) in (
-            (("P", a, s), (CASE_2B, p2_items, _lift_p, high_p), (p2_north, low_p)),
-            (("Q", a, r), (CASE_1, q1.items(), _lift_q, low_q), (q2_north, low_q))):
-        if side in checked:
-            continue
-        checked.add(side)
-        for w, m in lifted:
-            image = lifted_in.get(lift(w, d, a))
-            if image != m | axis:
-                word_failed(image, case, side[0], w)
-        for w, m in dropped:
-            image = dropped_in.get(_drop(w))
-            if image is None or image & ~m:
-                word_failed(image, CASE_2A, side[0], w)
-    images = set()
-    for pw, pm in p2_east:
-        rest = pw.lstrip("E")
-        k = len(pw) - len(rest)
-        for qw, qm in q2_north:
-            if pm & qm:
-                continue
-            try:
-                p_head, q_bar = _head_2c(qw, k, d, a, r, s)
-            except ValueError as exc:
-                fail("cases_partition", (a, r, s, pw, qw), f"construction failed: {exc}")
-                continue
-            image = image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
-            if image_pm is None or image_qm is None:
-                fail("membership_ok", (a, r, s, pw, qw), "case 2c image in wrong family")
-            elif image_pm & image_qm:
-                fail("cases_partition", (a, r, s, pw, qw),
-                     "construction failed: image paths must be vertex-disjoint")
-            else:
-                if image_pm & anchor:
-                    fail("anchors_ok", (a, r, s, pw, qw), "case 2c anchor invariant broken")
-                if image in images:
-                    fail("injective", (a, r, s, pw, qw), "image collision")
-                images.add(image)
-    size = 0
-    for p_paths, q_paths in ((p1, q1), (p2, q2)):
-        q_masks = list(q_paths.values())
-        for pm in p_paths.values():
-            size += list(map(pm.__and__, q_masks)).count(0)
-    return size
-
-
 def verify_phi(d: int) -> PhiReport:
     """Run the injection over every admissible (a, r, s) instance for
     dimension d and check all of its claimed properties:
@@ -384,31 +295,113 @@ def verify_phi(d: int) -> PhiReport:
         difference equal to the consecutive-row minor of M_d.
 
     Pairs are carried as step words and vertex bitmasks: an image is in
-    its target family when each word is a path of that family's P or Q
-    dict and the two masks are disjoint.  _phi_by_words checks each
-    instance, word by word where the cases allow.  Failures, (tag, reason)
-    pairs, are collected in the report, never raised; each clears the flag
-    it names.
+    its target when each word is a path of the target's P or Q dict and
+    the masks are disjoint.  Failures, (tag, reason) pairs, are collected
+    in the report, never raised; each clears the flag it names.
+
+    Cases 1, 2a and 2b are checked per word, in a loop over the P sides
+    (a, s) and one over the Q sides (a, r), on which the words and their
+    targets depend; a word is tagged (a, r, s, "P" or "Q", word) by the
+    first instance that holds it, (a, 0, s) or (a, r, r+1).  A lifted
+    word's image (case 1's Q, 2b's P) must be its mask plus the y-axis
+    from (0, 1-A) to the anchor (0, -a-1), a dropped word's (2a) must lie
+    within its mask; an image off its target clears membership_ok, one
+    off its word injective.  The rest is implied: case 1's P words are
+    L(a, A-1)'s and 2b's Q words L(A-1, A)'s, and they miss the axis (a P
+    word from (0, -a) stays above it, an E-first Q word leaves x = 0 at
+    once), so each image pair is disjoint and gives back the domain pair.
+    No 2a image holds the anchor, where the axis ends: the P image starts
+    above it, and the Q image lies within a Q word that does not climb to
+    it (those are cut off).  So anchors_ok fails only in 2c.
+
+    The loop over (r, s) checks 2c per pair, tagged (a, r, s, P word, Q
+    word): a head that cannot be built or an intersecting image clears
+    cases_partition, an image off its target membership_ok (each skips the
+    pair), a P image through the anchor anchors_ok, a repeated image
+    injective.  A Q image through the anchor meets the P image at its
+    start (0, 1-A).  Then the domain's disjoint mask pairs are counted.
     """
     check_dim(d)
     dl = delta(d)
     pairs_checked = 0
     failures, broken = [], set()
-    checked = set()  # the word sides that passed, shared by every instance
 
     def fail(flag, tag, reason):
         broken.add(flag)
         failures.append((tag, reason))
 
+    def word_failed(image, case, tag):
+        flag, off = ("membership_ok", "in wrong family") if image is None else (
+            "injective", "off its word")
+        fail(flag, tag, f"case {case} image {off}")
+
     for a in range(dl):
         at = d + 1 - a
+        anchor = 1 << _vertex_bit(0, -a - 1)
+        [axis] = _paths_with_masks((0, 1 - at), (0, -a - 1)).values()
+        p_sides, q_sides = {}, {}
+        for s in range(1, d):  # P runs to (t, -t), t = d - s
+            end = (d - s, s - d)
+            p1, p2, high_p = (_paths_with_masks((0, y), end) for y in (-a, -a - 1, 1 - at))
+            p2_items = list(p2.items())
+            pn = bisect_left(p2_items, ("N",))  # the words come sorted, E-words first
+            for w, m in p2_items:
+                image = high_p.get(_lift_p(w, d, a))
+                if image != m | axis:
+                    word_failed(image, CASE_2B, (a, 0, s, "P", w))
+            for w, m in p2_items[pn:]:
+                image = p1.get(_drop(w))
+                if image is None or image & ~m:
+                    word_failed(image, CASE_2A, (a, 0, s, "P", w))
+            p_sides[s] = (list(p1.values()), [m for _, m in p2_items]), p2_items[:pn], high_p
+        for r in range(d - 1):  # Q runs to (u, -u), u = d - r
+            end = (d - r, r - d)
+            q1, low_q, high_q = (_paths_with_masks((0, y), end) for y in (-a - 1, 1 - at, -at))
+            # last come the words through the anchor, N^(A-a-1)..., which meet every P
+            q2_items = list(high_q.items())
+            qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
+            for w, m in q1.items():
+                image = low_q.get(_lift_q(w, d, a))
+                if image != m | axis:
+                    word_failed(image, CASE_1, (a, r, r + 1, "Q", w))
+            for w, m in q2_items[qn:qa]:
+                image = low_q.get(_drop(w))
+                if image is None or image & ~m:
+                    word_failed(image, CASE_2A, (a, r, r + 1, "Q", w))
+            q_sides[r] = (list(q1.values()), list(high_q.values())), q2_items[qn:qa], high_q
         for r, s in combinations(range(d), 2):
-            sb, rb = d - s, d - r
-            low, high = PathFamilySpec(a, at - 1, sb, rb), PathFamilySpec(at - 1, at, sb, rb)
-            domains = PathFamilySpec(a, a + 1, sb, rb), PathFamilySpec(a + 1, at, sb, rb)
-            domain_size = _phi_by_words(d, a, r, s, domains, low, high, checked, fail)
+            p_masks, p2_east, high_p = p_sides[s]
+            q_masks, q2_north, high_q = q_sides[r]
+            images = set()
+            for pw, pm in p2_east:
+                rest = pw.lstrip("E")
+                k = len(pw) - len(rest)
+                for qw, qm in q2_north:
+                    if pm & qm:
+                        continue
+                    try:
+                        p_head, q_bar = _head_2c(qw, k, d, a, r, s)
+                    except ValueError as exc:
+                        fail("cases_partition", (a, r, s, pw, qw), f"construction failed: {exc}")
+                        continue
+                    image = image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
+                    if image_pm is None or image_qm is None:
+                        fail("membership_ok", (a, r, s, pw, qw), "case 2c image in wrong family")
+                    elif image_pm & image_qm:
+                        fail("cases_partition", (a, r, s, pw, qw),
+                             "construction failed: image paths must be vertex-disjoint")
+                    else:
+                        if image_pm & anchor:
+                            fail("anchors_ok", (a, r, s, pw, qw),
+                                 "case 2c anchor invariant broken")
+                        if image in images:
+                            fail("injective", (a, r, s, pw, qw), "image collision")
+                        images.add(image)
+            domain_size = sum(list(map(pm.__and__, qms)).count(0)
+                              for pms, qms in zip(p_masks, q_masks) for pm in pms)
             pairs_checked += domain_size
-            target_total = count_disjoint_pairs(low) + count_disjoint_pairs(high)
+            target_total = sum(count_disjoint_pairs(PathFamilySpec(low, high, d - s, d - r))
+                               for low, high in ((a, at - 1), (at - 1, at)))
             minor = phi_minor(d, a, a + 1, r, s)
             if target_total - domain_size != minor:
                 fail("counts_consistent", (a, r, s),

@@ -325,6 +325,11 @@ def test_phi_words_2c_needs_k_plus_one_e_steps_in_q():
     assert _phi_words(False, "EEN", "NEENE", 6, 1, 2, 3) == (CASE_2C, "NNEENN", "EENEN")
     with pytest.raises(ValueError, match="Q lacks the k-th and \\(k\\+1\\)-st E steps"):
         _phi_words(False, "EEN", "NEEN", 6, 1, 2, 3)
+    # Q climbs more N steps before its k-th E than the head's north prefix
+    # can give back; verify_phi(d) meets no such domain pair for d <= 14
+    with pytest.raises(ValueError,
+                       match=r"negative north prefix in subcase 2c \(a=1, r=2, s=3, d=6\)"):
+        _phi_words(False, "EN", "NNNNENE", 6, 1, 2, 3)
 
 
 def _messages(report):
