@@ -11,11 +11,11 @@ than 4,300 digits, CPython's default int <-> str cap, are refused, in
 options and JSON alike, with one error text.
 """
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import (
     FVector, HVector, GVector,
@@ -60,8 +60,8 @@ def _emit(doc, code):
     return code
 
 
-class _DigitCapError(argparse.ArgumentTypeError, ValueError):
-    """An integer past the cap: argparse prints its text as is, run() too."""
+class _DigitCapError(ValueError):
+    """An integer past the cap: its text is the error, in options and JSON alike."""
 
 
 def _capped(text: str) -> str:
@@ -135,7 +135,7 @@ _TRANSFORMS = {
 
 
 def _cmd_transform(args):
-    src, dst = args.src, args.to
+    src, dst = vars(args)["from"], args.to
     if (src, dst) == ("g", "h"):
         raise ValueError("g-to-h is not invertible; convert g to f instead")
     vec = _VEC_TYPES[src](args.d, _parse_vec(args))
@@ -211,7 +211,7 @@ def _cmd_verify(args):
 def integer(text: str) -> int:
     """An integer option (`_is_int_text`); past _MAX_DIGITS digits the error names the cap."""
     if not _is_int_text(_capped(text)):
-        raise ValueError(text)  # argparse reports: invalid integer value: 'text'
+        raise ValueError(text)  # _convert reports: invalid integer value: 'text'
     return int(text)
 
 
@@ -220,81 +220,140 @@ def order(text: str):
     return text if text == "all" else integer(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse would print usage to stderr and exit 2 with nothing on
-    # stdout; raising lets run() report bad usage as a JSON error like any
-    # other bad input.  Subparsers inherit this class.
-    def error(self, message):
-        raise ValueError(message)
+_REQUIRED = object()  # the default of an option that must be given
+_HELP = ("-h", "--help")
+_FHG = ("f", "h", "g")
+
+# each subcommand: its handler, the choices of its positional `which` (None
+# if it has none), and its options, each -> (a conversion, choices or None
+# for the text as is; the default or _REQUIRED); --d's value is args.d
+_COMMANDS = {
+    "transform": (_cmd_transform, None, {
+        "--d": (integer, _REQUIRED), "--from": (_FHG, _REQUIRED), "--to": (_FHG, _REQUIRED),
+        "--vec": (None, None), "--file": (None, None)}),
+    "family": (_cmd_family, ("cyclic", "stacked", "cs-stacked"), {
+        "--d": (integer, _REQUIRED), "--n": (integer, _REQUIRED), "--emit": (("f", "g"), "f")}),
+    "check": (_cmd_check, ("m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"), {
+        "--d": (integer, None), "--vec": (None, None), "--file": (None, None)}),
+    "compare": (_cmd_compare, None, {
+        "--d": (integer, _REQUIRED), "--g1": (None, _REQUIRED), "--g2": (None, _REQUIRED),
+        "--r": (integer, _REQUIRED)}),
+    "bounds": (_cmd_bounds, ("simplicial", "cs"), {
+        "--d": (integer, _REQUIRED), "--r": (integer, _REQUIRED),
+        "--value": (integer, _REQUIRED)}),
+    "verify": (_cmd_verify, tuple(_VERIFY), {
+        "--d": (integer, 10), "--order": (order, "all"), "--max": (integer, 6)}),
+}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-@lru_cache(maxsize=None)  # built on first use, then shared by every run
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fvectors",
-        description="Exact f/h/g-vector transforms, extremal-family bounds, "
-        "and combinatorial verifications for simplicial polytopes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read(token, names):
+    """How argparse reads an argv token against option names: None for a
+    value, else (the option, None if unknown, and its glued value or None)."""
+    if not token.startswith("-") or len(token) < 2:
+        return None
+    head, eq, glued = token.partition("=")
+    glued = glued if eq else None
+    if head in names:
+        return head, glued
+    if token[1] == "-":  # a unique prefix of a long option
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], glued
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    return None if _NEGATIVE_NUMBER(token) or " " in token else (None, None)
 
-    p = sub.add_parser("transform", help="convert between f/h/g vectors")
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--from", dest="src", choices=["f", "h", "g"], required=True)
-    p.add_argument("--to", choices=["f", "h", "g"], required=True)
-    p.add_argument("--vec")
-    p.add_argument("--file")
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("family", help="f/g-vector of an extremal family member")
-    p.add_argument("which", choices=["cyclic", "stacked", "cs-stacked"])
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--emit", choices=["f", "g"], default="f")
-    p.set_defaults(func=_cmd_family)
+def _convert(label, conversion, text):
+    """text as argument label's value, with argparse's error texts."""
+    if not callable(conversion):
+        if conversion is None or text in conversion:
+            return text
+        choices = ", ".join(map(repr, conversion))
+        raise ValueError(f"argument {label}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return conversion(text)
+    except ValueError as exc:  # the digit cap's text stands as is
+        error = exc if isinstance(exc, _DigitCapError) else (
+            f"invalid {conversion.__name__} value: {text!r}")
+        raise ValueError(f"argument {label}: {error}") from None
 
-    p = sub.add_parser("check", help="sequence predicates")
-    p.add_argument(
-        "which",
-        choices=["m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"],
-    )
-    p.add_argument("--d", type=integer, default=None)
-    p.add_argument("--vec")
-    p.add_argument("--file")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("compare", help="comparison theorem on two g-vectors")
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.set_defaults(func=_cmd_compare)
+def _help(option, glued, command):
+    """-h/--help, which takes no value: -hh is -h, -hx an error."""
+    rest = glued.lstrip("h") if option == "-h" and glued else glued
+    if glued is not None and (rest or not glued):
+        raise ValueError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    return _usage, command
 
-    p = sub.add_parser("bounds", help="family sandwich bounds from one face count")
-    p.add_argument("which", choices=["simplicial", "cs"])
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--value", type=integer, required=True)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="exhaustive verification suites")
-    p.add_argument("which", choices=list(_VERIFY))
-    p.add_argument("--d", type=integer, default=10)
-    p.add_argument("--order", type=order, default="all")
-    p.add_argument("--max", type=integer, default=6)
-    p.set_defaults(func=_cmd_verify)
+def _usage(command):
+    """Print the usage of command, or of every subcommand if it is None."""
+    print("usage: fvectors {" + ",".join(_COMMANDS) + "} ..." if command is None else "usage:")
+    for name, (_, choices, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        words = [f"  fvectors {name}"] + (["{" + ",".join(choices) + "}"] if choices else [])
+        for option, (conversion, default) in options.items():
+            value = "{" + ",".join(conversion) + "}" if isinstance(conversion, tuple) else None
+            word = f"{option} {value or option[2:].upper()}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        print(" ".join(words))
+    return EXIT_OK
 
-    return parser
+
+def _parse(argv):
+    """The handler and arguments of argv, read in one left-to-right pass as
+    argparse read it: the same values, and its errors in its order."""
+    i = 0
+    while i < len(argv) and argv[i] != "--" and (read := _read(argv[i], _HELP)):
+        if read[0]:
+            return _help(*read, None)
+        i += 1  # an unknown option before the subcommand
+    if argv[i:] in ([], ["--"]):
+        raise ValueError("the following arguments are required: command")
+    name = _convert("command", _COMMANDS, argv[i])
+    handler, choices, options = _COMMANDS[name]
+    args, extras, names = argv[i + 1:], argv[:i], (*_HELP, *options)
+    sep = args.index("--") if "--" in args else len(args)  # all values after it
+    reads = [_read(token, names) for token in args[:sep]] + [None] * (len(args) - sep)
+    values = {"which": _REQUIRED} if choices else {}
+    values.update((option, default) for option, (_, default) in options.items())
+    k = taken = 0  # taken: 1 + the index of `which`
+    while k < len(args):
+        token, read, k = args[k], reads[k], k + 1
+        if k - 1 == sep:  # argparse drops a -- right before or after `which`
+            if not (values.get("which") is _REQUIRED and k < len(args) or taken == k - 1):
+                extras.append(token)
+        elif read is None and values.get("which") is _REQUIRED:
+            values["which"], taken = _convert("which", choices, token), k
+        elif read is None or read[0] is None:
+            extras.append(token)
+        elif read[0] in _HELP:
+            return _help(*read, name)
+        else:
+            option, glued = read
+            if glued is None:
+                if k == sep or reads[k]:
+                    raise ValueError(f"argument {option}: expected one argument")
+                glued, k = args[k], k + 1
+            values[option] = _convert(option, options[option][0], glued)
+    if missing := [label for label, value in values.items() if value is _REQUIRED]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**{label.strip("-"): v for label, v in values.items()})
 
 
 def run(argv) -> int:
-    parser = build_parser()
     cap = sys.get_int_max_str_digits()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        # only --help exits from argparse; bad usage raises ValueError
-        return int(exc.code or 0)
+        func, args = _parse(list(argv))
+        return func(args)
     except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(json.dumps({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)

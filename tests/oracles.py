@@ -14,11 +14,13 @@ steps replaced, the try-every-t crossing scan that the
 library's one-pass search replaced, the vertex-disjoint lattice path
 pairs of a family as step-word pairs, found by testing the vertex sets of
 every pair, and their count by a level walk with one dict entry per
-x-coordinate pair, which the library's packed-integer walk replaced, and
-the injection phi checked one domain pair at a time, which the library's
-word-by-word check replaced.
+x-coordinate pair, which the library's packed-integer walk replaced, the
+injection phi checked one domain pair at a time, which the library's
+word-by-word check replaced, and the argparse parser of the CLI's argv,
+which the CLI's one-pass reader of its command table replaced.
 """
 
+import argparse
 import math
 from functools import lru_cache
 from itertools import combinations
@@ -433,3 +435,71 @@ def phi_by_pairs(d, phi_words):
                         fail("injective", tag, "image collision")
                     images.add(image)
     return pairs, cleared, failures
+
+
+def integer(text):
+    """An integer option: an optional - then ASCII digits, at most 4300 of
+    them; argparse names the type in its error from this __name__."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > 4300:
+        raise argparse.ArgumentTypeError(f"integers have at most 4300 digits, got {digits}")
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+def order(text):
+    """The --order of verify minors: all, or an integer option."""
+    return text if text == "all" else integer(text)
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    # an error raises its text instead of printing usage and exiting 2
+    def error(self, message):
+        raise ValueError(message)
+
+
+def build_parser():
+    """The CLI's argv as argparse reads it: parse_args gives the namespace
+    (`command` names the subcommand), raises ValueError with argparse's
+    error text, or prints help and exits 0."""
+    parser = _RaisingParser(prog="cli")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("transform")
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--from", choices=["f", "h", "g"], required=True)
+    p.add_argument("--to", choices=["f", "h", "g"], required=True)
+    p.add_argument("--vec")
+    p.add_argument("--file")
+
+    p = sub.add_parser("family")
+    p.add_argument("which", choices=["cyclic", "stacked", "cs-stacked"])
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--emit", choices=["f", "g"], default="f")
+
+    p = sub.add_parser("check")
+    p.add_argument("which", choices=["m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"])
+    p.add_argument("--d", type=integer, default=None)
+    p.add_argument("--vec")
+    p.add_argument("--file")
+
+    p = sub.add_parser("compare")
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--g1", required=True)
+    p.add_argument("--g2", required=True)
+    p.add_argument("--r", type=integer, required=True)
+
+    p = sub.add_parser("bounds")
+    p.add_argument("which", choices=["simplicial", "cs"])
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--value", type=integer, required=True)
+
+    p = sub.add_parser("verify")
+    p.add_argument("which", choices=["minors", "lemma3", "gv", "phi", "ratio-chain"])
+    p.add_argument("--d", type=integer, default=10)
+    p.add_argument("--order", type=order, default="all")
+    p.add_argument("--max", type=integer, default=6)
+    return parser

@@ -1,16 +1,21 @@
-import argparse
+import ast
+import io
 import json
+import shlex
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from fvectors import comparison, lattice, macaulay, sandwich_simplicial
-from fvectors.cli import build_parser, run, EXIT_OK, EXIT_FAIL, EXIT_USAGE
+from fvectors import cli, comparison, lattice, macaulay, sandwich_simplicial
+from fvectors.cli import run, EXIT_OK, EXIT_FAIL, EXIT_USAGE
 from fvectors.families import FamilySpec, CYCLIC, f_of_family
 from fvectors.transforms import FVector, f_to_g
 
 from deadline import timed
+from oracles import build_parser
+from test_same_answers import CLI_RUNS
 
 
 def invoke(capsys, *argv):
@@ -241,7 +246,7 @@ def test_big_integers_emitted_as_strings(capsys):
     ["transform", "--d", "4", "--from", "f", "--to", "h", "--vec", '["7.0",21,28,14]'],
     # a minor scan of no order ended in a TypeError traceback
     ["verify", "minors", "--d", "5", "--order", "0"],
-    # argparse usage errors
+    # command-line usage errors
     ["family", "cyclic", "--d", "three", "--n", "8"],
     ["family", "cyclic", "--d", "4.5", "--n", "8"],
     ["family", "cyclic", "--d", "1e1", "--n", "8"],
@@ -280,9 +285,13 @@ def test_r_out_of_range_message(capsys, argv):
 
 
 def test_help_exits_zero(capsys):
+    # the usage text, built from the command table, goes to stdout alone
     assert run(["--help"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and all(name in out for name in cli._COMMANDS)
     assert run(["family", "--help"]) == EXIT_OK
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert err == "" and all(option in out for option in ("--d", "--n", "--emit"))
 
 
 def test_decimal_string_entries_round_trip(capsys):
@@ -445,9 +454,135 @@ def test_verify_output_matches_golden(capsys, argv, golden):
 
 def test_every_verify_kind_has_a_golden():
     # a new verify kind pins its JSON with a golden run
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    which = next(action for action in commands.choices["verify"]._actions
-                 if action.dest == "which")
+    _, kinds, _ = cli._COMMANDS["verify"]
     pinned = {argv[1] for argv, _ in GOLDEN_RUNS if argv[0] == "verify"}
-    assert set(which.choices) == pinned
+    assert set(kinds) == set(cli._VERIFY) == pinned
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["transform", "--d", "4", "--f", "f", "--to", "h"],
+     "ambiguous option: --f could match --from, --file"),
+    (["compare", "--d", "3", "--g1", "-x", "--g2", "[1,3]", "--r", "0"],
+     "argument --g1: expected one argument"),
+    (["bounds", "simplicial", "--d", "4", "--r", "1", "--value"],
+     "argument --value: expected one argument"),
+    (["bounds", "huge", "--d", "4", "--r", "1", "--value", "21"],
+     "argument which: invalid choice: 'huge' (choose from 'simplicial', 'cs')"),
+    (["transform", "--d", "4", "--from", "x", "--to", "h"],
+     "argument --from: invalid choice: 'x' (choose from 'f', 'h', 'g')"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+     "'transform', 'family', 'check', 'compare', 'bounds', 'verify')"),
+    ([], "the following arguments are required: command"),
+    (["family"], "the following arguments are required: which, --d, --n"),
+    (["family", "--d", "x", "huge"], "argument --d: invalid integer value: 'x'"),
+    (["family", "huge", "--d", "x"],
+     "argument which: invalid choice: 'huge' (choose from 'cyclic', 'stacked', 'cs-stacked')"),
+    (["family", "cyclic", "--d", "4", "--n", "7", "--bogus", "3"],
+     "unrecognized arguments: --bogus 3"),
+    (["family", "cyclic", "--d", "4", "--n", "7", "--"], "unrecognized arguments: --"),
+    (["-x", "family", "cyclic", "--d", "4"], "the following arguments are required: --n"),
+    (["-x", "family", "cyclic", "--d", "4", "--n", "7", "8"], "unrecognized arguments: -x 8"),
+    (["family", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["family", "-hhx"], "argument -h/--help: ignored explicit argument 'x'"),
+])
+def test_argv_errors_have_argparse_texts(capsys, argv, error):
+    # token errors left to right, then missing arguments, then unknown ones
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": error}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "cyclic", "--d=4", "--n", "7"],
+    ["family", "cyclic", "--d", "4", "--n", "7", "--emit=f"],
+    ["family", "--d", "5", "cyclic", "--n", "7", "--d", "4"],
+    ["family", "--d", "4", "--n", "7", "--", "cyclic"],
+    ["family", "--d", "4", "--n", "7", "cyclic", "--"],
+    ["family", "--em", "f", "cyclic", "--d", "4", "--n", "7"],
+])
+def test_argv_forms_of_one_request(capsys, argv):
+    # a space or =, a unique prefix, the last of a repeated option, a positional
+    # after options, and a -- around the positional all read the same
+    assert invoke(capsys, *argv) == (EXIT_OK, {"d": 4, "f": [7, 21, 28, 14]})
+
+
+ROOT = Path(__file__).parent.parent
+ARGPARSE = build_parser()
+
+
+def _written_argv(path):
+    """Every argv written out in a test file: the strings passed to invoke,
+    and each list or tuple of strings that starts with a subcommand or an
+    option."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "invoke":
+            items = node.args[1:]
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            items = node.elts
+        else:
+            continue
+        if items and all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in items):
+            argv = [x.value for x in items]
+            if argv[0] in cli._COMMANDS or argv[0].startswith("-"):
+                yield argv
+
+
+def _shell_argv(path):
+    """The argv of each `fvectors ...` command line in a README or script."""
+    for line in path.read_text().splitlines():
+        if line.startswith("fvectors "):
+            yield shlex.split(line.partition("||")[0])[1:]
+
+
+ARGV_CORPUS = [
+    *_written_argv(Path(__file__)), *map(list, CLI_RUNS),
+    *_shell_argv(ROOT / "README.md"), *_shell_argv(ROOT / "demos" / "cli_demo.sh"),
+    ["family", "cyclic", "--d=4", "--n", "7"],
+    ["bounds", "simplicial", "--d", "4", "--r", "1", "--va", "30"],
+    ["transform", "--d", "4", "--f", "f", "--to", "h"],
+    ["bounds", "simplicial", "--d", "4", "--r", "1", "--value"],
+    ["compare", "--d", "3", "--g1", "-x", "--g2", "[1,3]", "--r", "0"],
+    ["bounds", "cs", "--d", "4", "--r", "-1", "--value", "-5"],
+    ["transform", "--d", "3", "--from", "f", "--to", "h", "--vec", "-1 2"],
+    ["family", "cyclic", "--d", "5", "--n", "7", "--d", "4"],
+    ["family", "--d", "4", "cyclic", "--n", "7"],
+    ["family", "--", "cyclic"],
+    ["family", "cyclic", "--d", "4", "--n", "7", "--bogus", "3"],
+    ["family", "cyclic", "stacked", "--d", "4", "--n", "7"],
+    [], ["family"], ["family", "--d", "4"], ["frobnicate"],
+    ["-x", "family", "cyclic", "--d", "4", "--n", "7"],
+    # -- before the subcommand, before an option's value, and -h glued to a value
+    ["--"], ["--", "family"], ["family", "cyclic", "--n", "7", "--d", "--", "4"],
+    ["-hh"], ["-hx"], ["family", "-h=x"], ["family", "-hh=h"], ["family", "--he=h"], ["--help="],
+]
+
+
+def _reading(argv):
+    """What cli reads from argv: (handler name, arguments), ("help", the
+    subcommand or None) or ("error", text)."""
+    try:
+        handler, args = cli._parse(list(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    return ("help", args) if handler is cli._usage else (handler.__name__, vars(args))
+
+
+def _argparse_reading(argv):
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args = vars(ARGPARSE.parse_args(list(argv)))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:  # help: its usage line names the subcommand
+        assert exc.code == 0
+        prog = out.getvalue().split()[2]
+        return "help", prog if prog in cli._COMMANDS else None
+    return f"_cmd_{args.pop('command')}", args
+
+
+def test_argv_reads_as_argparse_read_it():
+    # the argparse parser the command table replaced is the oracle
+    assert len(ARGV_CORPUS) > 150
+    for argv in ARGV_CORPUS:
+        assert _reading(argv) == _argparse_reading(argv), argv

@@ -39,10 +39,11 @@ def test_every_imported_name_is_used(path):
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # -S keeps site hooks out, so only the package's own imports count
-    code = ("import sys, fvectors.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def test_cli_import_leaves_costly_modules_out():
+    # -S keeps site hooks out, so only the package's own imports count;
+    # argparse would bring gettext, and the CLI reads its argv without them
+    code = ("import sys, fvectors.cli; print(sorted("
+            "{'argparse', 'dataclasses', 'gettext', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(fvectors.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
