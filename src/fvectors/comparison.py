@@ -148,10 +148,14 @@ def ratio_chain(d: int, r: int, s: int) -> RatioChainReport:
 
         m[0][r]/m[0][s] >= m[1][r]/m[1][s] >= ... >= 0
 
-    checked by cross-multiplication.  Rows where m[i][s] = 0 form the
-    chain's tail: once m[k][s] = 0 every later m[i][s] vanishes too, and
-    m[i][r] = 0 already from row k-1 on, which is what makes the chain
-    degenerate gracefully.
+    checked by cross-multiplication, so the comparisons are the
+    consecutive-row 2x2 minors on columns r, s (a test pins them to
+    phi_minor; verify_lemma3 scans them too).  The tail, the rows with
+    m[i][s] = 0, follows the staircase m[i][j] > 0 iff i <= j+1, so tail_ok
+    always holds: as m[i][j] = C(d+1-i, d-j) - C(i, d-j) and i <= delta <
+    d+1-i, for i <= j+1 the first binomial is positive and exceeds the
+    second, C(n, k) rising strictly in n >= k >= 1; for i >= j+2 both
+    vanish, as d+1-i < d-j and i <= d/2 < d-j.
     """
     check_rs(d, r, s)
     cr, cs = _column(d, r), _column(d, s)

@@ -6,7 +6,7 @@ ints.  No floating point is used anywhere in the package; inequalities
 between ratios are always decided by cross-multiplication.
 """
 
-import math
+from math import comb
 
 
 def binomial(n: int, k: int) -> int:
@@ -14,11 +14,9 @@ def binomial(n: int, k: int) -> int:
 
     Returns 0 whenever k < 0, n < 0 or k > n.  Several of the closed-form
     expressions in this package rely on out-of-range binomials silently
-    vanishing, so this is the single binomial used everywhere.
+    vanishing; binom_det inlines the same guard, all else calls this.
     """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def int_entries(values, what: str = "vector entries") -> tuple:
@@ -33,5 +31,7 @@ def int_entries(values, what: str = "vector entries") -> tuple:
 
 
 def binom_det(p: int, q: int, t: int, u: int) -> int:
-    """The 2x2 binomial determinant C(p,t)*C(q,u) - C(p,u)*C(q,t)."""
-    return binomial(p, t) * binomial(q, u) - binomial(p, u) * binomial(q, t)
+    """The 2x2 binomial determinant C(p,t)*C(q,u) - C(p,u)*C(q,t), each
+    binomial vanishing as in `binomial`."""
+    return ((comb(p, t) * comb(q, u) if 0 <= t <= p and 0 <= u <= q else 0)
+            - (comb(p, u) * comb(q, t) if 0 <= u <= p and 0 <= t <= q else 0))

@@ -24,9 +24,10 @@ and the anchor invariants that keep the cases from colliding.
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import NamedTuple
 
-from .exact import binom_det, binomial, int_entries
+from .exact import binom_det, int_entries
 from .transforms import check_dim, check_rs, delta
 from .minors import phi_minor
 
@@ -71,21 +72,22 @@ def _paths_with_masks(start: tuple, end: tuple) -> dict:
     bitmask}, words in lexicographic order.  Two paths are vertex-disjoint
     exactly when their masks share no bit.  The dict is shared by every
     caller and must not be modified.  The words grow down a prefix tree,
-    E before N, each mask its prefix's mask plus one bit."""
+    E before N, each mask its prefix's plus one bit from its level's table."""
     (x0, y0), (x1, y1) = start, end
     if x1 < x0 or y1 < y0:
         return {}
     words, masks, xs = [""], [1 << _vertex_bit(x0, y0)], [x0]
     for level in range(x0 + y0 + 1, x1 + y1 + 1):
+        bits = [1 << _vertex_bit(x, level - x) for x in range(x1 + 1)]
         grown_words, grown_masks, grown_xs = [], [], []
         for word, mask, x in zip(words, masks, xs):
             if x < x1:
                 grown_words.append(word + "E")
-                grown_masks.append(mask | 1 << _vertex_bit(x + 1, level - x - 1))
+                grown_masks.append(mask | bits[x + 1])
                 grown_xs.append(x + 1)
             if level - x <= y1:
                 grown_words.append(word + "N")
-                grown_masks.append(mask | 1 << _vertex_bit(x, level - x))
+                grown_masks.append(mask | bits[x])
                 grown_xs.append(x)
         words, masks, xs = grown_words, grown_masks, grown_xs
     return dict(zip(words, masks))
@@ -130,7 +132,7 @@ def _count(p: int, q: int, t: int, u: int) -> int:
         p, q, t, u = q, p, u, t
     if t <= u:
         return 0
-    b = (binomial(p, min(t, p // 2)) * binomial(q, min(u, q // 2))).bit_length()
+    b = (comb(p, min(t, p // 2)) * comb(q, min(u, q // 2))).bit_length()
     row = b * (t + 1)
     n = p - q
     if n <= t:
@@ -172,7 +174,7 @@ def gv_identity_check(spec: PathFamilySpec) -> bool:
     intersect, so that term vanishes and the determinant counts
     L(p,q,t,u) outright.
     """
-    p, q, t, u = spec.p, spec.q, spec.t, spec.u
+    p, q, t, u = spec
     return binom_det(p, q, t, u) == _count(p, q, t, u) - _count(p, q, u, t)
 
 

@@ -1,13 +1,13 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own computation paths:
-cofactor and fraction-free (Bareiss) determinants, M_d from its closed
-form and the product g * M_d with it, k-major minor scans and a direct
-2x2 minor scan, direct polynomial expansion, Gale-evenness face
-enumeration for cyclic polytopes, stellar-subdivision face-count updates
-for stacked polytopes, closed-form
-h-vectors of the extremal families, exhaustive search for Macaulay
-expansions, the one-step-at-a-time linear scans that the library's
+binomials read off Pascal's triangle, cofactor and fraction-free
+(Bareiss) determinants, M_d from its closed form and the product g * M_d
+with it, k-major minor scans and a direct 2x2 minor scan, direct
+polynomial expansion, Gale-evenness face enumeration for cyclic
+polytopes, stellar-subdivision face-count updates for stacked polytopes,
+closed-form h-vectors of the extremal families, exhaustive search for
+Macaulay expansions, the one-step-at-a-time linear scans that the library's
 monotone search replaced, the galloping-then-bisecting search for the
 cyclic sandwich parameter that the library's closed-form start and Newton
 steps replaced, the try-every-t crossing scan that the
@@ -24,6 +24,19 @@ import argparse
 import math
 from functools import lru_cache
 from itertools import combinations
+
+
+@lru_cache(maxsize=None)
+def pascal_table(top):
+    """{(n, k): C(n, k)} for 0 <= k <= n <= top, each row built from the one
+    above by adding neighbours, never by math.comb.  A pair it lacks is a
+    vanishing binomial (k < 0, n < 0 or k > n), so .get(pair, 0) reads any
+    binomial with n <= top."""
+    table = {(0, 0): 1}
+    for n in range(1, top + 1):
+        for k in range(n + 1):
+            table[n, k] = table.get((n - 1, k - 1), 0) + table.get((n - 1, k), 0)
+    return table
 
 
 def cofactor_det(m):

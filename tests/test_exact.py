@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from fvectors.exact import binomial, binom_det
 
-from oracles import bareiss_det, cofactor_det
+from oracles import bareiss_det, cofactor_det, pascal_table
 
 
 def test_binomial_small_values():
@@ -60,6 +61,18 @@ def test_binom_det_matches_matrix_determinant():
                         [binomial(q, t), binomial(q, u)],
                     ]
                     assert binom_det(p, q, t, u) == bareiss_det(m)
+
+
+def test_binomial_and_binom_det_vanish_as_the_pascal_table():
+    # binom_det inlines binomial's guards, so each is held to the oracle
+    # on every sign and order of its arguments
+    span = range(-3, 15)
+    c = pascal_table(14).get
+    for n, k in product(span, repeat=2):
+        assert binomial(n, k) == c((n, k), 0), (n, k)
+    for p, q, t, u in product(span, repeat=4):
+        expected = c((p, t), 0) * c((q, u), 0) - c((p, u), 0) * c((q, t), 0)
+        assert binom_det(p, q, t, u) == expected, (p, q, t, u)
 
 
 def test_det_examples():

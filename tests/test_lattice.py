@@ -59,6 +59,26 @@ def test_prefix_built_masks_match_the_oracle_paths():
                 assert mask == _mask(*path_vertices(start, word)), (p, t, word)
 
 
+def test_level_bit_tables_match_the_oracle_paths_verify_phi_reads():
+    # every start and end verify_phi builds paths between at d <= 10: P
+    # from (0, -a), (0, -a-1), (0, 1-A) to (t, -t); Q from (0, -a-1),
+    # (0, 1-A), (0, -A) to (u, -u); and the zero-width axis climbed from
+    # (0, 1-A) to the anchor (0, -a-1)
+    for d in range(3, 11):
+        for a in range(delta(d)):
+            at = d + 1 - a
+            spans = {(-a, t) for t in range(1, d)} | {(-a - 1, t) for t in range(1, d)}
+            spans |= {(1 - at, t) for t in range(1, d + 1)} | {(-at, u) for u in range(2, d + 1)}
+            for y, t in spans:
+                paths = _paths_with_masks.__wrapped__((0, y), (t, -t))
+                assert list(paths) == [w for w, _ in _ne_paths(-y, t, 1 - y)], (d, a, y, t)
+                for word, mask in paths.items():
+                    assert mask == _mask(*path_vertices((0, y), word)), (d, a, y, t, word)
+            axis = _paths_with_masks.__wrapped__((0, 1 - at), (0, -a - 1))
+            word = "N" * (at - a - 2)
+            assert axis == {word: _mask(*path_vertices((0, 1 - at), word))}, (d, a)
+
+
 def test_paths_disjoint_helper():
     assert not _mask(*path_vertices((0, 0), "EN")) & _mask(*path_vertices((0, 1), "NE"))
     assert _mask(*path_vertices((0, 0), "EN")) & _mask(*path_vertices((0, 0), "NE"))
