@@ -354,9 +354,10 @@ def run(argv) -> int:
     try:
         func, args = _parse(list(argv))
         return func(args)
-    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
-        print(json.dumps({"error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # JSONDecodeError is a ValueError
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(json.dumps({"error": message}))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(cap)

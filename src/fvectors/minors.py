@@ -13,9 +13,10 @@ At even d, M_d has rank delta, one less than its delta+1 rows, so every
 little.
 """
 
-from functools import lru_cache, partial, reduce
-from itertools import combinations, islice, repeat
-from operator import add, itemgetter, mul, sub
+from functools import partial, reduce
+from itertools import accumulate, combinations, islice
+from math import comb, prod
+from operator import add, and_, eq, lshift, mul, sub
 from typing import NamedTuple, Optional, Union
 
 from .exact import int_entries
@@ -45,81 +46,80 @@ def phi_minor(d: int, a: int, b: int, r: int, s: int) -> int:
 _add_each = partial(map, add)
 
 
-@lru_cache(maxsize=2 * 30)  # two orders per d (lemma 3's 2 and one top order) to d = 30
-def _column_levels(d: int, top: int):
-    """The Laplace terms of the k-subsets C of range(d), k = 1..top, in
-    lexicographic order, by position j < k: a getter of the entries
-    (-1)^(k-1-j) m[r][c_j] from signed row r (the row, then its negation),
-    and a getter of the minors det(R, C - c_j), by rank, from the list of
-    order-(k-1) minors.  Each picks C(d, k) >= 2 items, so gives a tuple.
-
-    The tables depend on (d, top) alone, so they are built once and shared
-    by every scan: callers must not modify them.  The cache keeps the 60
-    (d, top) pairs used last.  Measured with tracemalloc, the all-order
-    tables of d = 3..13 hold 1.2 MB, with order 2 of d = 3..30 1.35 MB,
-    and d = 18's all-order tables alone 29 MB."""
-    levels, rank = {}, {0: 0}  # the rank of each (k-1)-subset by bitmask
-    powers = [1 << c for c in range(d)]
-    for k in range(1, top + 1):
-        columns = list(zip(*combinations(range(d), k)))  # column j of every C
-        bits = [itemgetter(*cols)(powers) for cols in columns]
-        masks = list(reduce(_add_each, bits))
-        levels[k] = [(itemgetter(*map(partial(add, d * ((k - 1 - j) % 2)), cols)),
-                      itemgetter(*map(rank.__getitem__, map(sub, masks, bit))))
-                     for j, (cols, bit) in enumerate(zip(columns, bits))]
-        rank = dict(zip(masks, range(len(masks))))
-    return levels
-
-
 def _scan(d: int, orders: range):
-    """Every k x k minor of M_d for k in orders, found depth-first over the
-    row sets in lexicographic order.
+    """Every k x k minor of M_d for k in orders, scanned breadth-first over
+    the orders.  Returns (minors checked, minimum, witness); ties go to the
+    lowest order, then the first row set, then the first column set.
 
-    The minors on rows R + (r,) come from the minors of the parent row set
-    R by Laplace expansion along the new last row r:
+    Rows are read reversed, m'[r][c] = m[r][d-1-c], so that colex order of
+    the indices is reverse lexicographic order of M_d's column sets.  A row
+    set R of size k holds its k x k minors as d ints: block c packs
+    det(R, C) for the C with last index c, in colex order of the other k-1
+    (the (k-1)-subsets of range(c)), each in a signed w-bit cell; laid end
+    to end, sum_c block_c << w*C(c, k) holds all of R's minors in colex
+    order.  Order 1's blocks are the entries.  Laplace expansion along the
+    last index, M_d's first column of C, gives order k from order k-1 with
+    no minor touched one at a time:
 
-        det(R + r, C) = sum_j (-1)^(k-1-j) m[r][c_j] * det(R, C - c_j).
+        block_c(R) = sum_i (-1)^i m'[r_i][c] * P_i[c],
+        P_i[c] = sum_{c' < c} block_c'(R - r_i) << w*C(c', k-1),
 
-    A row set's k x k minors are one list, ranked like the k-subsets C.  It
-    gathers its k tuples det(R, C - c_j) once for all its children; a row
-    set ending at M_d's last row has none and is not visited.  Each level of
-    the stack holds one list and k gathered tuples: at most
-    sum_k (k + 1) C(d, k) ints.  Returns (minors checked, minimum, witness):
-    ties go to the first minimum of a k-major lexicographic scan.
+    P_i[c], a running prefix of a parent's blocks, being its minors on the
+    (k-1)-subsets of range(c).  A parent is dropped after its last child,
+    the one that adds the largest row it lacks.
+
+    w = ceil(bits(S) / 2) + 2, S the product of the top order's largest
+    squared row norms, each at least 1 so that S bounds the lower orders
+    too: by Hadamard's inequality every cell v has
+    v^2 <= S < 2^bits(S), so |v| < 2^(w-2), and so has t, the least minor so
+    far (at first 2^(w-2) - 1, above them all).  lifts[c], 2^(w-1) - t in
+    each cell of block c, makes cell v read v - t + 2^(w-1), in [2, 2^w): a
+    base-2^w digit, so no cell borrows from or carries into the next, and
+    its top bit (tops[c] holds them) is set exactly when v >= t.  So one
+    test per block shows that no cell lies below t.  Only a row set that
+    fails it is decoded, from its binary string: that reads the cells top
+    first, in lexicographic order, so the first least one is the witness.
     """
-    signed_rows = [row + tuple(-x for x in row) for row in build_md(d)]
-    last = len(signed_rows) - 1
-    top = orders[-1]
-    levels = _column_levels(d, top)
-    # the top order's entries of each row it can end at, shared by all parents
-    top_entries = {r: [gather(signed_rows[r]) for gather, _ in levels[top]]
-                   for r in range(top - 1, last + 1)}
-    checked, best = 0, None  # best: least (value, k, rows, rank of the columns)
-
-    def visit(rows, parent, k):
-        nonlocal checked, best
-        pieces = [minors(parent) for _, minors in levels[k]]
-        for r in range(rows[-1] + 1 if rows else 0, last + 1):
-            entries = (top_entries[r] if k == top
-                       else [gather(signed_rows[r]) for gather, _ in levels[k]])
-            values = reduce(_add_each, map(map, repeat(mul), entries, pieces))
+    md = build_md(d)
+    n, top = len(md), orders[-1]
+    squares = sorted(sum(map(mul, row, row)) or 1 for row in md)  # a zero row counts 1
+    w = (prod(squares[n - top:]).bit_length() + 1) // 2 + 2
+    half = 1 << w - 1
+    reversed_rows = [row[::-1] for row in md]
+    if orders[0] == 1:  # order 1: the entries, by row then column
+        t = min(map(min, md))
+        r = next(r for r, row in enumerate(md) if t in row)
+        best = (r,), md[r].index(t), 1
+    else:
+        t = (1 << w - 2) - 1
+    level = dict(zip(combinations(range(n), 1), reversed_rows))
+    ones, shifts = [1] * d, range(0, w * d, w)
+    for k in range(2, top + 1):
+        # ones[c]: a one in each of block c's C(c, k-1) cells
+        ones = list(accumulate(map(lshift, ones, shifts), initial=0))[:d]
+        parent_shifts, shifts = shifts, list(accumulate(shifts, initial=0))[:d]
+        tops = [one << w - 1 for one in ones]
+        lifts = [(half - t) * one for one in ones]
+        children, pop, get = {}, level.pop, level.__getitem__
+        for rows in combinations(range(n), k):
+            terms = [map(mul, reversed_rows[r], accumulate(map(
+                lshift, (pop if r == n - k + i else get)(rows[:i] + rows[i + 1:]),
+                parent_shifts), initial=0)) for i, r in enumerate(rows)]
+            blocks = list(map(sub, reduce(_add_each, terms[::2]), reduce(_add_each, terms[1::2])))
+            if k in orders and not all(map(eq, map(and_, map(add, blocks, lifts), tops), tops)):
+                lifted = map(lshift, map(add, blocks, lifts), shifts)
+                bits = format(sum(lifted), "b").zfill(w * comb(d, k))
+                cells = [bits[j:j + w] for j in range(0, len(bits), w)]
+                low = min(cells)  # equal widths: as strings as by value
+                t += int(low, 2) - half
+                best = rows, cells.index(low), k
+                lifts = [(half - t) * one for one in ones]
             if k < top:
-                values = list(values)
-                del entries  # not held down the recursion
-            if k in orders:
-                checked += len(pieces[0])
-                low = min(values)
-                if best is None or (low, k) < best[:2]:  # same-order row sets come sorted
-                    if k == top:  # its rank, from the minors again
-                        values = list(reduce(_add_each, map(map, repeat(mul), entries, pieces)))
-                    best = (low, k, rows + (r,), values.index(low))
-            if k < top and r < last:
-                visit(rows + (r,), values, k + 1)
-
-    visit((), [1], 1)  # the empty minor is 1
-    value, k, rows, index = best
-    cols = next(islice(combinations(range(d), k), index, None))
-    return checked, value, (rows, cols)
+                children[rows] = blocks
+        level = children
+    checked = sum(comb(n, j) * comb(d, j) for j in orders)
+    rows, rank, k = best
+    return checked, t, (rows, next(islice(combinations(range(d), k), rank, None)))
 
 
 def verify_lemma3(d: int) -> MinorReport:

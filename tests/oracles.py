@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own computation paths:
 binomials read off Pascal's triangle, cofactor and fraction-free
 (Bareiss) determinants, M_d from its closed form and the product g * M_d
-with it, k-major minor scans and a direct 2x2 minor scan, direct
+with it, k-major minor scans, the depth-first Laplace minor scanner that
+the packed breadth-first scan replaced and a direct 2x2 minor scan, direct
 polynomial expansion, Gale-evenness face enumeration for cyclic
 polytopes, stellar-subdivision face-count updates for stacked polytopes,
 closed-form h-vectors of the extremal families, exhaustive search for
@@ -22,8 +23,11 @@ which the CLI's one-pass reader of its command table replaced.
 
 import argparse
 import math
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial, reduce
+from itertools import combinations, islice, repeat
+from operator import add, itemgetter, mul, sub
+
+_add_each = partial(map, add)
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +139,55 @@ def two_by_two_scan(md):
             if low is None or value < low:
                 low, witness = value, ((a, b), (r, s))
     return count, low, witness
+
+
+def laplace_scan(md, orders):
+    """For each order k in orders (a range from 1 or 2 up): (minors scanned,
+    least minor, its (rows, cols)), first least one kept in a row-tuple,
+    then column-tuple, lexicographic scan, from one depth-first walk over
+    the row sets, so fold_orders gives every max order.  This is the scanner
+    the packed breadth-first scan replaced.  The minors on rows R + (r,)
+    come from those of R by Laplace expansion along the new last row r:
+
+        det(R + r, C) = sum_j (-1)^(k-1-j) m[r][c_j] * det(R, C - c_j).
+
+    A row set's k x k minors are one list ranked like the k-subsets C of the
+    columns in lexicographic order; position j of C reads (-1)^(k-1-j)
+    m[r][c_j] from the signed row r (the row, then its negation) and the
+    parent's minor at the rank of C - c_j.  Each getter picks C(d, k) >= 2
+    items, so gives a tuple: orders must stay below the column count."""
+    n, d = len(md), len(md[0])
+    top = orders[-1]
+    signed_rows = [tuple(row) + tuple(-x for x in row) for row in md]
+    levels, rank = {}, {0: 0}  # the rank of each (k-1)-subset by bitmask
+    powers = [1 << c for c in range(d)]
+    for k in range(1, top + 1):
+        columns = list(zip(*combinations(range(d), k)))  # column j of every C
+        bits = [itemgetter(*cols)(powers) for cols in columns]
+        masks = list(reduce(_add_each, bits))
+        levels[k] = [(itemgetter(*map(partial(add, d * ((k - 1 - j) % 2)), cols)),
+                      itemgetter(*map(rank.__getitem__, map(sub, masks, bit))))
+                     for j, (cols, bit) in enumerate(zip(columns, bits))]
+        rank = dict(zip(masks, range(len(masks))))
+    counts, best = dict.fromkeys(orders, 0), {}  # best[k]: (least, rows, rank)
+
+    def visit(rows, parent, k):
+        pieces = [minors(parent) for _, minors in levels[k]]
+        for r in range(rows[-1] + 1 if rows else 0, n):
+            entries = [gather(signed_rows[r]) for gather, _ in levels[k]]
+            values = list(reduce(_add_each, map(map, repeat(mul), entries, pieces)))
+            if k in orders:
+                counts[k] += len(values)
+                low = min(values)
+                if k not in best or low < best[k][0]:
+                    best[k] = (low, rows + (r,), values.index(low))
+            if k < top and r < n - 1:
+                visit(rows + (r,), values, k + 1)
+
+    visit((), [1], 1)  # the empty minor is 1
+    return [(counts[k], best[k][0],
+             (best[k][1], next(islice(combinations(range(d), k), best[k][2], None))))
+            for k in orders]
 
 
 def crossing_index_by_scan(diffs):

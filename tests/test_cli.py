@@ -190,6 +190,20 @@ def test_verify_ratio_chain_failure_exits_1(monkeypatch, capsys):
     assert doc == {"d": 5, "pairs": 10, "failures": [[1, 3]]}
 
 
+def test_engine_out_of_memory_is_a_json_error(monkeypatch, capsys):
+    # an all-order scan holds two orders' minors, so a large --d can exhaust
+    # memory; the engine is replaced, as a real run would allocate gigabytes
+    def exhausted(d, max_order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_total_nonnegativity", exhausted)
+    code = run(["verify", "minors", "--d", "22"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert json.loads(captured.out) == {"error": "out of memory"}
+    assert captured.err == "error: out of memory\n"
+
+
 def test_verify_minors(capsys):
     code, doc = invoke(capsys, "verify", "minors", "--d", "5", "--order", "all")
     assert code == EXIT_OK

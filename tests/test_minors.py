@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import combinations
-from math import comb
+from math import comb, prod
+from operator import add
 
 import pytest
 
@@ -11,7 +13,8 @@ from fvectors.transforms import build_md, delta
 
 from deadline import timed
 from oracles import (
-    bareiss_det, fold_orders, md_by_closed_form, minors_by_order, two_by_two_scan,
+    bareiss_det, fold_orders, laplace_scan, md_by_closed_form, minors_by_order,
+    two_by_two_scan,
 )
 
 
@@ -205,44 +208,147 @@ def test_max_order_truncation():
     assert r1.min_value == min(min(row) for row in md)
 
 
-def _cold(scan, *args):
-    minors._column_levels.cache_clear()
-    return repr(scan(*args))
-
-
-def test_scans_give_the_same_reports_with_the_column_tables_cold_and_warm():
+def test_scans_give_the_same_reports_when_repeated():
     cases = ([(verify_total_nonnegativity, d) for d in range(3, 13)]
              + [(verify_lemma3, d) for d in range(3, 31)])
-    cold = [_cold(scan, d) for scan, d in cases]
-    filling = [repr(scan(d)) for scan, d in cases]
-    hits = minors._column_levels.cache_info().hits
-    assert [repr(scan(d)) for scan, d in cases] == filling == cold
-    assert minors._column_levels.cache_info().hits == hits + len(cases)
+    first = [repr(scan(d)) for scan, d in cases]
+    assert [repr(scan(d)) for scan, d in cases] == first
 
 
 def test_scans_give_the_same_reports_with_max_orders_interleaved():
     d = 11
     orders = [*range(1, delta(d) + 3), "all"]  # 7 > delta + 1 scans every order
-    cold = {order: _cold(verify_total_nonnegativity, d, order) for order in orders}
-    lemma3 = _cold(verify_lemma3, d)
+    first = {order: repr(verify_total_nonnegativity(d, order)) for order in orders}
+    lemma3 = repr(verify_lemma3(d))
     for order in ["all", 2, 6, 1, 3, "all", 5, 2, 4, 7, 1]:
-        assert repr(verify_total_nonnegativity(d, order)) == cold[order], order
+        assert repr(verify_total_nonnegativity(d, order)) == first[order], order
         assert repr(verify_lemma3(d)) == lemma3
 
 
-def test_column_table_cache_holds_two_orders_per_d_to_30():
-    # verify_lemma3 scans order 2 and verify_total_nonnegativity one top
-    # order, so two tables per d, for every d up to 30, stay cached
-    assert minors._column_levels.cache_info().maxsize == 2 * 30
-    minors._column_levels.cache_clear()
-    for d in range(3, 31):
-        verify_lemma3(d)
-        verify_total_nonnegativity(d, 1)
-    assert minors._column_levels.cache_info().currsize == 2 * 28
-    for d in range(3, 31):
-        verify_lemma3(d)
-        verify_total_nonnegativity(d, 1)
-    assert minors._column_levels.cache_info().misses == 2 * 28
+@pytest.mark.parametrize("d", [14, 15])
+def test_scan_matches_depth_first_laplace_oracle(d):
+    per_order = laplace_scan(md_by_closed_form(d), range(1, delta(d) + 2))
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+
+
+def test_lemma3_matches_depth_first_laplace_oracle_d31_to_40():
+    for d in range(31, 41):
+        [(checked, low, witness)] = laplace_scan(md_by_closed_form(d), range(2, 3))
+        assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, low >= 0), d
+
+
+@pytest.mark.parametrize("i, j, value", [
+    (1, 0, -4),  # column 0: a negative entry
+    (2, 0, 1),  # column 0: negative minors of orders 2-4 only
+    (0, 8, 19),  # column d-1: negative minors of orders 2 and 4 only
+    (4, 4, 7),  # the last row: negative minors of orders 3-5 only
+    (4, 8, 3),  # the last row and column: every minor stays nonnegative
+])
+def test_scanner_reports_planted_faults_at_block_edges(monkeypatch, i, j, value):
+    # the scan packs the column sets from the right, so columns 0 and d-1
+    # sit at the ends of its blocks, and a parent is dropped after the child
+    # that adds the last row
+    d = 9
+    planted = _planted(d, i, j, value)
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted, bareiss_det)
+    assert all(low >= 0 for _, low, _ in per_order) == (value == 3)
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, low >= 0)
+
+
+def test_scanner_reads_cells_near_the_width_bound(monkeypatch):
+    # a scaled 4 x 4 Hadamard matrix in columns 0, 2, 4 and 6, small mixed
+    # signs between: its least top-order minor, -16a^4, nearly attains the
+    # Hadamard bound, so cells and the least minor reach the test's edge
+    d, a = 7, 1 << 12
+    signs = [(1, 1, 1, -1), (1, -1, 1, 1), (1, 1, -1, 1), (1, -1, -1, -1)]
+    small = [(3, -1, 2), (-2, 0, 1), (1, 2, -3), (0, -1, -1)]
+    planted = tuple((a * h0, s0, a * h1, s1, a * h2, s2, a * h3)
+                    for (h0, h1, h2, h3), (s0, s1, s2) in zip(signs, small))
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    squares = [sum(x * x for x in row) for row in planted]
+    w = (prod(squares).bit_length() + 1) // 2 + 2  # the scan's cell width
+    per_order = minors_by_order(planted, bareiss_det)
+    assert -per_order[-1][1] >= 1 << w - 4
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
+def test_lemma3_reads_cells_at_the_width_bound(monkeypatch):
+    # rows with two entries +-a: each 2x2 minor on columns 0, 1 is +-2a^2,
+    # the Hadamard bound itself, and rows (0, 1) set the least minor -2a^2
+    # before rows (1, 2) meet +2a^2, so one bit less of width would carry
+    d, a = 5, 1 << 10
+    planted = ((a, a, 0, 0, 0), (a, -a, 0, 0, 0), (a, a, 0, 0, 0))
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    checked, low, witness = two_by_two_scan(planted)
+    assert (low, witness) == (-2 * a * a, ((0, 1), (0, 1)))
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
+def test_scanner_width_covers_lower_orders_past_a_zero_row(monkeypatch):
+    # a zero row's squared norm is 0: taken as it is, the width's product
+    # over the top order would be 0 and leave no room for the 2x2 minors
+    d = 5
+    planted = ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (0, 0, 0, 0, 0))
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted, bareiss_det)
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
+def test_scanner_keeps_the_first_of_tied_minima_within_a_row_set(monkeypatch):
+    # column 4 of M_6 a copy of column 3 and m[0][2] negated: the least 2x2
+    # minor, on rows (0, 1), is met on columns (2, 3) and again on (2, 4)
+    d = 6
+    planted = [list(row) for row in _planted(d, 0, 2, -35)]
+    for row in planted:
+        row[4] = row[3]
+    planted = tuple(map(tuple, planted))
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted, bareiss_det)
+    assert per_order[1][1:] == (-1225, ((0, 1), (2, 3)))
+    assert bareiss_det([[planted[i][j] for j in (2, 4)] for i in (0, 1)]) == -1225
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
+def test_scan_frees_each_parent_after_its_last_child():
+    # the scan keeps order k-1's blocks while it builds order k's; dropping
+    # each parent after its last child keeps its peak below the bytes of
+    # two whole stored orders' cells at its width w (the top order is never
+    # stored): 2.5 MB against 3.3 MB at d = 15, where keeping every parent
+    # peaks at 3.8 MB
+    d = 15
+    md = build_md(d)
+    n = len(md)
+    w = (prod(sum(x * x for x in row) for row in md).bit_length() + 1) // 2 + 2
+    cells = [comb(n, k) * comb(d, k) for k in range(1, n)]
+    two_orders = max(map(add, cells, cells[1:])) * w // 8
+    verify_total_nonnegativity(3)
+    tracemalloc.start()
+    try:
+        verify_total_nonnegativity(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < two_orders
+
+
+def test_total_nonnegativity_d16_within_a_second():
+    report = timed(verify_total_nonnegativity, 16, seconds=1)
+    assert report.minors_checked == sum(comb(9, k) * comb(16, k) for k in range(1, 10))
+    assert report.all_nonnegative
 
 
 def test_step1_ratio_equiv():
