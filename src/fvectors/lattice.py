@@ -16,12 +16,13 @@ into the signed count
 over the fixed endpoint parameters t = d-s, u = d-r, with A = d+1-a.
 Nonnegativity then follows from an explicit injection phi from the two
 negative families into the two positive ones, built case by case on how
-the paths begin.  verify_phi runs that construction exhaustively, word
-by word where it can, and checks injectivity, case dispatch, membership,
-and the anchor invariants that keep the cases from colliding.
+the paths begin, one row of _CASES per case.  verify_phi runs that table
+exhaustively, word by word where it can, and checks injectivity, case
+dispatch, membership, and the anchor invariants that keep the cases apart.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -31,10 +32,7 @@ from .exact import binom_det, int_entries
 from .transforms import check_dim, check_rs, delta
 from .minors import phi_minor
 
-CASE_1 = "1"
-CASE_2A = "2a"
-CASE_2B = "2b"
-CASE_2C = "2c"
+CASE_1, CASE_2A, CASE_2B, CASE_2C = "1", "2a", "2b", "2c"
 
 
 class _PathFamilyFields(NamedTuple):
@@ -195,17 +193,13 @@ def verify_gv(bound: int) -> GVSweepReport:
     return GVSweepReport(bound, (bound + 1) ** 4, failures)
 
 
-def _lift_q(steps: str, d: int, a: int) -> str:
-    """Case 1's map on Q, and case 2b's on P (_lift_p, a name of its own so
-    that either case's map can be replaced alone): N^(A-a-2) before the
-    word climbs the y-axis from (0, 1-A) to its start (0, -a-1)."""
+def _lift(steps: str, d: int, a: int) -> str:
+    """Case 1's map on Q and 2b's on P: N^(A-a-2) before the word climbs
+    the y-axis from (0, 1-A) to its start (0, -a-1)."""
     return "N" * (d - 1 - 2 * a) + steps
 
 
-_lift_p = _lift_q
-
-
-def _drop(steps: str) -> str:
+def _drop(steps: str, d: int, a: int) -> str:
     """Case 2a's map on either word: its first step, an N, dropped."""
     return steps[1:]
 
@@ -228,29 +222,42 @@ def _head_2c(q_steps: str, k: int, d: int, a: int, r: int, s: int):
             "E" * k + "N" * len(parts[k]) + "E" + "N" * (h + 1) + parts[k + 1])
 
 
+# A case of phi: its label; whether it takes the pairs of L(a, a+1) (first) or
+# of L(a+1, A); the first steps of P and of Q that select it; its maps, one per
+# word (None: the word is its own image) or 2c's head, a map of the pair.  The
+# label alone gives the target and whether the image holds the anchor (0, -a-1).
+_Case = namedtuple("_Case", "label first p_first q_first p_map q_map pair_map",
+                   defaults=(None,) * 3)
+_CASES = (  # each domain pair is taken by the one row it matches, in any order
+    _Case(CASE_1, True, "EN", "EN", q_map=_lift),
+    _Case(CASE_2A, False, "N", "N", _drop, _drop),
+    _Case(CASE_2B, False, "EN", "E", p_map=_lift),
+    _Case(CASE_2C, False, "E", "N", pair_map=_head_2c),
+)
+_LOW_TARGET = (CASE_1, CASE_2A)  # their images lie in L(a, A-1), the others' in L(A-1, A)
+_ANCHORED = (CASE_1, CASE_2B)  # their images hold the anchor, the others' miss it
+
+
 def _phi_words(first: bool, p_steps: str, q_steps: str, d: int, a: int, r: int, s: int):
     """The injection on step words: (case, image P word, image Q word) for
-    a pair of L(a, a+1) (first) or of L(a+1, A) given by its two words,
-    built from the case's word maps.  The case is 1 on L(a, a+1); on
-    L(a+1, A) it is 2b when Q begins E, 2a when P begins N, else 2c.  The
-    image start points follow from it: (0, -a) and (0, 1-A) in cases 1 and
-    2a, (0, 1-A) and (0, -A) in 2b and 2c."""
-    if first:
-        return CASE_1, p_steps, _lift_q(q_steps, d, a)
-    if q_steps.startswith("E"):
-        return CASE_2B, _lift_p(p_steps, d, a), q_steps
-    if p_steps.startswith("N"):
-        return CASE_2A, _drop(p_steps), _drop(q_steps)
-    k = len(p_steps) - len(p_steps.lstrip("E"))
-    p_head, q_bar = _head_2c(q_steps, k, d, a, r, s)
-    return CASE_2C, p_head + p_steps[k:], q_bar
+    a pair of L(a, a+1) (first) or of L(a+1, A), by the maps of the one
+    row of _CASES that takes it."""
+    [row] = [row for row in _CASES if row.first is first
+             and p_steps[:1] in row.p_first and q_steps[:1] in row.q_first]
+    if row.pair_map is None:
+        return (row.label, row.p_map(p_steps, d, a) if row.p_map else p_steps,
+                row.q_map(q_steps, d, a) if row.q_map else q_steps)
+    rest = p_steps.lstrip(row.p_first)
+    p_head, q_bar = row.pair_map(q_steps, len(p_steps) - len(rest), d, a, r, s)
+    return row.label, p_head + rest, q_bar
 
 
 def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
     """Apply the injection to the pair of L(a, a+1) (first) or of L(a+1, A)
-    given by its two step words and return (case label, image P word,
-    image Q word).  The image lands in L(a, A-1) for case 1 and subcase 2a,
-    and in L(A-1, A) for subcases 2b and 2c."""
+    given by its two step words: (case label, image P word, image Q word),
+    the image in L(a, A-1) in cases 1 and 2a, in L(A-1, A) in 2b and 2c."""
+    if not (type(first) is bool and type(p_word) is type(q_word) is str):
+        raise ValueError("first must be a bool and the two words strings")
     check_rs(d, r, s, a)
     if not 0 <= a < delta(d):
         raise ValueError(f"need 0 <= a < delta, got a={a}, d={d}")
@@ -258,9 +265,7 @@ def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
     p_paths, q_paths = _family_paths(PathFamilySpec(low, high, d - s, d - r))
     p_mask, q_mask = p_paths.get(p_word), q_paths.get(q_word)
     if p_mask is None or q_mask is None or p_mask & q_mask:
-        raise ValueError(
-            f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}"
-        )
+        raise ValueError(f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}")
     return _phi_words(first, p_word, q_word, d, a, r, s)
 
 
@@ -296,114 +301,109 @@ def verify_phi(d: int) -> PhiReport:
       - #L(a, A-1) + #L(A-1, A) >= #L(a, a+1) + #L(a+1, A), with the
         difference equal to the consecutive-row minor of M_d.
 
-    Pairs are carried as step words and vertex bitmasks: an image is in
-    its target when each word is a path of the target's P or Q dict and
-    the masks are disjoint.  Failures, (tag, reason) pairs, are collected
-    in the report, never raised; each clears the flag it names.
-
-    Cases 1, 2a and 2b are checked per word, in a loop over the P sides
-    (a, s) and one over the Q sides (a, r), on which the words and their
-    targets depend; a word is tagged (a, r, s, "P" or "Q", word) by the
-    first instance that holds it, (a, 0, s) or (a, r, r+1).  A lifted
-    word's image (case 1's Q, 2b's P) must be its mask plus the y-axis
-    from (0, 1-A) to the anchor (0, -a-1), a dropped word's (2a) must lie
-    within its mask; an image off its target clears membership_ok, one
-    off its word injective.  The rest is implied: case 1's P words are
-    L(a, A-1)'s and 2b's Q words L(A-1, A)'s, and they miss the axis (a P
-    word from (0, -a) stays above it, an E-first Q word leaves x = 0 at
-    once), so each image pair is disjoint and gives back the domain pair.
-    No 2a image holds the anchor, where the axis ends: the P image starts
-    above it, and the Q image lies within a Q word that does not climb to
-    it (those are cut off).  So anchors_ok fails only in 2c.
-
-    The loop over (r, s) checks 2c per pair, tagged (a, r, s, P word, Q
-    word): a head that cannot be built or an intersecting image clears
-    cases_partition, an image off its target membership_ok (each skips the
-    pair), a P image through the anchor anchors_ok, a repeated image
-    injective.  A Q image through the anchor meets the P image at its
-    start (0, 1-A).  Then the domain's disjoint mask pairs are counted.
+    Paths are step words with vertex bitmasks, and each case is its row
+    of _CASES, as in phi; a Q word through P's start meets every P and is
+    cut off.  Per a, loops over the P sides (a, s) and Q sides (a, r)
+    check each mapped word, tagged (a, r, s, "P" or "Q", word) by its
+    first instance, (a, 0, s) or (a, r, r+1): its image must be the word
+    moved along the y-axis to its target's start, holding the anchor as
+    its label says.  Words kept as they are (case 1's P, 2b's Q) are their
+    targets' own and miss the moved stretch and the anchor, so each image
+    pair is disjoint, gives back its domain pair and holds the anchor as
+    its mapped word does.  Per (r, s), 2c's head runs pair by pair, tagged
+    (a, r, s, P word, Q word); a Q image through the anchor meets the P
+    image at (0, 1-A).  Failures, (tag, reason), are collected, never
+    raised: an image off its target clears membership_ok, off its word or
+    repeated injective, off the anchor rule anchors_ok; a 2c head that
+    fails or intersects clears cases_partition.
     """
     check_dim(d)
     dl = delta(d)
-    pairs_checked = 0
-    failures, broken = [], set()
+    pairs_checked, failures, broken = 0, [], set()
 
     def fail(flag, tag, reason):
         broken.add(flag)
         failures.append((tag, reason))
 
-    def word_failed(image, case, tag):
-        flag, off = ("membership_ok", "in wrong family") if image is None else (
-            "injective", "off its word")
-        fail(flag, tag, f"case {case} image {off}")
+    def word_failed(label, tag, image, mask, move, want):
+        if image is None:
+            return fail("membership_ok", tag, f"case {label} image in wrong family")
+        if (image ^ mask ^ move) & ~anchor:
+            fail("injective", tag, f"case {label} image off its word")
+        if image & anchor != want:
+            fail("anchors_ok", tag, f"case {label} anchor invariant broken")
 
     for a in range(dl):
         at = d + 1 - a
         anchor = 1 << _vertex_bit(0, -a - 1)
-        [axis] = _paths_with_masks((0, 1 - at), (0, -a - 1)).values()
-        p_sides, q_sides = {}, {}
-        for s in range(1, d):  # P runs to (t, -t), t = d - s
-            end = (d - s, s - d)
-            p1, p2, high_p = (_paths_with_masks((0, y), end) for y in (-a, -a - 1, 1 - at))
-            p2_items = list(p2.items())
-            pn = bisect_left(p2_items, ("N",))  # the words come sorted, E-words first
-            for w, m in p2_items:
-                image = high_p.get(_lift_p(w, d, a))
-                if image != m | axis:
-                    word_failed(image, CASE_2B, (a, 0, s, "P", w))
-            for w, m in p2_items[pn:]:
-                image = p1.get(_drop(w))
-                if image is None or image & ~m:
-                    word_failed(image, CASE_2A, (a, 0, s, "P", w))
-            p_sides[s] = (list(p1.values()), [m for _, m in p2_items]), p2_items[:pn], high_p
-        for r in range(d - 1):  # Q runs to (u, -u), u = d - r
-            end = (d - r, r - d)
-            q1, low_q, high_q = (_paths_with_masks((0, y), end) for y in (-a - 1, 1 - at, -at))
-            # last come the words through the anchor, N^(A-a-1)..., which meet every P
-            q2_items = list(high_q.items())
-            qn, qa = (bisect_left(q2_items, (w,)) for w in ("N", "N" * (d - 2 * a)))
-            for w, m in q1.items():
-                image = low_q.get(_lift_q(w, d, a))
-                if image != m | axis:
-                    word_failed(image, CASE_1, (a, r, r + 1, "Q", w))
-            for w, m in q2_items[qn:qa]:
-                image = low_q.get(_drop(w))
-                if image is None or image & ~m:
-                    word_failed(image, CASE_2A, (a, r, r + 1, "Q", w))
-            q_sides[r] = (list(q1.values()), list(high_q.values())), q2_items[qn:qa], high_q
+        domains, mapped = set(), ([], [])  # the domains' starts; per side the rows that map words
+        for row in _CASES:
+            starts = (a, a + 1) if row.first else (a + 1, at)
+            targets = (a, at - 1) if row.label in _LOW_TARGET else (at - 1, at)
+            want = anchor if row.label in _ANCHORED else 0
+            domains.add(starts)
+            [climb] = _paths_with_masks((0, -starts[1]), (0, -starts[0]))  # Q through P's start
+            # per side (P, Q): the first steps, word map, start and target of the row
+            for i, letters, word_map, y, ty in zip((0, 1), row[2:4], row[4:6], starts, targets):
+                if word_map or row.pair_map:  # its words begin with one of its letters, so
+                    past = (chr(ord(letters[-1]) + 1),)  # sort below this and, on Q, the climb
+                    # an image is its word moved along the y-axis to its target's start, holding
+                    # the anchor as the label says (a side's words all start there or all miss it)
+                    move = sum(_paths_with_masks((0, -max(y, ty)), (0, -1 - min(y, ty))).values())
+                    move = move & ~anchor | want ^ (1 << _vertex_bit(0, -y)) & anchor
+                    mapped[i].append((row, word_map, y, ty, (letters[0],),
+                                      min(past, (climb,)) if i else past, move, want))
+        sides = {}, {}  # per side and s or r: each domain's masks, each pair map's words, target
+        for i, heights in enumerate(((a, a + 1, at - 1), (a + 1, at - 1, at))):  # P's, Q's starts
+            for v in range(1 - i, d - i):  # s for P, which runs to (d-s, s-d); r for Q
+                paths = {y: _paths_with_masks((0, -y), (d - v, v - d)) for y in heights}
+                tag = (a, 0, v, "P") if i == 0 else (a, v, v + 1, "Q")
+                listed, paired = {}, []
+                for row, word_map, y, ty, lo, hi, move, want in mapped[i]:
+                    items = listed.get(y) or listed.setdefault(y, list(paths[y].items()))
+                    words, target = items[bisect_left(items, lo):bisect_left(items, hi)], paths[ty]
+                    for w, m in words if word_map else ():
+                        image = target.get(word_map(w, d, a))
+                        if image != m ^ move:
+                            word_failed(row.label, (*tag, w), image, m, move, want)
+                    if row.pair_map:
+                        paired.append((row, want, words, target))
+                sides[i][v] = [list(paths[starts[i]].values()) for starts in domains], paired
         for r, s in combinations(range(d), 2):
-            p_masks, p2_east, high_p = p_sides[s]
-            q_masks, q2_north, high_q = q_sides[r]
-            images = set()
-            for pw, pm in p2_east:
-                rest = pw.lstrip("E")
-                k = len(pw) - len(rest)
-                for qw, qm in q2_north:
-                    if pm & qm:
-                        continue
-                    try:
-                        p_head, q_bar = _head_2c(qw, k, d, a, r, s)
-                    except ValueError as exc:
-                        fail("cases_partition", (a, r, s, pw, qw), f"construction failed: {exc}")
-                        continue
-                    image = image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
-                    if image_pm is None or image_qm is None:
-                        fail("membership_ok", (a, r, s, pw, qw), "case 2c image in wrong family")
-                    elif image_pm & image_qm:
-                        fail("cases_partition", (a, r, s, pw, qw),
-                             "construction failed: image paths must be vertex-disjoint")
-                    else:
-                        if image_pm & anchor:
-                            fail("anchors_ok", (a, r, s, pw, qw),
-                                 "case 2c anchor invariant broken")
-                        if image in images:
-                            fail("injective", (a, r, s, pw, qw), "image collision")
-                        images.add(image)
-            domain_size = sum(list(map(pm.__and__, qms)).count(0)
-                              for pms, qms in zip(p_masks, q_masks) for pm in pms)
+            (p_masks, p_paired), (q_masks, q_paired) = sides[0][s], sides[1][r]
+            domain_size, images = sum(list(map(pm.__and__, qms)).count(0)
+                                      for pms, qms in zip(p_masks, q_masks) for pm in pms), set()
+            for (row, want, p_words, high_p), (_, _, q_words, high_q) in zip(p_paired, q_paired):
+                head, letters = row.pair_map, row.p_first
+                for pw, pm in p_words:
+                    rest = pw.lstrip(letters)
+                    k = len(pw) - len(rest)
+                    for qw, qm in q_words:
+                        if pm & qm:
+                            continue
+                        try:
+                            p_head, q_bar = head(qw, k, d, a, r, s)
+                        except ValueError as exc:
+                            fail("cases_partition", (a, r, s, pw, qw),
+                                 f"construction failed: {exc}")
+                            continue
+                        image = image_pm, image_qm = high_p.get(p_head + rest), high_q.get(q_bar)
+                        if image_pm is None or image_qm is None:
+                            fail("membership_ok", (a, r, s, pw, qw),
+                                 f"case {row.label} image in wrong family")
+                        elif image_pm & image_qm:
+                            fail("cases_partition", (a, r, s, pw, qw),
+                                 "construction failed: image paths must be vertex-disjoint")
+                        else:
+                            if image_pm & anchor != want:
+                                fail("anchors_ok", (a, r, s, pw, qw),
+                                     f"case {row.label} anchor invariant broken")
+                            if image in images:
+                                fail("injective", (a, r, s, pw, qw), "image collision")
+                            images.add(image)
             pairs_checked += domain_size
-            target_total = sum(count_disjoint_pairs(PathFamilySpec(low, high, d - s, d - r))
-                               for low, high in ((a, at - 1), (at - 1, at)))
+            target_total = (count_disjoint_pairs(PathFamilySpec(a, at - 1, d - s, d - r))
+                            + count_disjoint_pairs(PathFamilySpec(at - 1, at, d - s, d - r)))
             minor = phi_minor(d, a, a + 1, r, s)
             if target_total - domain_size != minor:
                 fail("counts_consistent", (a, r, s),

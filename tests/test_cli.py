@@ -137,18 +137,20 @@ def test_verify_phi(capsys):
 
 
 def test_verify_phi_failures_are_structured(monkeypatch, capsys):
-    # case 1's Q map, then case 2b's P map, returns its input word, off the
-    # target family; a failed word is [[a, r, s, side, word], reason], with
-    # integer a, r, s, tagged by the first instance that holds its side:
-    # (a, r, r+1) for Q, (a, 0, s) for P
+    # case 1's Q map, then case 2b's P map, cells of the case table, returns
+    # its input word, off the target family; a failed word is [[a, r, s,
+    # side, word], reason], with integer a, r, s, tagged by the first
+    # instance that holds its side: (a, r, r+1) for Q, (a, 0, s) for P
     planted = {
-        "_lift_q": [[[1, 2, 3, "Q", "EE"], "case 1 image in wrong family"]],
-        "_lift_p": [[tag, "case 2b image in wrong family"] for tag in (
+        ("1", "q_map"): [[[1, 2, 3, "Q", "EE"], "case 1 image in wrong family"]],
+        ("2b", "p_map"): [[tag, "case 2b image in wrong family"] for tag in (
             [0, 0, 3, "P", "E"], [1, 0, 2, "P", "EE"], [1, 0, 3, "P", "EN"], [1, 0, 3, "P", "NE"])],
     }
-    for name, failures in planted.items():
+    for (case, cell), failures in planted.items():
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, name, lambda w, d, a: w)
+            patch.setattr(lattice, "_CASES", tuple(
+                row._replace(**{cell: lambda w, d, a: w}) if row.label == case else row
+                for row in lattice._CASES))
             code, doc = invoke(capsys, "verify", "phi", "--d", "4")
         assert code == EXIT_FAIL
         assert doc["failures"] == failures

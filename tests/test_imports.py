@@ -48,3 +48,11 @@ def test_cli_import_leaves_costly_modules_out():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(Path(fvectors.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_module_parses_as_python_3_10(path):
+    # the package declares Python >= 3.10; grammar from a later version
+    # would fail there at import
+    ast.parse(path.read_text(), feature_version=(3, 10))

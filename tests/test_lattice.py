@@ -233,6 +233,11 @@ def test_path_pair_rejects_intersecting():
 def test_phi_rejects_bad_parameters():
     with pytest.raises(ValueError):
         phi(True, "E", "EE", 4, 2, 2, 3)  # a = delta not admissible
+    for first, p_word, q_word in (("x", "E", "EE"), (1, "E", "EE"), (None, "E", "EE"),
+                                  (True, ["E"], "EE"), (True, "E", ("E", "E")),
+                                  (False, b"EN", "EENN")):
+        with pytest.raises(ValueError, match="first must be a bool and the two words strings"):
+            phi(first, p_word, q_word, 4, 1, 2, 3)
     with pytest.raises(ValueError):
         phi(True, "E", "EE", 4, 1, 3, 2)  # r >= s
     with pytest.raises(ValueError):
@@ -323,9 +328,23 @@ def test_gv_counts_match_minor_for_actual_instances():
                     assert total == phi_minor(d, a, a + 1, r, s)
 
 
+def test_case_table_partitions_each_domain_by_first_steps():
+    # the table alone: on L(a+1, A) each pair of first steps is taken by
+    # exactly one row, on L(a, a+1) case 1 takes every pair
+    for first in (True, False):
+        for p_step, q_step in product("EN", repeat=2):
+            takers = [row.label for row in lattice._CASES if row.first is first
+                      and p_step in row.p_first and q_step in row.q_first]
+            if first:
+                assert takers == [CASE_1]
+            else:
+                assert len(takers) == 1, (p_step, q_step, takers)
+    assert {row.label for row in lattice._CASES} == {CASE_1, CASE_2A, CASE_2B, CASE_2C}
+
+
 def test_case_dispatch_is_partition():
     # every domain element matches exactly one of the four case predicates
-    # (verify_phi checks the word maps but never runs this dispatch)
+    # (phi reads the case table that verify_phi runs)
     for d in range(3, 11):
         for a, r, s, pw, qw in _domain_pairs(d, True):
             assert phi(True, pw, qw, d, a, r, s)[0] == CASE_1
@@ -356,13 +375,19 @@ def _messages(report):
     return {message for _, message in report.failures}
 
 
+def _with_cells(monkeypatch, case, **cells):
+    # the case table with cells of the row labelled `case` replaced; phi
+    # and verify_phi both read it
+    monkeypatch.setattr(lattice, "_CASES", tuple(
+        row._replace(**cells) if row.label == case else row for row in lattice._CASES))
+
+
 def test_verify_phi_catches_image_collision(monkeypatch):
     # case 1's Q map sorts Q's steps, E's first: every Q becomes the path
     # below and right of every P, so the pairs that share a P share an image.
     # verify_phi sees each unsorted Q word's image off its word; pair by
     # pair, the oracle sees the collisions
-    real = lattice._lift_q
-    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: real("".join(sorted(q)), d, a))
+    _with_cells(monkeypatch, CASE_1, q_map=lambda q, d, a: lattice._lift(_sorted(q), d, a))
     report = verify_phi(6)
     assert not report.injective
     assert _messages(report) == {"case 1 image off its word"}
@@ -376,7 +401,7 @@ def test_verify_phi_catches_intersecting_image(monkeypatch):
     # case 1's Q map climbs one step past Q's start onto P's start (0, -a).
     # The longer Q word is off its target, which verify_phi reports without
     # testing it against P; pair by pair, the oracle finds the intersection
-    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: "N" * (d - 2 * a) + q)
+    _with_cells(monkeypatch, CASE_1, q_map=lambda q, d, a: "N" * (d - 2 * a) + q)
     report = verify_phi(6)
     assert not report.membership_ok
     assert _messages(report) == {"case 1 image in wrong family"}
@@ -391,7 +416,7 @@ def test_verify_phi_catches_intersecting_image(monkeypatch):
 def test_verify_phi_catches_image_outside_target(monkeypatch):
     # case 1's Q map returns its input word, so Q starts at (0, 1-A) but
     # keeps the length of a path from (0, -a-1) and misses the (u, -u) endpoint
-    monkeypatch.setattr(lattice, "_lift_q", lambda q, d, a: q)
+    _with_cells(monkeypatch, CASE_1, q_map=lambda q, d, a: q)
     report = verify_phi(6)
     assert not report.membership_ok
     assert "case 1 image in wrong family" in _messages(report)
@@ -399,53 +424,76 @@ def test_verify_phi_catches_image_outside_target(monkeypatch):
 
 
 def test_verify_phi_catches_broken_anchor(monkeypatch):
-    # case 1 is relabelled 2a: the same words land in the same target, but
-    # the anchor (0, -a-1) lies on them, which case 2a must avoid.  Case 1
-    # maps onto every pair of its target through the anchor, so no fault of
-    # a word map moves the anchor alone: the label is planted in the map
-    # the oracle checks pair by pair.  verify_phi checks the word maps,
-    # which the relabelling leaves as they are
-    real = lattice._phi_words
-
-    def relabelled(first, p_steps, q_steps, d, a, r, s):
-        case, image_pw, image_qw = real(first, p_steps, q_steps, d, a, r, s)
-        return (CASE_2A if case == CASE_1 else case), image_pw, image_qw
-
-    monkeypatch.setattr(lattice, "_phi_words", relabelled)
+    # case 1's row is relabelled 2a: the same words land in the same target,
+    # but the anchor (0, -a-1) lies on them, which case 2a must avoid.  The
+    # label is a cell of the table that phi and verify_phi both read, so
+    # verify_phi sees each lifted Q word through the anchor, and the oracle
+    # each of the 7 domain pairs
+    _with_cells(monkeypatch, CASE_1, label=CASE_2A)
     report = verify_phi(6)
-    assert report.all_ok
+    assert not report.anchors_ok
+    assert _messages(report) == {"case 2a anchor invariant broken"}
+    assert report.injective and report.membership_ok
+    assert report.cases_partition and report.counts_consistent
     pairs, cleared, failures = phi_by_pairs(6, lattice._phi_words)
     assert pairs == report.pairs_checked and cleared == {"anchors_ok"}
     assert [message for _, message in failures] == ["case 2a anchor invariant broken"] * 7
 
 
+def test_verify_phi_catches_swapped_labels(monkeypatch):
+    # the 2a and 2b rows trade labels: each row's images are looked up in
+    # the other target, where the dropped and lifted words are no paths
+    monkeypatch.setattr(lattice, "_CASES", tuple(
+        row._replace(label={CASE_2A: CASE_2B, CASE_2B: CASE_2A}.get(row.label, row.label))
+        for row in lattice._CASES))
+    report = verify_phi(6)
+    assert not report.membership_ok
+    assert _messages(report) == {"case 2a image in wrong family", "case 2b image in wrong family"}
+    _, cleared, _ = phi_by_pairs(6, lattice._phi_words)
+    assert "membership_ok" in cleared
+
+
 def test_the_word_path_rests_on_shared_dicts_and_an_axis_through_the_anchor():
     # the facts that let the word-by-word path of verify_phi skip checks:
-    # the climbed axis it reads is the one all-N path from (0, 1-A) to the
-    # anchor, case 1's P words and 2b's Q words are their targets' own and
-    # miss that axis, and no 2a image can hold the anchor
+    # case 1's P words and 2b's Q words are their targets' own, so they are
+    # not mapped, and they miss the stretch of y-axis that the other word of
+    # their pair climbs, from (0, 1-A) to just below the anchor, and the
+    # anchor too; each side's words (the Q words of L(a+1, A) short of the
+    # climb to P's start) all start at the anchor or all miss it, so one
+    # mask per side moves each word to its image
     for d in range(3, 13):
         for a in range(delta(d)):
             at = d + 1 - a
             anchor = _mask((0, -a - 1))
-            word = "N" * (d - 1 - 2 * a)
-            [(axis_word, axis)] = _paths_with_masks((0, 1 - at), (0, -a - 1)).items()
-            assert axis_word == word
-            assert axis == _mask(*path_vertices((0, 1 - at), word))
-            assert axis & anchor
+            [(word, stretch)] = _paths_with_masks((0, 1 - at), (0, -a - 2)).items()
+            assert word == "N" * (d - 2 - 2 * a) and stretch & anchor == 0
+            assert stretch | anchor == _mask(*path_vertices((0, 1 - at), word + "N"))
             for r, s in combinations(range(d), 2):
                 t, u = d - s, d - r
-                p1 = _family_paths(PathFamilySpec(a, a + 1, t, u))[0]
-                q2 = _family_paths(PathFamilySpec(a + 1, at, t, u))[1]
+                p1, q1 = _family_paths(PathFamilySpec(a, a + 1, t, u))
+                p2, q2 = _family_paths(PathFamilySpec(a + 1, at, t, u))
                 low_p = _family_paths(PathFamilySpec(a, at - 1, t, u))[0]
                 high_q = _family_paths(PathFamilySpec(at - 1, at, t, u))[1]
                 assert p1 is low_p and q2 is high_q
-                assert not any(m & axis for m in p1.values())
-                assert not any(m & axis for w, m in q2.items() if w.startswith("E"))
-                assert not any(m & anchor for m in low_p.values())
-                q2_north = [m for w, m in q2.items()
-                            if w.startswith("N") and not w.startswith("N" * (d - 2 * a))]
-                assert not any(m & anchor for m in q2_north)
+                assert not any(m & (stretch | anchor) for m in p1.values())
+                assert not any(m & (stretch | anchor) for w, m in q2.items() if w.startswith("E"))
+                assert all(m & anchor for m in (*p2.values(), *q1.values()))
+                q2_below = [m for w, m in q2.items() if not w.startswith("N" * (d - 2 * a))]
+                assert not any(m & anchor for m in q2_below)
+
+
+def _spy_cells(monkeypatch, calls):
+    # each map cell of the case table records its calls under (case, cell)
+    def recording(key, real):
+        def record(*args):
+            calls.setdefault(key, []).append(args)
+            return real(*args)
+        return record
+
+    monkeypatch.setattr(lattice, "_CASES", tuple(
+        row._replace(**{cell: recording((row.label, cell), getattr(row, cell))
+                        for cell in ("p_map", "q_map", "pair_map") if getattr(row, cell)})
+        for row in lattice._CASES))
 
 
 def _spy(monkeypatch, name, calls, key):
@@ -459,47 +507,52 @@ def _spy(monkeypatch, name, calls, key):
 
 
 def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
-    # the planted-fault tests patch the word maps and count_disjoint_pairs.
-    # On sound maps every instance is checked word by word: each map sees
-    # every word of its case's domain pairs, at most once per side (the P
-    # words of each (a, s), the Q words of each (a, r)), the 2c head once
-    # per disjoint 2c domain pair, and count_disjoint_pairs each target
-    # once; _phi_words, the dispatch of phi, never runs
-    calls = {name: [] for name in ("_lift_q", "_lift_p", "_drop", "_head_2c", "_phi_words")}
-    _spy(monkeypatch, "_lift_q", calls["_lift_q"], lambda q, d, a: (a, q))
-    _spy(monkeypatch, "_lift_p", calls["_lift_p"], lambda p, d, a: (a, p))
-    _spy(monkeypatch, "_drop", calls["_drop"], lambda w: w)
-    _spy(monkeypatch, "_head_2c", calls["_head_2c"], lambda q, k, d, a, r, s: (a, r, s, q, k))
-    _spy(monkeypatch, "_phi_words", calls["_phi_words"], lambda *args: args)
-    counts = []
+    # the planted-fault tests patch the case table's map cells and
+    # count_disjoint_pairs.  On sound maps every instance is checked word by
+    # word: each word map sees every word of its case's domain pairs, at
+    # most once per side (the P words of each (a, s), the Q words of each
+    # (a, r)), the 2c head once per disjoint 2c domain pair, and
+    # count_disjoint_pairs each target once; _phi_words, phi's lookup of a
+    # pair's row, never runs
+    cells = {(CASE_1, "q_map"), (CASE_2A, "p_map"), (CASE_2A, "q_map"), (CASE_2B, "p_map"),
+             (CASE_2C, "pair_map")}
+    calls, dispatched, counts = {}, [], []
+    _spy_cells(monkeypatch, calls)
+    _spy(monkeypatch, "_phi_words", dispatched, lambda *args: args)
     _spy(monkeypatch, "count_disjoint_pairs", counts, lambda spec: spec)
     for d in range(3, 9):
-        for recorded in (*calls.values(), counts):
-            recorded.clear()
+        calls.clear()
+        counts.clear()
         report = verify_phi(d)
-        assert report.all_ok and not calls["_phi_words"]
-        needed = {name: set() for name in calls}
-        allowed = {name: Counter() for name in calls}
+        assert report.all_ok and not dispatched and set(calls) <= cells
+        made = {key: Counter((args[2], args[0]) if key[1] != "pair_map" else
+                             (args[3], args[4], args[5], args[0], args[1])
+                             for args in calls.get(key, ())) for key in cells}
+        needed = {key: set() for key in cells}
+        allowed = {key: Counter() for key in cells}
         for a in range(delta(d)):
             at = d + 1 - a
             for t in range(1, d):  # every t = d - s and u = t + 1 = d - r
                 q1 = _family_paths(PathFamilySpec(a, a + 1, t, t + 1))[1]
                 p2, q2 = _family_paths(PathFamilySpec(a + 1, at, t, t + 1))
-                allowed["_lift_q"].update((a, q) for q in q1)
-                allowed["_lift_p"].update((a, p) for p in p2)
-                allowed["_drop"].update(w for w in (*p2, *q2) if w.startswith("N"))
+                allowed[CASE_1, "q_map"].update((a, q) for q in q1)
+                allowed[CASE_2B, "p_map"].update((a, p) for p in p2)
+                allowed[CASE_2A, "p_map"].update((a, p) for p in p2 if p.startswith("N"))
+                allowed[CASE_2A, "q_map"].update((a, q) for q in q2 if q.startswith("N"))
             for r, s in combinations(range(d), 2):
-                needed["_lift_q"] |= {(a, q) for _, q in disjoint_word_pairs(a, a + 1, d - s, d - r)}
+                needed[CASE_1, "q_map"] |= {(a, q) for _, q in
+                                            disjoint_word_pairs(a, a + 1, d - s, d - r)}
                 pairs = disjoint_word_pairs(a + 1, at, d - s, d - r)
-                needed["_lift_p"] |= {(a, p) for p, q in pairs if q.startswith("E")}
-                needed["_drop"] |= {w for p, q in pairs if p.startswith("N") and q.startswith("N")
-                                    for w in (p, q)}
-                allowed["_head_2c"].update((a, r, s, q, len(p) - len(p.lstrip("E")))
-                                           for p, q in pairs if p.startswith("E") and q.startswith("N"))
-        needed["_head_2c"] = set(allowed["_head_2c"])
-        for name in ("_lift_q", "_lift_p", "_drop", "_head_2c"):
-            made = Counter(calls[name])
-            assert needed[name] <= set(made) and made <= allowed[name], (d, name)
+                needed[CASE_2B, "p_map"] |= {(a, p) for p, q in pairs if q.startswith("E")}
+                both_n = [(p, q) for p, q in pairs if p.startswith("N") and q.startswith("N")]
+                needed[CASE_2A, "p_map"] |= {(a, p) for p, _ in both_n}
+                needed[CASE_2A, "q_map"] |= {(a, q) for _, q in both_n}
+                allowed[CASE_2C, "pair_map"].update(
+                    (a, r, s, q, len(p) - len(p.lstrip("E")))
+                    for p, q in pairs if p.startswith("E") and q.startswith("N"))
+        needed[CASE_2C, "pair_map"] = set(allowed[CASE_2C, "pair_map"])
+        for key in cells:
+            assert needed[key] <= set(made[key]) and made[key] <= allowed[key], (d, key)
         targets = [PathFamilySpec(low, high, d - s, d - r)
                    for a in range(delta(d)) for r, s in combinations(range(d), 2)
                    for low, high in ((a, d - a), (d - a, d + 1 - a))]
@@ -532,21 +585,30 @@ def _head_with(p_head=None, q_bar=None):
     return head
 
 
-# each fault breaks one case's word map; together they reach every check of
-# the word-by-word path that no other check of it implies
+def _both(word_map):
+    return {"p_map": word_map, "q_map": word_map}
+
+
+# each fault breaks one case's maps, cells of the case table; together they
+# reach every check of the word-by-word path that no other check of it implies
 _WORD_MAP_FAULTS = {
-    "1-unlifted": ("_lift_q", lambda q, d, a: q),
-    "1-colliding": ("_lift_q", lambda q, d, a: "N" * (d - 1 - 2 * a) + _sorted(q)),
-    "1-unlifted-at-u3": ("_lift_q", lambda q, d, a: "N" * (d - 1 - 2 * a) * (q.count("E") != 3) + q),
-    "2b-unlifted": ("_lift_p", lambda p, d, a: p),
-    "2b-unlifted-at-t2": ("_lift_p", lambda p, d, a: "N" * (d - 1 - 2 * a) * (p.count("E") != 2) + p),
-    "2a-kept": ("_drop", lambda w: w),
-    "2a-colliding": ("_drop", lambda w: _sorted(w[1:])),
-    "2c-one-E-short": ("_head_2c", lambda q, k, d, a, r, s: _head_2c(q, k + 1, d, a, r, s)),
-    "2c-Q-off-target": ("_head_2c", _head_with(q_bar=lambda w: w + "E")),
-    "2c-intersecting": ("_head_2c", _head_with(q_bar=lambda w: "N" + w.replace("N", "", 1))),
-    "2c-anchored": ("_head_2c", _head_with(p_head=lambda w, k, d, a: "N" * (d - 1 - 2 * a) + "E" * k)),
-    "2c-colliding": ("_head_2c", _head_with(q_bar=_sorted)),
+    "1-unlifted": (CASE_1, {"q_map": lambda q, d, a: q}),
+    "1-colliding": (CASE_1, {"q_map": lambda q, d, a: "N" * (d - 1 - 2 * a) + _sorted(q)}),
+    "1-unlifted-at-u3": (CASE_1, {
+        "q_map": lambda q, d, a: "N" * (d - 1 - 2 * a) * (q.count("E") != 3) + q}),
+    "2b-unlifted": (CASE_2B, {"p_map": lambda p, d, a: p}),
+    "2b-unlifted-at-t2": (CASE_2B, {
+        "p_map": lambda p, d, a: "N" * (d - 1 - 2 * a) * (p.count("E") != 2) + p}),
+    "2a-kept": (CASE_2A, _both(lambda w, d, a: w)),
+    "2a-colliding": (CASE_2A, _both(lambda w, d, a: _sorted(w[1:]))),
+    "2c-one-E-short": (CASE_2C, {
+        "pair_map": lambda q, k, d, a, r, s: _head_2c(q, k + 1, d, a, r, s)}),
+    "2c-Q-off-target": (CASE_2C, {"pair_map": _head_with(q_bar=lambda w: w + "E")}),
+    "2c-intersecting": (CASE_2C, {
+        "pair_map": _head_with(q_bar=lambda w: "N" + w.replace("N", "", 1))}),
+    "2c-anchored": (CASE_2C, {
+        "pair_map": _head_with(p_head=lambda w, k, d, a: "N" * (d - 1 - 2 * a) + "E" * k)}),
+    "2c-colliding": (CASE_2C, {"pair_map": _head_with(q_bar=_sorted)}),
 }
 
 
@@ -565,7 +627,8 @@ def test_a_planted_word_map_fault_falls_back_to_the_pair_loop(monkeypatch, fault
     # verify_phi sees the fault, and clears only flags that the pair loop of
     # the oracle clears too, over d = 3..8 (the word path checks every word
     # of a side, so at d=3 it sees the 2a faults on words no disjoint pair uses)
-    monkeypatch.setattr(lattice, *_WORD_MAP_FAULTS[fault])
+    case, cells = _WORD_MAP_FAULTS[fault]
+    _with_cells(monkeypatch, case, **cells)
     by_words, by_pairs = set(), set()
     for d in range(3, 9):
         report = verify_phi(d)
@@ -581,7 +644,8 @@ def test_a_planted_word_map_fault_falls_back_to_the_pair_loop(monkeypatch, fault
 def test_verify_phi_catches_an_anchored_2c_image(monkeypatch):
     # 2c's P head climbs the y-axis to the anchor before its E's, so the
     # word path, which checks 2c pair by pair, clears anchors_ok
-    monkeypatch.setattr(lattice, *_WORD_MAP_FAULTS["2c-anchored"])
+    case, cells = _WORD_MAP_FAULTS["2c-anchored"]
+    _with_cells(monkeypatch, case, **cells)
     report = verify_phi(6)
     assert not report.anchors_ok
     assert _messages(report) == {"case 2c anchor invariant broken", "image collision"}
