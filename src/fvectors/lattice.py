@@ -301,21 +301,22 @@ def verify_phi(d: int) -> PhiReport:
       - #L(a, A-1) + #L(A-1, A) >= #L(a, a+1) + #L(a+1, A), with the
         difference equal to the consecutive-row minor of M_d.
 
-    Paths are step words with vertex bitmasks, and each case is its row
-    of _CASES, as in phi; a Q word through P's start meets every P and is
-    cut off.  Per a, loops over the P sides (a, s) and Q sides (a, r)
-    check each mapped word, tagged (a, r, s, "P" or "Q", word) by its
-    first instance, (a, 0, s) or (a, r, r+1): its image must be the word
-    moved along the y-axis to its target's start, holding the anchor as
-    its label says.  Words kept as they are (case 1's P, 2b's Q) are their
+    Paths are step words with vertex bitmasks, and each case is its row of
+    _CASES, as in phi.  Per a, each row slices every P side (a, s) and Q side
+    (a, r) to the words that begin with its first steps, less the Q words
+    through P's start, which meet every P.  A mapped word, tagged (a, r, s,
+    "P" or "Q", word) by its first instance, (a, 0, s) or (a, r, r+1), must
+    map to itself moved along the y-axis to its target's start, holding the
+    anchor as its label says.  Kept words (case 1's P, 2b's Q) are their
     targets' own and miss the moved stretch and the anchor, so each image
-    pair is disjoint, gives back its domain pair and holds the anchor as
-    its mapped word does.  Per (r, s), 2c's head runs pair by pair, tagged
-    (a, r, s, P word, Q word); a Q image through the anchor meets the P
-    image at (0, 1-A).  Failures, (tag, reason), are collected, never
-    raised: an image off its target clears membership_ok, off its word or
-    repeated injective, off the anchor rule anchors_ok; a 2c head that
-    fails or intersects clears cases_partition.
+    pair is disjoint, gives back its domain pair and holds the anchor as its
+    mapped word does.  Per (r, s), each row counts the disjoint pairs of its
+    slices, which sum to the domain size only if the rows partition it; 2c's
+    head runs pair by pair, tagged (a, r, s, P word, Q word), and a Q image
+    through the anchor meets the P image at (0, 1-A).  Failures, (tag,
+    reason), are collected, never raised: an image off its target clears
+    membership_ok, off its word or repeated injective, off the anchor rule
+    anchors_ok; a 2c head that fails or intersects clears cases_partition.
     """
     check_dim(d)
     dl = delta(d)
@@ -336,53 +337,52 @@ def verify_phi(d: int) -> PhiReport:
     for a in range(dl):
         at = d + 1 - a
         anchor = 1 << _vertex_bit(0, -a - 1)
-        domains, mapped = set(), ([], [])  # the domains' starts; per side the rows that map words
+        cells = [], []  # per side (P, Q): each row's word map, start, target, slice and move
         for row in _CASES:
             starts = (a, a + 1) if row.first else (a + 1, at)
             targets = (a, at - 1) if row.label in _LOW_TARGET else (at - 1, at)
             want = anchor if row.label in _ANCHORED else 0
-            domains.add(starts)
-            [climb] = _paths_with_masks((0, -starts[1]), (0, -starts[0]))  # Q through P's start
-            # per side (P, Q): the first steps, word map, start and target of the row
+            # a side's words begin with one of the row's letters: they sort below past and, on
+            # Q, the climb to P's start; a mapped one's image is it moved along the y-axis to its
+            # target's start, anchored as its label says (a side's words all hold it or none do)
             for i, letters, word_map, y, ty in zip((0, 1), row[2:4], row[4:6], starts, targets):
-                if word_map or row.pair_map:  # its words begin with one of its letters, so
-                    past = (chr(ord(letters[-1]) + 1),)  # sort below this and, on Q, the climb
-                    # an image is its word moved along the y-axis to its target's start, holding
-                    # the anchor as the label says (a side's words all start there or all miss it)
+                past, move = chr(ord(letters[-1]) + 1), None
+                if word_map:
                     move = sum(_paths_with_masks((0, -max(y, ty)), (0, -1 - min(y, ty))).values())
                     move = move & ~anchor | want ^ (1 << _vertex_bit(0, -y)) & anchor
-                    mapped[i].append((row, word_map, y, ty, (letters[0],),
-                                      min(past, (climb,)) if i else past, move, want))
-        sides = {}, {}  # per side and s or r: each domain's masks, each pair map's words, target
-        for i, heights in enumerate(((a, a + 1, at - 1), (a + 1, at - 1, at))):  # P's, Q's starts
+                cells[i].append((row, word_map, y, ty, letters[0],
+                                 min(past, "N" * (y - starts[0])) if i else past, move, want))
+        sides = {}, {}  # per side and s or r: each row's masks, or a pair map's words and target
+        for i, heights in enumerate(((a, a + 1, at - 1), (a + 1, at, at - 1))):  # starts first
             for v in range(1 - i, d - i):  # s for P, which runs to (d-s, s-d); r for Q
                 paths = {y: _paths_with_masks((0, -y), (d - v, v - d)) for y in heights}
-                tag = (a, 0, v, "P") if i == 0 else (a, v, v + 1, "Q")
-                listed, paired = {}, []
-                for row, word_map, y, ty, lo, hi, move, want in mapped[i]:
-                    items = listed.get(y) or listed.setdefault(y, list(paths[y].items()))
-                    words, target = items[bisect_left(items, lo):bisect_left(items, hi)], paths[ty]
-                    for w, m in words if word_map else ():
+                listed = {y: (list(paths[y]), list(paths[y].values())) for y in heights[:2]}
+                tag, sides[i][v] = (a, 0, v, "P") if i == 0 else (a, v, v + 1, "Q"), []
+                for row, word_map, y, ty, first, past, move, want in cells[i]:
+                    words, masks = listed[y]
+                    lo, hi = bisect_left(words, first), bisect_left(words, past)
+                    words, masks, target = words[lo:hi], masks[lo:hi], paths[ty]
+                    for w, m in zip(words, masks) if word_map else ():
                         image = target.get(word_map(w, d, a))
                         if image != m ^ move:
                             word_failed(row.label, (*tag, w), image, m, move, want)
-                    if row.pair_map:
-                        paired.append((row, want, words, target))
-                sides[i][v] = [list(paths[starts[i]].values()) for starts in domains], paired
+                    sides[i][v].append((words, masks, target, want) if row.pair_map else masks)
         for r, s in combinations(range(d), 2):
-            (p_masks, p_paired), (q_masks, q_paired) = sides[0][s], sides[1][r]
-            domain_size, images = sum(list(map(pm.__and__, qms)).count(0)
-                                      for pms, qms in zip(p_masks, q_masks) for pm in pms), set()
-            for (row, want, p_words, high_p), (_, _, q_words, high_q) in zip(p_paired, q_paired):
-                head, letters = row.pair_map, row.p_first
-                for pw, pm in p_words:
-                    rest = pw.lstrip(letters)
+            domain_size, images = 0, set()  # each row counts the disjoint pairs it takes
+            for row, p_cell, q_cell in zip(_CASES, sides[0][s], sides[1][r]):
+                if not row.pair_map:
+                    for pm in p_cell:
+                        domain_size += list(map(pm.__and__, q_cell)).count(0)
+                    continue
+                (p_words, p_masks, high_p, want), (q_words, q_masks, high_q, _) = p_cell, q_cell
+                for pw, pm in zip(p_words, p_masks):
+                    rest = pw.lstrip(row.p_first)
                     k = len(pw) - len(rest)
-                    for qw, qm in q_words:
-                        if pm & qm:
-                            continue
+                    free = [qw for qw, qm in zip(q_words, q_masks) if not pm & qm]
+                    domain_size += len(free)
+                    for qw in free:
                         try:
-                            p_head, q_bar = head(qw, k, d, a, r, s)
+                            p_head, q_bar = row.pair_map(qw, k, d, a, r, s)
                         except ValueError as exc:
                             fail("cases_partition", (a, r, s, pw, qw),
                                  f"construction failed: {exc}")

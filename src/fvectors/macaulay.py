@@ -104,10 +104,10 @@ def del_k(n: int, k: int) -> int:
     int_entries((n, k), "parameters")
     if n < 0:
         raise ValueError(f"del_k needs n >= 0, got {n}")
-    if n == 0:
-        return 0
     if k < 1:
         raise ValueError(f"del_k needs k >= 1, got {k}")
+    if n == 0:
+        return 0
     _, shifted, rem, _ = _greedy(n, k)
     return shifted + rem
 

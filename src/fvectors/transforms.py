@@ -143,15 +143,19 @@ class GVector(_Vector):
 
 
 def md_entry(d: int, i: int, j: int) -> int:
-    """Entry m[i][j] = C(d+1-i, d-j) - C(i, d-j) of M_d."""
-    return binomial(d + 1 - i, d - j) - binomial(i, d - j)
+    """Entry m[i][j] of M_d, for 0 <= i <= delta and 0 <= j <= d-1."""
+    check_dim(d)
+    int_entries((i, j), "parameters")
+    if not (0 <= i <= delta(d) and 0 <= j <= d - 1):
+        raise ValueError(f"need 0 <= i <= delta and 0 <= j <= d-1, got i={i}, j={j}")
+    return _md_column(d, j)[i]
 
 
 @lru_cache(maxsize=None)
 def _md_column(d: int, j: int) -> tuple:
-    """Column j of M_d, m[i][j] for 0 <= i <= delta, from its closed form:
-    the one stored copy of M_d, for a valid d and 0 <= j < d."""
-    return tuple(md_entry(d, i, j) for i in range(delta(d) + 1))
+    """Column j of M_d, m[i][j] = C(d+1-i, d-j) - C(i, d-j) for
+    0 <= i <= delta: the one stored copy of M_d, for a valid d and 0 <= j < d."""
+    return tuple(binomial(d + 1 - i, d - j) - binomial(i, d - j) for i in range(delta(d) + 1))
 
 
 def build_md(d: int):
@@ -180,6 +184,7 @@ def _f_tail(d: int, g, first: int = 1) -> list:
 def f_from_g(d: int, g) -> tuple:
     """Raw row-vector product g * M_d on a plain integer sequence."""
     check_dim(d)
+    g = int_entries(g)
     if len(g) != delta(d) + 1:
         raise ValueError("g sequence has wrong length for g * M_d")
     return tuple(_f_tail(d, g))

@@ -12,7 +12,7 @@ import fvectors
 from fvectors import (
     BoundConclusion, FVector, FamilySpec, GVector, HVector, PathFamilySpec,
     del_k, find_crossing, lower_bound_cs,
-    macaulay_expand, phi, phi_minor, ratio_chain, sandwich_simplicial,
+    macaulay_expand, md_entry, phi, phi_minor, ratio_chain, sandwich_simplicial,
     verify_gv, verify_lemma3, verify_phi, verify_ratio_chain, verify_total_nonnegativity,
 )
 
@@ -77,6 +77,8 @@ def test_public_names_are_pinned():
     (verify_gv, (2.0,), "2.0"),
     (verify_gv, (True,), "True"),
     (verify_ratio_chain, (5.0,), "5.0"),
+    # md_entry read True as row 1
+    (md_entry, (4, True, 2), "True"),
 ])
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):

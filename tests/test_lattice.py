@@ -342,6 +342,30 @@ def test_case_table_partitions_each_domain_by_first_steps():
     assert {row.label for row in lattice._CASES} == {CASE_1, CASE_2A, CASE_2B, CASE_2C}
 
 
+# faults of the case table itself: a row left out, or a row whose first steps
+# also select other rows' pairs, with the pairs checked at d = 6 (378 when sound)
+_TABLE_FAULTS = {
+    "2a-missing": (lambda rows: tuple(row for row in rows if row.label != CASE_2A), 336),
+    "2c-missing": (lambda rows: tuple(row for row in rows if row.label != CASE_2C), 273),
+    "2b-overlapping": (lambda rows: tuple(
+        row._replace(q_first="EN") if row.label == CASE_2B else row for row in rows), 525),
+}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+def test_verify_phi_counts_a_gap_or_an_overlap_of_case_rows(monkeypatch, fault):
+    # every row counts the disjoint pairs its first steps select, so a pair
+    # no row takes, or one that two rows take, moves the domain size off the
+    # minor; the maps of the rows left are sound, so no other flag clears
+    plant, pairs = _TABLE_FAULTS[fault]
+    monkeypatch.setattr(lattice, "_CASES", plant(lattice._CASES))
+    report = verify_phi(6)
+    assert not report.counts_consistent and report.pairs_checked == pairs
+    assert {message.split(":")[0] for message in _messages(report)} == {"count mismatch"}
+    assert report.injective and report.cases_partition
+    assert report.membership_ok and report.anchors_ok
+
+
 def test_case_dispatch_is_partition():
     # every domain element matches exactly one of the four case predicates
     # (phi reads the case table that verify_phi runs)

@@ -64,6 +64,10 @@ def test_del_examples():
         assert del_k(0, k) == 0
     with pytest.raises(ValueError):
         del_k(-1, 2)
+    # k is checked before the n == 0 shortcut, as it is for n >= 1
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"del_k needs k >= 1, got {k}"):
+            del_k(0, k)
 
 
 def test_del_of_binomial():

@@ -65,6 +65,13 @@ def test_md_entry_matches_matrix():
         for i in range(delta(d) + 1):
             for j in range(d):
                 assert md_entry(d, i, j) == md[i][j]
+    # no entry outside the matrix, nor of a matrix below the least dimension
+    for i, j in ((5, 0), (3, 0), (-1, 0), (0, 4), (0, -1)):
+        message = f"need 0 <= i <= delta and 0 <= j <= d-1, got i={i}, j={j}"
+        with pytest.raises(ValueError, match=message):
+            md_entry(4, i, j)
+    with pytest.raises(ValueError, match="dimension d must be >= 3, got 2"):
+        md_entry(2, 0, 0)
 
 
 def test_f_to_h_examples():
@@ -204,6 +211,10 @@ def test_vector_validation():
     (GVector, 4, (1, True, 0), "True"),
     (HVector, 3, (1, 3, 3.0, 1), "3.0"),
     (GVector, 4, (1, "2", 0), "'2'"),
+    # f_from_g multiplied the float, read True as 1 and concatenated strings
+    (f_from_g, 4, (1, 2.5, 1), "2.5"),
+    (f_from_g, 4, (1, True, 1), "True"),
+    (f_from_g, 4, "abc", "'a'"),
 ])
 def test_vector_entries_must_be_integers(cls, d, entries, bad):
     with pytest.raises(ValueError, match=f"vector entries must be integers, got {bad}"):
