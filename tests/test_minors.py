@@ -227,8 +227,16 @@ def test_scans_give_the_same_reports_with_max_orders_interleaved():
 
 @pytest.mark.parametrize("d", [14, 15])
 def test_scan_matches_depth_first_laplace_oracle(d):
-    per_order = laplace_scan(md_by_closed_form(d), range(1, delta(d) + 2))
+    md = md_by_closed_form(d)
+    per_order = laplace_scan(md, range(1, delta(d) + 2))
     for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    # below delta + 1 the scan holds its top order as partial blocks, each
+    # row set tested at its last parent; at d = 14 the oracle also stops at
+    # each such order (at d = 15 that would add about a second)
+    for max_order in range(1, delta(d) + 1) if d == 14 else ():
+        checked, low, witness = fold_orders(laplace_scan(md, range(1, max_order + 1)))
+        expected = MinorReport(d, max_order, checked, low, witness, low >= 0)
         assert verify_total_nonnegativity(d, max_order) == expected, max_order
 
 
@@ -323,22 +331,69 @@ def test_scanner_keeps_the_first_of_tied_minima_within_a_row_set(monkeypatch):
     assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
 
 
-def test_scan_frees_each_parent_after_its_last_child():
-    # the scan keeps order k-1's blocks while it builds order k's; dropping
-    # each parent after its last child keeps its peak below the bytes of
-    # two whole stored orders' cells at its width w (the top order is never
-    # stored): 2.5 MB against 3.3 MB at d = 15, where keeping every parent
-    # peaks at 3.8 MB
+def test_scanner_keeps_the_first_of_tied_minima_completed_out_of_order(monkeypatch):
+    # m[3][4] of M_6 raised from 3 to 13 and m[2][2] from 5 to 11: the least
+    # 2x2 minor, -70, lies on rows (0, 3), columns (4, 5), and again on rows
+    # (1, 2), columns (2, 3).  The scan completes (1, 2) at its parent (2),
+    # before (0, 3) at (3), and there on an earlier column set, so only the
+    # tie rule keeps (0, 3)
+    d = 6
+    planted = [list(row) for row in _planted(d, 3, 4, 13)]
+    planted[2][2] = 11
+    planted = tuple(map(tuple, planted))
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted, bareiss_det)
+    assert per_order[1][1:] == (-70, ((0, 3), (4, 5)))
+    assert bareiss_det([[planted[i][j] for j in (2, 3)] for i in (1, 2)]) == -70
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert (low, witness) == (-70, ((0, 3), (4, 5)))
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, False)
+
+
+def test_scanner_keeps_the_first_of_tied_order_3_minima_completed_out_of_order(monkeypatch):
+    # M_8 with m[3][4] raised from 15 to 17, then rows 0 and 4 made copies
+    # of rows 2 and 1: rows (0, 3, 4) and (2, 3, 4) are rows (1, 2, 3)
+    # cyclically permuted, so the three hold the same 3x3 minors, whose
+    # least, -1078, is below every entry and 2x2 minor.  The scan completes
+    # (1, 2, 3) at its parent (2, 3), before (0, 3, 4) at (3, 4)
+    d = 8
+    planted = _planted(d, 3, 4, 17)
+    planted = planted[2:3] + planted[1:4] + planted[1:2]
+    monkeypatch.setattr(minors, "build_md", lambda _: planted)
+    per_order = minors_by_order(planted, bareiss_det)
+    low, (rows, cols) = per_order[2][1:]
+    assert low == -1078 and rows == (0, 3, 4) and min(per_order[0][1], per_order[1][1]) > low
+    assert bareiss_det([[planted[i][j] for j in cols] for i in (1, 2, 3)]) == low
+    for max_order, expected in _expected_reports(d, per_order):
+        assert verify_total_nonnegativity(d, max_order) == expected, max_order
+    checked, low, witness = two_by_two_scan(planted)
+    assert verify_lemma3(d) == MinorReport(d, 2, checked, low, witness, low >= 0)
+
+
+@pytest.mark.parametrize("max_order", ["all", 5, 7])
+def test_scan_frees_each_parent_once_scattered(max_order):
+    # the scan keeps order k-1's blocks while it builds order k's, and below
+    # delta + 1 it holds the top order as partial blocks; freeing each parent
+    # once its terms are scattered to its children keeps its peak below the
+    # bytes of two whole adjacent orders' cells at its width w (an all-order
+    # scan's top order is one row set).  At d = 15 the peak is 2.3 MB
+    # against 3.5 MB for all orders, 1.3 against 2.2 MB for max order 5 and
+    # 2.1 against 3.2 MB for 7; keeping every parent peaks at 3.9, 1.7 and
+    # 3.6 MB, past the bound but at max order 5
     d = 15
     md = build_md(d)
     n = len(md)
-    w = (prod(sum(x * x for x in row) for row in md).bit_length() + 1) // 2 + 2
-    cells = [comb(n, k) * comb(d, k) for k in range(1, n)]
+    top = n if max_order == "all" else max_order
+    squares = sorted(sum(x * x for x in row) for row in md)
+    w = (prod(squares[n - top:]).bit_length() + 1) // 2 + 2
+    cells = [comb(n, k) * comb(d, k) for k in range(1, top + 1)]
     two_orders = max(map(add, cells, cells[1:])) * w // 8
     verify_total_nonnegativity(3)
     tracemalloc.start()
     try:
-        verify_total_nonnegativity(d)
+        verify_total_nonnegativity(d, max_order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
