@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 from .exact import binomial, int_entries
 from .macaulay import _top
 from .transforms import (
-    GVector, _f_tail, _md_column as _column, check_dim, check_rs, delta)
+    GVector, _f_tail, _md_column as _column, check_dim, check_rs, delta, wrong_class)
 from .families import CYCLIC, STACKED, CS_STACKED, _affine_family, g_entries
 
 
@@ -81,6 +81,12 @@ def _check_r(d: int, r: int, *values: int) -> None:
 def find_crossing(g_delta: GVector, g_gamma: GVector) -> Optional[CrossingWitness]:
     """Smallest t splitting the differences into a nonnegative prefix and a
     nonpositive suffix over indices 1..delta, or None if no t works."""
+    if type(g_delta) is not GVector or type(g_gamma) is not GVector:
+        raise wrong_class(GVector, g_gamma if type(g_delta) is GVector else g_delta)
+    return _crossing(g_delta, g_gamma)
+
+
+def _crossing(g_delta: GVector, g_gamma: GVector) -> Optional[CrossingWitness]:
     if g_delta.d != g_gamma.d:
         raise ValueError("g-vectors must share a dimension")
     diffs = tuple(map(sub, g_delta.entries, g_gamma.entries))
@@ -108,9 +114,11 @@ def compare(g_delta: GVector, g_gamma: GVector, r: int) -> ComparisonReport:
     differences times column r of M_d.  Only if it holds do the h -> f
     passes run, for f_(r+1), ..., f_(d-1) of each side.
     """
+    if type(g_delta) is not GVector or type(g_gamma) is not GVector:
+        raise wrong_class(GVector, g_gamma if type(g_delta) is GVector else g_delta)
     d = g_delta.d
     _check_r(d, r)
-    witness = find_crossing(g_delta, g_gamma)
+    witness = _crossing(g_delta, g_gamma)
     if witness is None:
         raise NoCrossingError("no crossing pattern: the comparison hypothesis is unmet")
     gap = sum(map(mul, witness.diffs, _column(d, r)))  # f_r(Delta) - f_r(Gamma)

@@ -25,7 +25,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .exact import int_entries
-from .transforms import GVector, FVector, _f_tail, check_dim, delta
+from .transforms import GVector, FVector, _f_tail, check_dim, delta, wrong_class
 
 CYCLIC = "cyclic"
 STACKED = "stacked"
@@ -95,6 +95,8 @@ def stanley_cs_floor(d: int) -> GVector:
 
 
 def g_of_family(spec: FamilySpec) -> GVector:
+    if type(spec) is not FamilySpec:
+        raise wrong_class(FamilySpec, spec)
     return GVector._of(spec.d, g_entries(*spec))
 
 
@@ -116,6 +118,8 @@ def _affine_family(family: str, d: int) -> tuple:
 def f_of_family(spec: FamilySpec) -> FVector:
     """f-vector of the family member: the affine form for stacked and
     cs-stacked members, f = g * M_d as in g_to_f for cyclic ones."""
+    if type(spec) is not FamilySpec:
+        raise wrong_class(FamilySpec, spec)
     family, n, d = spec
     if family == CYCLIC:
         return FVector._of(d, _f_tail(d, g_entries(*spec)))

@@ -45,6 +45,11 @@ def check_rs(d: int, r: int, s: int, *more: int) -> None:
         raise ValueError(f"need 0 <= r < s <= d-1, got r={r}, s={s}")
 
 
+def wrong_class(cls, value) -> ValueError:
+    """The error for an argument that is not a cls, naming the class needed."""
+    return ValueError(f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 class _Vector:
     """Entries of an f-, h- or g-vector for dimension d.
 
@@ -192,6 +197,8 @@ def f_from_g(d: int, g) -> tuple:
 
 def g_to_f(g: GVector) -> FVector:
     """f = g * M_d (valid when g came from a Dehn-Sommerville h-vector)."""
+    if type(g) is not GVector:
+        raise wrong_class(GVector, g)
     return FVector._of(g.d, _f_tail(g.d, g.entries))
 
 
@@ -203,6 +210,8 @@ def f_to_h(f: FVector) -> HVector:
     Synthetic division by x+1, repeated on each quotient, turns the
     coefficients of sum f_{i-1} x^{d-i} into those in powers of x+1.
     """
+    if type(f) is not FVector:
+        raise wrong_class(FVector, f)
     a = [1, *f.entries]
     for top in range(f.d, 0, -1):
         s = 1
@@ -213,11 +222,15 @@ def f_to_h(f: FVector) -> HVector:
 
 def h_to_f(h: HVector) -> FVector:
     """f_{i-1} = sum_{k=0}^{i} C(d-k, i-k) h_k for i = 1, ..., d: the h -> f passes."""
+    if type(h) is not HVector:
+        raise wrong_class(HVector, h)
     return FVector._of(h.d, _shift_up(h.entries))
 
 
 def h_to_g(h: HVector) -> GVector:
     """g_0 = 1, g_i = h_i - h_{i-1} for 1 <= i <= delta."""
+    if type(h) is not HVector:
+        raise wrong_class(HVector, h)
     return GVector._of(h.d, (1, *map(sub, h.entries[1:delta(h.d) + 1], h.entries)))
 
 
@@ -233,4 +246,6 @@ def f_to_g(f: FVector) -> GVector:
 
 def is_dehn_sommerville(h: HVector) -> bool:
     """True iff h_i = h_{d-i} for all i (palindromic h-vector)."""
+    if type(h) is not HVector:
+        raise wrong_class(HVector, h)
     return h.entries == h.entries[::-1]

@@ -1,33 +1,38 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here deliberately avoids the library's own computation paths:
-binomials read off Pascal's triangle, cofactor and fraction-free
-(Bareiss) determinants, M_d from its closed form and the product g * M_d
-with it, k-major minor scans, the depth-first Laplace minor scanner that
-the packed breadth-first scan replaced and a direct 2x2 minor scan, direct
-polynomial expansion, Gale-evenness face enumeration for cyclic
-polytopes, stellar-subdivision face-count updates for stacked polytopes,
-closed-form h-vectors of the extremal families, exhaustive search for
-Macaulay expansions, the one-step-at-a-time linear scans that the library's
-monotone search replaced, the galloping-then-bisecting search for the
-cyclic sandwich parameter that the library's closed-form start and Newton
-steps replaced, the try-every-t crossing scan that the
-library's one-pass search replaced, the vertex-disjoint lattice path
-pairs of a family as step-word pairs, found by testing the vertex sets of
-every pair, and their count by a level walk with one dict entry per
-x-coordinate pair, which the library's packed-integer walk replaced, the
-injection phi checked one domain pair at a time, which the library's
-word-by-word check replaced, and the argparse parser of the CLI's argv,
-which the CLI's one-pass reader of its command table replaced.
+Nothing here takes the library's own computation paths.  Each claim has one
+oracle, and a second only where the first cannot reach tier-1's sizes:
+
+- binomials and binomial determinants: `pascal_table`, rows built by adding;
+- determinants: `cofactor_det`, and `bareiss_det` (fraction-free
+  elimination) for the larger scans, where n! cofactor terms take too long;
+- M_d and g * M_d: `md_by_closed_form` and `f_by_md_product`;
+- total nonnegativity of M_d: `minors_by_order`, a fresh det of every
+  submatrix in k-major order, folded per max order by `fold_orders`;
+- Lemma 3, the 2x2 minors: `two_by_two_scan`;
+- the f <-> h transforms: direct polynomial expansion,
+  `h_side_coefficients` and `f_side_coefficients`;
+- the crossing index: `crossing_index_by_scan`, trying every t;
+- cyclic and stacked f-vectors: `cyclic_fvector_gale` (Gale evenness) and
+  `stacked_fvector_subdivision` (stellar subdivisions); `family_f_r`, the
+  families' closed-form h-vectors, for members those two cannot reach;
+- Macaulay expansions: `macaulay_expansions_by_search`, exhaustive;
+  `macaulay_terms_by_scan`, each top walked up one step at a time, past
+  the search's reach;
+- the sandwich and cs parameters: `sandwich_params_by_scan` and
+  `largest_n_below_by_scan`, walking n up one at a time;
+- disjoint lattice path pairs: `disjoint_word_pairs` and its count
+  `disjoint_pairs_by_scan`, testing the vertex sets of every pair of
+  step-word paths;
+- the injection phi: `phi_by_pairs`, one domain pair at a time;
+- the CLI's argv: `build_parser`, the argparse parser that the one-pass
+  reader of the command table replaced.
 """
 
 import argparse
 import math
-from functools import lru_cache, partial, reduce
-from itertools import combinations, islice, repeat
-from operator import add, itemgetter, mul, sub
-
-_add_each = partial(map, add)
+from functools import lru_cache
+from itertools import combinations
 
 
 @lru_cache(maxsize=None)
@@ -139,55 +144,6 @@ def two_by_two_scan(md):
             if low is None or value < low:
                 low, witness = value, ((a, b), (r, s))
     return count, low, witness
-
-
-def laplace_scan(md, orders):
-    """For each order k in orders (a range from 1 or 2 up): (minors scanned,
-    least minor, its (rows, cols)), first least one kept in a row-tuple,
-    then column-tuple, lexicographic scan, from one depth-first walk over
-    the row sets, so fold_orders gives every max order.  This is the scanner
-    the packed breadth-first scan replaced.  The minors on rows R + (r,)
-    come from those of R by Laplace expansion along the new last row r:
-
-        det(R + r, C) = sum_j (-1)^(k-1-j) m[r][c_j] * det(R, C - c_j).
-
-    A row set's k x k minors are one list ranked like the k-subsets C of the
-    columns in lexicographic order; position j of C reads (-1)^(k-1-j)
-    m[r][c_j] from the signed row r (the row, then its negation) and the
-    parent's minor at the rank of C - c_j.  Each getter picks C(d, k) >= 2
-    items, so gives a tuple: orders must stay below the column count."""
-    n, d = len(md), len(md[0])
-    top = orders[-1]
-    signed_rows = [tuple(row) + tuple(-x for x in row) for row in md]
-    levels, rank = {}, {0: 0}  # the rank of each (k-1)-subset by bitmask
-    powers = [1 << c for c in range(d)]
-    for k in range(1, top + 1):
-        columns = list(zip(*combinations(range(d), k)))  # column j of every C
-        bits = [itemgetter(*cols)(powers) for cols in columns]
-        masks = list(reduce(_add_each, bits))
-        levels[k] = [(itemgetter(*map(partial(add, d * ((k - 1 - j) % 2)), cols)),
-                      itemgetter(*map(rank.__getitem__, map(sub, masks, bit))))
-                     for j, (cols, bit) in enumerate(zip(columns, bits))]
-        rank = dict(zip(masks, range(len(masks))))
-    counts, best = dict.fromkeys(orders, 0), {}  # best[k]: (least, rows, rank)
-
-    def visit(rows, parent, k):
-        pieces = [minors(parent) for _, minors in levels[k]]
-        for r in range(rows[-1] + 1 if rows else 0, n):
-            entries = [gather(signed_rows[r]) for gather, _ in levels[k]]
-            values = list(reduce(_add_each, map(map, repeat(mul), entries, pieces)))
-            if k in orders:
-                counts[k] += len(values)
-                low = min(values)
-                if k not in best or low < best[k][0]:
-                    best[k] = (low, rows + (r,), values.index(low))
-            if k < top and r < n - 1:
-                visit(rows + (r,), values, k + 1)
-
-    visit((), [1], 1)  # the empty minor is 1
-    return [(counts[k], best[k][0],
-             (best[k][1], next(islice(combinations(range(d), k), best[k][2], None))))
-            for k in orders]
 
 
 def crossing_index_by_scan(diffs):
@@ -333,29 +289,6 @@ def sandwich_params_by_scan(d, r, value):
     return n1, n2
 
 
-def cyclic_n2_by_bisection(d, r, value):
-    """Smallest n >= d+1 with f_r(C(n, d)) >= value: gallop up from the
-    simplex by doubling steps, then bisect the bracket."""
-    def below(n):
-        return family_f_r("cyclic", n, d, r) < value
-
-    lo = d + 1
-    if not below(lo):
-        return lo
-    step = 1
-    while below(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step  # below(lo) holds and below(hi) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def macaulay_terms_by_scan(n, k):
     """The greedy Macaulay expansion of n >= 1, each a_j found by walking
     up from j while C(a_j + 1, j) <= the remainder."""
@@ -417,39 +350,6 @@ def disjoint_word_pairs(p, q, t, u):
 def disjoint_pairs_by_scan(p, q, t, u):
     """#L(p, q, t, u), testing every pair."""
     return len(disjoint_word_pairs(p, q, t, u))
-
-
-def _window(level, start, end):
-    """The x-coordinates on level x + y of a path from (0, -start) to
-    (end, -end): it has taken level + start steps and has -level left."""
-    return range(max(0, level + end), min(end, level + start) + 1)
-
-
-def disjoint_pairs_by_levels(p, q, t, u):
-    """#L(p, q, t, u) by a walk over the levels x + y: the lower-starting
-    path alone, with a count per x, up to the other's start level, where
-    it must stand right of the other's start; then both in lockstep, with a
-    dict entry per (x_P, x_Q) with x_P > x_Q."""
-    if not (0 <= t <= p and 0 <= u <= q):
-        return 0
-    if p < q:
-        p, q, t, u = q, p, u, t
-    if t <= u:
-        return 0
-    ways = {0: 1}
-    for level in range(1 - p, 1 - q):
-        ways = {x: ways.get(x, 0) + ways.get(x - 1, 0) for x in _window(level, p, t)}
-    pairs = {(x, 0): n for x, n in ways.items() if x}
-    for level in range(1 - q, 1):
-        get, ys = pairs.get, _window(level, q, u)
-        pairs = {
-            (x, y): get((x, y), 0) + get((x - 1, y), 0) + get((x, y - 1), 0)
-            + get((x - 1, y - 1), 0)
-            for x in _window(level, p, t)
-            for y in ys
-            if x > y
-        }
-    return pairs.get((t, u), 0)
 
 
 def phi_by_pairs(d, phi_words):

@@ -11,7 +11,8 @@ import pytest
 import fvectors
 from fvectors import (
     BoundConclusion, FVector, FamilySpec, GVector, HVector, PathFamilySpec,
-    del_k, find_crossing, lower_bound_cs,
+    compare, del_k, f_of_family, f_to_g, f_to_h, find_crossing, g_of_family, g_to_f, h_to_f,
+    h_to_g, is_dehn_sommerville, lower_bound_cs,
     macaulay_expand, md_entry, phi, phi_minor, ratio_chain, sandwich_simplicial,
     verify_gv, verify_lemma3, verify_phi, verify_ratio_chain, verify_total_nonnegativity,
 )
@@ -82,6 +83,25 @@ def test_public_names_are_pinned():
 ])
 def test_scalar_parameters_reject_floats_and_bools(call, args, bad):
     with pytest.raises(ValueError, match=f"parameters must be integers, got {bad}"):
+        call(*args)
+
+
+_F, _H, _G = FVector(4, (5, 10, 10, 5)), HVector(4, (1, 2, 3, 2, 1)), GVector(4, (1, 2, 3))
+
+
+_REFUSED = [  # each answered, or raised IndexError, on a vector or spec of another class
+    (f_to_h, (_G,), "FVector"), (f_to_g, (_H,), "FVector"), (h_to_f, (_G,), "HVector"),
+    (h_to_g, (_F,), "HVector"), (is_dehn_sommerville, (_G,), "HVector"),
+    (g_to_f, (_H,), "GVector"), (find_crossing, (_G, _H), "GVector"),
+    (compare, (_F, FVector(4, (6, 14, 16, 8)), 0), "GVector"),
+    (g_of_family, (("cyclic", 5, 4),), "FamilySpec"),
+    (f_of_family, (("cyclic", 3, 2),), "FamilySpec"),
+]
+
+
+@pytest.mark.parametrize("call, args, needed", _REFUSED, ids=[c.__name__ for c, _, _ in _REFUSED])
+def test_entry_points_refuse_arguments_of_another_class(call, args, needed):
+    with pytest.raises(ValueError, match=f"expected {needed}, got "):
         call(*args)
 
 

@@ -358,6 +358,18 @@ def test_integer_options_past_the_digit_cap_are_refused(capsys, digits):
     assert "0" * 100 not in out + err
 
 
+def test_a_signed_integer_at_the_digit_cap_is_read(capsys):
+    # 4,300 digits after the sign: 4,301 characters, within the cap
+    code, doc = invoke(capsys, "check", "nonnegative", "--vec", f"[1, -{'1' * 4300}]")
+    assert (code, doc) == (EXIT_FAIL, {"result": False})
+
+
+def test_integers_from_2_to_the_53_on_are_emitted_as_strings(capsys):
+    code, doc = invoke(capsys, "transform", "--d", "3", "--from", "f", "--to", "f",
+                       "--vec", json.dumps([2**53 - 1, 2**53, 1]))
+    assert (code, doc["f"]) == (EXIT_OK, [2**53 - 1, str(2**53), 1])
+
+
 @pytest.mark.parametrize("option", ["--vec", "--file", "--g1", "--g2"])
 def test_deeply_nested_json_is_a_json_error(capsys, tmp_path, option):
     # json raised RecursionError here, which escaped run as a traceback
@@ -456,6 +468,7 @@ GOLDEN_RUNS = [
     (("check", "M-sequence", "--vec", "[1,1,2]"), "check_M_sequence_witness.json"),
     (("transform", "--d", "4", "--from", "f", "--to", "h", "--vec", "[7,21,28,14]"),
      "transform_f_to_h.json"),
+    (("verify", "minors", "--d", "10", "--order", "3"), "verify_minors_d10_order3.json"),
 ]
 
 

@@ -18,7 +18,7 @@ from fvectors.transforms import GVector, build_md, delta, f_from_g, g_to_f
 
 from deadline import timed
 from oracles import (
-    crossing_index_by_scan, cyclic_fvector_gale, cyclic_n2_by_bisection, family_f_r,
+    crossing_index_by_scan, cyclic_fvector_gale, family_f_r,
     largest_n_below_by_scan, sandwich_params_by_scan,
 )
 
@@ -340,6 +340,15 @@ def test_ratio_chain_reports_planted_tail_break(monkeypatch):
     assert not chain.all_hold
 
 
+def test_ratio_chain_reports_a_planted_negative_entry_above_the_tail(monkeypatch):
+    # cs is -1 just above its zero tail, and every cross-product is 0
+    _plant_columns(monkeypatch, 6, (0, 0, 0, 0), (1, -1, 0, 0))
+    chain = ratio_chain(6, 0, 1)
+    assert chain.comparisons == (0, 0, 0)
+    assert chain.tail_start == 2
+    assert not chain.tail_ok and not chain.all_hold
+
+
 def test_ratio_chain_reports_planted_negative_last_entry(monkeypatch):
     # no zero in cs and a nonnegative cross-product, but cr ends below 0
     _plant_columns(monkeypatch, 3, (1, -1), (1, 1))
@@ -469,24 +478,6 @@ def test_bounds_at_huge_values(d, r):
     assert family_f_r("cyclic", n2 - 1, d, r) < v <= family_f_r("cyclic", n2, d, r)
     (n,) = timed(lower_bound_cs, d, r, v).family_params
     assert family_f_r("cs_stacked", n, d, r) <= v < family_f_r("cs_stacked", n + 1, d, r)
-
-
-def test_cyclic_n2_matches_bisection_oracle():
-    # r < delta takes the neighborly top; r >= delta the Newton steps from above
-    for d in range(3, 20):
-        for r in range(d - 1):
-            values = {10**e for e in (1, 3, 10, 30, 100, 300)}
-            values |= _boundary_values("cyclic", d, r, d + 1, count=8)
-            for v in sorted(values):
-                # f_0(C(n, d)) = n, so r = 0 needs no bisection
-                expected = max(v, d + 1) if r == 0 else cyclic_n2_by_bisection(d, r, v)
-                assert comparison._cyclic_n2(d, r, v) == expected
-            # next to members far out, the answer brackets the value
-            for e in (30, 100, 300):
-                n = comparison._cyclic_n2(d, r, 10**e)
-                for v in (family_f_r("cyclic", n, d, r) + k for k in (-1, 0, 1)):
-                    m = comparison._cyclic_n2(d, r, v)
-                    assert family_f_r("cyclic", m - 1, d, r) < v <= family_f_r("cyclic", m, d, r)
 
 
 def test_cyclic_step_matches_closed_form_and_gale_oracles():

@@ -5,8 +5,7 @@ import pytest
 
 from deadline import timed
 from oracles import (
-    _ne_paths, disjoint_pairs_by_levels, disjoint_pairs_by_scan, disjoint_word_pairs,
-    path_vertices, phi_by_pairs,
+    _ne_paths, disjoint_pairs_by_scan, disjoint_word_pairs, path_vertices, phi_by_pairs,
 )
 from fvectors import lattice
 from fvectors.exact import binom_det, binomial
@@ -105,11 +104,6 @@ def test_count_disjoint_pairs_matches_pair_scan():
     # empty families, negative parameters and shared starts (p == q) included
     for pqtu in product(range(-2, 9), repeat=4):
         assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_scan(*pqtu)
-
-
-def test_count_disjoint_pairs_matches_dict_level_walk():
-    for pqtu in product(range(-2, 15), repeat=4):
-        assert count_disjoint_pairs(PathFamilySpec(*pqtu)) == disjoint_pairs_by_levels(*pqtu)
 
 
 def test_count_disjoint_pairs_limbs_follow_the_cell_bound():
@@ -583,19 +577,6 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
         assert sorted(counts) == sorted(targets) and len(counts) == 2 * report.instances
 
 
-def test_verify_phi_by_words_matches_the_pair_loop():
-    for d in range(3, 11):
-        report = verify_phi(d)
-        assert report.all_ok and phi_by_pairs(d, _phi_words) == (report.pairs_checked, set(), [])
-    for d in (11, 12):  # the oracle's pair loop takes seconds here; its pair count does not
-        report = verify_phi(d)
-        assert report.all_ok
-        assert report.pairs_checked == sum(
-            disjoint_pairs_by_levels(p, q, d - s, d - r)
-            for a in range(delta(d)) for r, s in combinations(range(d), 2)
-            for p, q in ((a, a + 1), (a + 1, d + 1 - a)))
-
-
 def _sorted(word):
     # the same steps, E's first: the path below and right of the others
     return "".join(sorted(word))
@@ -674,16 +655,6 @@ def test_verify_phi_catches_an_anchored_2c_image(monkeypatch):
     assert not report.anchors_ok
     assert _messages(report) == {"case 2c anchor invariant broken", "image collision"}
     assert report.membership_ok and report.cases_partition and report.counts_consistent
-
-
-def _count_by_scan(spec):
-    return disjoint_pairs_by_scan(spec.p, spec.q, spec.t, spec.u)
-
-
-def test_verify_phi_reports_match_with_pair_scan_counts(monkeypatch):
-    walked = [repr(verify_phi(d)) for d in range(3, 12)]
-    monkeypatch.setattr(lattice, "count_disjoint_pairs", _count_by_scan)
-    assert [repr(verify_phi(d)) for d in range(3, 12)] == walked
 
 
 def test_verify_phi_catches_a_miscounted_target(monkeypatch):
