@@ -85,6 +85,8 @@ def _loads(text: str):
 
 
 def _parse_vec(args) -> list:
+    if args.vec is not None and args.file is not None:
+        raise ValueError("a vector is given once (--vec or --file, not both)")
     if args.file:
         with open(args.file) as fh:
             payload = _loads(fh.read())
@@ -154,8 +156,6 @@ def _cmd_check(args):
     vec = _parse_vec(args)
     kind, doc = args.which, {}
     if kind == "dehn-sommerville":
-        if args.d is None:
-            raise ValueError("check dehn-sommerville requires --d")
         result = is_dehn_sommerville(HVector(args.d, vec))
     elif kind == "nonnegative":
         result = is_nonnegative(vec)
@@ -185,27 +185,12 @@ def _cmd_bounds(args):
     return _emit(bound(args.d, args.r, args.value), EXIT_OK)
 
 
-def _no_failures(report) -> bool:
-    return not report.failures
-
-
-# each verify kind: (its run on the parsed arguments, its report's pass test)
-_VERIFY = {
-    "minors": (
-        lambda a: verify_total_nonnegativity(a.d, a.order),
-        attrgetter("all_nonnegative"),
-    ),
-    "lemma3": (lambda a: verify_lemma3(a.d), attrgetter("all_nonnegative")),
-    "gv": (lambda a: verify_gv(a.max), _no_failures),
-    "phi": (lambda a: verify_phi(a.d), attrgetter("all_ok")),
-    "ratio-chain": (lambda a: verify_ratio_chain(a.d), _no_failures),
-}
-
-
-def _cmd_verify(args):
-    run_kind, passes = _VERIFY[args.which]
-    report = run_kind(args)
-    return _emit(report, EXIT_OK if passes(report) else EXIT_FAIL)
+def _verify(run_kind, passes=lambda report: not report.failures):
+    """A verify kind's handler: its run on the parsed arguments, then its report's pass test."""
+    def _cmd_verify(args):
+        report = run_kind(args)
+        return _emit(report, EXIT_OK if passes(report) else EXIT_FAIL)
+    return _cmd_verify
 
 
 def integer(text: str) -> int:
@@ -224,25 +209,35 @@ _REQUIRED = object()  # the default of an option that must be given
 _HELP = ("-h", "--help")
 _FHG = ("f", "h", "g")
 
-# each subcommand: its handler, the choices of its positional `which` (None
-# if it has none), and its options, each -> (a conversion, choices or None
-# for the text as is; the default or _REQUIRED); --d's value is args.d
+_VEC = {"--vec": (None, None), "--file": (None, None)}
+_VERIFY_D = {"--d": (integer, 10)}
+
+# each subcommand: its handler and options, or a table of its kinds, each its
+# handler and options; an option -> (a conversion, choices or None for the text
+# as is; the default or _REQUIRED); --d's value is args.d, a kind's args.which
 _COMMANDS = {
-    "transform": (_cmd_transform, None, {
+    "transform": (_cmd_transform, {
         "--d": (integer, _REQUIRED), "--from": (_FHG, _REQUIRED), "--to": (_FHG, _REQUIRED),
-        "--vec": (None, None), "--file": (None, None)}),
-    "family": (_cmd_family, ("cyclic", "stacked", "cs-stacked"), {
-        "--d": (integer, _REQUIRED), "--n": (integer, _REQUIRED), "--emit": (("f", "g"), "f")}),
-    "check": (_cmd_check, ("m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"), {
-        "--d": (integer, None), "--vec": (None, None), "--file": (None, None)}),
-    "compare": (_cmd_compare, None, {
+        **_VEC}),
+    "family": dict.fromkeys(("cyclic", "stacked", "cs-stacked"), (_cmd_family, {
+        "--d": (integer, _REQUIRED), "--n": (integer, _REQUIRED), "--emit": (("f", "g"), "f")})),
+    "check": {
+        **dict.fromkeys(("m-sequence", "M-sequence", "nonnegative"), (_cmd_check, _VEC)),
+        "dehn-sommerville": (_cmd_check, {"--d": (integer, _REQUIRED), **_VEC})},
+    "compare": (_cmd_compare, {
         "--d": (integer, _REQUIRED), "--g1": (None, _REQUIRED), "--g2": (None, _REQUIRED),
         "--r": (integer, _REQUIRED)}),
-    "bounds": (_cmd_bounds, ("simplicial", "cs"), {
+    "bounds": dict.fromkeys(("simplicial", "cs"), (_cmd_bounds, {
         "--d": (integer, _REQUIRED), "--r": (integer, _REQUIRED),
-        "--value": (integer, _REQUIRED)}),
-    "verify": (_cmd_verify, tuple(_VERIFY), {
-        "--d": (integer, 10), "--order": (order, "all"), "--max": (integer, 6)}),
+        "--value": (integer, _REQUIRED)})),
+    "verify": {
+        "minors": (_verify(lambda a: verify_total_nonnegativity(a.d, a.order),
+                           attrgetter("all_nonnegative")),
+                   {**_VERIFY_D, "--order": (order, "all")}),
+        "lemma3": (_verify(lambda a: verify_lemma3(a.d), attrgetter("all_nonnegative")), _VERIFY_D),
+        "gv": (_verify(lambda a: verify_gv(a.max)), {"--max": (integer, 6)}),
+        "phi": (_verify(lambda a: verify_phi(a.d), attrgetter("all_ok")), _VERIFY_D),
+        "ratio-chain": (_verify(lambda a: verify_ratio_chain(a.d)), _VERIFY_D)},
 }
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
@@ -283,58 +278,61 @@ def _convert(label, conversion, text):
         raise ValueError(f"argument {label}: {error}") from None
 
 
-def _help(option, glued, command):
+def _help(option, glued, path):
     """-h/--help, which takes no value: -hh is -h, -hx an error."""
     rest = glued.lstrip("h") if option == "-h" and glued else glued
     if glued is not None and (rest or not glued):
         raise ValueError(f"argument -h/--help: ignored explicit argument {rest!r}")
-    return _usage, command
+    return _usage, path
 
 
-def _usage(command):
-    """Print the usage of command, or of every subcommand if it is None."""
-    print("usage: fvectors {" + ",".join(_COMMANDS) + "} ..." if command is None else "usage:")
-    for name, (_, choices, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        words = [f"  fvectors {name}"] + (["{" + ",".join(choices) + "}"] if choices else [])
-        for option, (conversion, default) in options.items():
-            value = "{" + ",".join(conversion) + "}" if isinstance(conversion, tuple) else None
-            word = f"{option} {value or option[2:].upper()}"
-            words.append(word if default is _REQUIRED else f"[{word}]")
-        print(" ".join(words))
+def _usage(path):
+    """Print the usage of each kind under path, () or a command or a command and a kind."""
+    print("usage: fvectors {" + ",".join(_COMMANDS) + "} ..." if not path else "usage:")
+    for command, entry in _COMMANDS.items():
+        for kind, (_, options) in entry.items() if isinstance(entry, dict) else [(None, entry)]:
+            words = (command, kind) if kind else (command,)
+            if words[:len(path)] != path:
+                continue
+            words = ["  fvectors", *words]
+            for option, (conversion, default) in options.items():
+                value = "{" + ",".join(conversion) + "}" if isinstance(conversion, tuple) else None
+                word = f"{option} {value or option[2:].upper()}"
+                words.append(word if default is _REQUIRED else f"[{word}]")
+            print(" ".join(words))
     return EXIT_OK
 
 
-def _parse(argv):
+def _parse(argv, table=_COMMANDS, path=(), extras=()):
     """The handler and arguments of argv, read in one left-to-right pass as
-    argparse read it: the same values, and its errors in its order."""
+    argparse read it: the same values, and its errors in its order.  table
+    holds the subcommands, or the kinds of the command path, which the
+    unknown arguments in extras came before."""
     i = 0
     while i < len(argv) and argv[i] != "--" and (read := _read(argv[i], _HELP)):
         if read[0]:
-            return _help(*read, None)
-        i += 1  # an unknown option before the subcommand
+            return _help(*read, path)
+        i += 1  # an unknown option before the subcommand or kind
+    label = "which" if path else "command"
     if argv[i:] in ([], ["--"]):
-        raise ValueError("the following arguments are required: command")
-    name = _convert("command", _COMMANDS, argv[i])
-    handler, choices, options = _COMMANDS[name]
-    args, extras, names = argv[i + 1:], argv[:i], (*_HELP, *options)
-    sep = args.index("--") if "--" in args else len(args)  # all values after it
-    reads = [_read(token, names) for token in args[:sep]] + [None] * (len(args) - sep)
-    values = {"which": _REQUIRED} if choices else {}
+        raise ValueError(f"the following arguments are required: {label}")
+    name = _convert(label, table, argv[i])
+    args, extras, entry = argv[i + 1:], [*extras, *argv[:i]], table[name]
+    if isinstance(entry, dict):
+        return _parse(args, entry, (name,), extras)
+    handler, options = entry
+    names = (*_HELP, *options)
+    sep = args.index("--") if "--" in args else len(args)  # unknown from it on
+    reads = [_read(token, names) for token in args[:sep]]
+    values = {"which": name} if path else {}
     values.update((option, default) for option, (_, default) in options.items())
-    k = taken = 0  # taken: 1 + the index of `which`
-    while k < len(args):
+    k = 0
+    while k < sep:
         token, read, k = args[k], reads[k], k + 1
-        if k - 1 == sep:  # argparse drops a -- right before or after `which`
-            if not (values.get("which") is _REQUIRED and k < len(args) or taken == k - 1):
-                extras.append(token)
-        elif read is None and values.get("which") is _REQUIRED:
-            values["which"], taken = _convert("which", choices, token), k
-        elif read is None or read[0] is None:
+        if read is None or read[0] is None:
             extras.append(token)
         elif read[0] in _HELP:
-            return _help(*read, name)
+            return _help(*read, (*path, name))
         else:
             option, glued = read
             if glued is None:
@@ -344,7 +342,7 @@ def _parse(argv):
             values[option] = _convert(option, options[option][0], glued)
     if missing := [label for label, value in values.items() if value is _REQUIRED]:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
+    if extras := extras + args[sep:]:
         raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
     return handler, SimpleNamespace(**{label.strip("-"): v for label, v in values.items()})
 

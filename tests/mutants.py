@@ -110,10 +110,11 @@ MUTANTS = [
     ("argv-glued-value", "cli", 'token.partition("=")', 'token, "", ""', K),
     ("argv-glued-help", "cli", 'return "-h", token[2:]', 'return "-h", None', K),
     ("argv-lone-dashes", "cli", 'in ([], ["--"]):', "== []:", K),
-    ("argv-dashes-dropped", "cli", 'values.get("which") is _REQUIRED and k < len(args) or ',
-     "", K),
-    ("argv-values-after-dashes", "cli", "for token in args[:sep]] + [None] * (len(args) - sep)",
-     "for token in args]", K),
+    ("argv-dashes-after-command-kept", "cli", 'in ([], ["--"]):', 'in ([], ["--"][:not path]):', K),
+    ("argv-values-after-dashes", "cli", 'args.index("--") if "--" in args else len(args)',
+     "len(args)", K),
+    ("argv-kind-gains-option", "cli", '{"--max": (integer, 6)}',
+     '{"--max": (integer, 6), **_VERIFY_D}', K),
     ("argv-help-rest", "cli", 'glued.lstrip("h") if option == "-h" and glued else glued',
      "glued", K),
 ]

@@ -25,8 +25,9 @@ oracle, and a second only where the first cannot reach tier-1's sizes:
   `disjoint_pairs_by_scan`, testing the vertex sets of every pair of
   step-word paths;
 - the injection phi: `phi_by_pairs`, one domain pair at a time;
-- the CLI's argv: `build_parser`, the argparse parser that the one-pass
-  reader of the command table replaced.
+- the CLI's argv: `build_parser`, the argparse parser, with a subparser
+  per kind of a command, that the one-pass reader of the command table
+  replaced.
 """
 
 import argparse
@@ -426,46 +427,55 @@ class _RaisingParser(argparse.ArgumentParser):
 
 
 def build_parser():
-    """The CLI's argv as argparse reads it: parse_args gives the namespace
-    (`command` names the subcommand), raises ValueError with argparse's
+    """The CLI's argv as argparse reads it, each kind of a command a
+    subparser of its own: parse_args gives the namespace (`command` names
+    the subcommand, `which` its kind), raises ValueError with argparse's
     error text, or prints help and exits 0."""
     parser = _RaisingParser(prog="cli")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform")
+    p = commands.add_parser("transform")
     p.add_argument("--d", type=integer, required=True)
     p.add_argument("--from", choices=["f", "h", "g"], required=True)
     p.add_argument("--to", choices=["f", "h", "g"], required=True)
     p.add_argument("--vec")
     p.add_argument("--file")
 
-    p = sub.add_parser("family")
-    p.add_argument("which", choices=["cyclic", "stacked", "cs-stacked"])
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--emit", choices=["f", "g"], default="f")
+    kinds = commands.add_parser("family").add_subparsers(dest="which", required=True)
+    for kind in ("cyclic", "stacked", "cs-stacked"):
+        p = kinds.add_parser(kind)
+        p.add_argument("--d", type=integer, required=True)
+        p.add_argument("--n", type=integer, required=True)
+        p.add_argument("--emit", choices=["f", "g"], default="f")
 
-    p = sub.add_parser("check")
-    p.add_argument("which", choices=["m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"])
-    p.add_argument("--d", type=integer, default=None)
-    p.add_argument("--vec")
-    p.add_argument("--file")
+    kinds = commands.add_parser("check").add_subparsers(dest="which", required=True)
+    for kind in ("m-sequence", "M-sequence", "nonnegative", "dehn-sommerville"):
+        p = kinds.add_parser(kind)
+        if kind == "dehn-sommerville":
+            p.add_argument("--d", type=integer, required=True)
+        p.add_argument("--vec")
+        p.add_argument("--file")
 
-    p = sub.add_parser("compare")
+    p = commands.add_parser("compare")
     p.add_argument("--d", type=integer, required=True)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--r", type=integer, required=True)
 
-    p = sub.add_parser("bounds")
-    p.add_argument("which", choices=["simplicial", "cs"])
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--value", type=integer, required=True)
+    kinds = commands.add_parser("bounds").add_subparsers(dest="which", required=True)
+    for kind in ("simplicial", "cs"):
+        p = kinds.add_parser(kind)
+        p.add_argument("--d", type=integer, required=True)
+        p.add_argument("--r", type=integer, required=True)
+        p.add_argument("--value", type=integer, required=True)
 
-    p = sub.add_parser("verify")
-    p.add_argument("which", choices=["minors", "lemma3", "gv", "phi", "ratio-chain"])
-    p.add_argument("--d", type=integer, default=10)
-    p.add_argument("--order", type=order, default="all")
-    p.add_argument("--max", type=integer, default=6)
+    kinds = commands.add_parser("verify").add_subparsers(dest="which", required=True)
+    for kind in ("minors", "lemma3", "gv", "phi", "ratio-chain"):
+        p = kinds.add_parser(kind)
+        if kind == "gv":
+            p.add_argument("--max", type=integer, default=6)
+            continue
+        p.add_argument("--d", type=integer, default=10)
+        if kind == "minors":
+            p.add_argument("--order", type=order, default="all")
     return parser

@@ -10,12 +10,14 @@ import pytest
 
 import fvectors
 from fvectors import (
-    BoundConclusion, FVector, FamilySpec, GVector, HVector, PathFamilySpec,
+    BoundConclusion, ChainSweepReport, ComparisonReport, CrossingWitness, FVector, FamilySpec,
+    GVSweepReport, GVector, HVector, MacaulayExpansion, MinorReport, PathFamilySpec, PhiReport,
     compare, del_k, f_of_family, f_to_g, f_to_h, find_crossing, g_of_family, g_to_f, h_to_f,
     h_to_g, is_dehn_sommerville, lower_bound_cs,
     macaulay_expand, md_entry, phi, phi_minor, ratio_chain, sandwich_simplicial,
-    verify_gv, verify_lemma3, verify_phi, verify_ratio_chain, verify_total_nonnegativity,
+    verify_gv, verify_lemma3, verify_ratio_chain, verify_total_nonnegativity,
 )
+from fvectors.comparison import RatioChainReport
 
 # A name leaves or joins this list only with a CHANGES.md entry saying so.
 PUBLIC_NAMES = {
@@ -105,8 +107,8 @@ def test_entry_points_refuse_arguments_of_another_class(call, args, needed):
         call(*args)
 
 
-# one instance of each public type: (a factory, a field, the repr the
-# frozen-dataclass form of these types gave)
+# one instance of each public type, built from literal fields: (a factory,
+# a field, the repr the frozen-dataclass form of these types gave)
 VALUES = {
     "FVector": (lambda: FVector(4, (6, 15, 18, 9)), "entries",
                 "FVector(d=4, entries=(6, 15, 18, 9))"),
@@ -118,30 +120,35 @@ VALUES = {
                    "FamilySpec(family='cyclic', n=7, d=4)"),
     "PathFamilySpec": (lambda: PathFamilySpec(3, 4, 1, 2), "p",
                        "PathFamilySpec(p=3, q=4, t=1, u=2)"),
-    "MacaulayExpansion": (lambda: macaulay_expand(100, 3), "terms",
+    "MacaulayExpansion": (lambda: MacaulayExpansion(100, 3, ((9, 3), (6, 2), (1, 1))), "terms",
                           "MacaulayExpansion(n=100, k=3, terms=((9, 3), (6, 2), (1, 1)))"),
-    "CrossingWitness": (lambda: find_crossing(GVector(4, (1, 3, 0)), GVector(4, (1, 2, 1))),
-                        "t", "CrossingWitness(t=1, diffs=(0, 1, -1))"),
+    "CrossingWitness": (lambda: CrossingWitness(1, (0, 1, -1)), "t",
+                        "CrossingWitness(t=1, diffs=(0, 1, -1))"),
     "BoundConclusion": (lambda: BoundConclusion(True, 5), "rhs",
                         "BoundConclusion(bound_holds=True, lhs=5, rhs=None)"),
     "ComparisonReport": (
-        lambda: sandwich_simplicial(5, 2, 100), "guaranteed",
+        lambda: ComparisonReport._make((5, 2, True, True, {
+            3: BoundConclusion(True, 95, 105), 4: BoundConclusion(True, 38, 42)}, None, (14, 10))),
+        "guaranteed",
         "ComparisonReport(d=5, r=2, premise_holds=True, guaranteed=True, conclusions="
         "{3: BoundConclusion(bound_holds=True, lhs=95, rhs=105), "
         "4: BoundConclusion(bound_holds=True, lhs=38, rhs=42)}, witness=None, "
         "family_params=(14, 10))"),
-    "RatioChainReport": (lambda: ratio_chain(5, 1, 3), "all_hold",
+    "RatioChainReport": (lambda: RatioChainReport._make((5, 1, 3, (75, 15), None, True, True)),
+                         "all_hold",
                          "RatioChainReport(d=5, r=1, s=3, comparisons=(75, 15), "
                          "tail_start=None, tail_ok=True, all_hold=True)"),
-    "ChainSweepReport": (lambda: verify_ratio_chain(5), "failures",
+    "ChainSweepReport": (lambda: ChainSweepReport(5, 10, ()), "failures",
                          "ChainSweepReport(d=5, pairs=10, failures=())"),
-    "GVSweepReport": (lambda: verify_gv(2), "max",
+    "GVSweepReport": (lambda: GVSweepReport(2, 81, ()), "max",
                       "GVSweepReport(max=2, instances=81, failures=())"),
-    "PhiReport": (lambda: verify_phi(4), "injective",
+    "PhiReport": (lambda: PhiReport._make((4, 12, 49, True, True, True, True, True, ())),
+                  "injective",
                   "PhiReport(d=4, instances=12, pairs_checked=49, injective=True, "
                   "cases_partition=True, membership_ok=True, anchors_ok=True, "
                   "counts_consistent=True, failures=())"),
-    "MinorReport": (lambda: verify_total_nonnegativity(6), "min_value",
+    "MinorReport": (lambda: MinorReport._make((6, "all", 209, 0, ((2,), (0,)), True)),
+                    "min_value",
                     "MinorReport(d=6, order='all', minors_checked=209, min_value=0, "
                     "min_witness=((2,), (0,)), all_nonnegative=True)"),
 }

@@ -4,6 +4,7 @@ import json
 import shlex
 import sys
 from contextlib import redirect_stdout
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from fvectors.transforms import FVector, f_to_g
 from deadline import timed
 from oracles import build_parser
 from test_same_answers import CLI_RUNS
+
+
+FAMILIES = "(choose from 'cyclic', 'stacked', 'cs-stacked')"
 
 
 def invoke(capsys, *argv):
@@ -301,13 +305,17 @@ def test_r_out_of_range_message(capsys, argv):
 
 
 def test_help_exits_zero(capsys):
-    # the usage text, built from the command table, goes to stdout alone
+    # the usage text, built from the command table, goes to stdout alone: a
+    # line per kind, after a command its kinds', after a kind its own
     assert run(["--help"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == "" and all(name in out for name in cli._COMMANDS)
     assert run(["family", "--help"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == "" and all(option in out for option in ("--d", "--n", "--emit"))
+    assert out.count("fvectors family ") == 3
+    assert run(["verify", "gv", "-h"]) == EXIT_OK
+    assert capsys.readouterr().out == "usage:\n  fvectors verify gv [--max MAX]\n"
 
 
 def test_decimal_string_entries_round_trip(capsys):
@@ -483,9 +491,8 @@ def test_verify_output_matches_golden(capsys, argv, golden):
 
 def test_every_verify_kind_has_a_golden():
     # a new verify kind pins its JSON with a golden run
-    _, kinds, _ = cli._COMMANDS["verify"]
     pinned = {argv[1] for argv, _ in GOLDEN_RUNS if argv[0] == "verify"}
-    assert set(kinds) == set(cli._VERIFY) == pinned
+    assert set(cli._COMMANDS["verify"]) == pinned
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -502,8 +509,9 @@ def test_every_verify_kind_has_a_golden():
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
      "'transform', 'family', 'check', 'compare', 'bounds', 'verify')"),
     ([], "the following arguments are required: command"),
-    (["family"], "the following arguments are required: which, --d, --n"),
-    (["family", "--d", "x", "huge"], "argument --d: invalid integer value: 'x'"),
+    (["family"], "the following arguments are required: which"),
+    (["family", "cyclic", "--d", "x", "--emit", "huge"],
+     "argument --d: invalid integer value: 'x'"),
     (["family", "huge", "--d", "x"],
      "argument which: invalid choice: 'huge' (choose from 'cyclic', 'stacked', 'cs-stacked')"),
     (["family", "cyclic", "--d", "4", "--n", "7", "--bogus", "3"],
@@ -513,6 +521,37 @@ def test_every_verify_kind_has_a_golden():
     (["-x", "family", "cyclic", "--d", "4", "--n", "7", "8"], "unrecognized arguments: -x 8"),
     (["family", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
     (["family", "-hhx"], "argument -h/--help: ignored explicit argument 'x'"),
+    # a kind comes right after its command, and -- ends the options
+    (["family", "--d", "x", "huge"], f"argument which: invalid choice: 'x' {FAMILIES}"),
+    (["family", "--d", "5", "cyclic", "--n", "7", "--d", "4"],
+     f"argument which: invalid choice: '5' {FAMILIES}"),
+    (["family", "--d", "4", "--n", "7", "--", "cyclic"],
+     f"argument which: invalid choice: '4' {FAMILIES}"),
+    (["family", "--d", "4", "--n", "7", "cyclic", "--"],
+     f"argument which: invalid choice: '4' {FAMILIES}"),
+    (["family", "--em", "f", "cyclic", "--d", "4", "--n", "7"],
+     f"argument which: invalid choice: 'f' {FAMILIES}"),
+    (["family", "--", "cyclic", "--d", "4", "--n", "7"],
+     f"argument which: invalid choice: '--' {FAMILIES}"),
+    (["family", "--"], "the following arguments are required: which"),
+    (["verify", "phi", "--", "--d", "3"], "unrecognized arguments: -- --d 3"),
+    (["verify", "phi", "--d", "3", "--"], "unrecognized arguments: --"),
+    # each kind takes only its own options (each of these but the first was
+    # answered), and check dehn-sommerville requires --d
+    (["check", "dehn-sommerville", "--vec", "[1,3,3,1]"],
+     "the following arguments are required: --d"),
+    (["check", "m-sequence", "--vec", "[1,2,3]", "--d", "3"], "unrecognized arguments: --d 3"),
+    (["check", "M-sequence", "--vec", "[1,2,3]", "--d", "3"], "unrecognized arguments: --d 3"),
+    (["check", "nonnegative", "--vec", "[1,0,2]", "--d", "99"], "unrecognized arguments: --d 99"),
+    (["verify", "minors", "--d", "5", "--max", "2"], "unrecognized arguments: --max 2"),
+    (["verify", "lemma3", "--d", "5", "--order", "2"], "unrecognized arguments: --order 2"),
+    (["verify", "lemma3", "--d", "5", "--max", "2"], "unrecognized arguments: --max 2"),
+    (["verify", "gv", "--max", "2", "--d", "12"], "unrecognized arguments: --d 12"),
+    (["verify", "gv", "--max", "2", "--order", "2"], "unrecognized arguments: --order 2"),
+    (["verify", "phi", "--d", "3", "--order", "2"], "unrecognized arguments: --order 2"),
+    (["verify", "phi", "--d", "3", "--max", "2"], "unrecognized arguments: --max 2"),
+    (["verify", "ratio-chain", "--d", "5", "--order", "2"], "unrecognized arguments: --order 2"),
+    (["verify", "ratio-chain", "--d", "5", "--max", "2"], "unrecognized arguments: --max 2"),
 ])
 def test_argv_errors_have_argparse_texts(capsys, argv, error):
     # token errors left to right, then missing arguments, then unknown ones
@@ -524,15 +563,29 @@ def test_argv_errors_have_argparse_texts(capsys, argv, error):
 @pytest.mark.parametrize("argv", [
     ["family", "cyclic", "--d=4", "--n", "7"],
     ["family", "cyclic", "--d", "4", "--n", "7", "--emit=f"],
-    ["family", "--d", "5", "cyclic", "--n", "7", "--d", "4"],
-    ["family", "--d", "4", "--n", "7", "--", "cyclic"],
-    ["family", "--d", "4", "--n", "7", "cyclic", "--"],
-    ["family", "--em", "f", "cyclic", "--d", "4", "--n", "7"],
+    ["family", "cyclic", "--d", "5", "--n", "7", "--d", "4"],
+    ["family", "cyclic", "--n", "7", "--d", "4"],
+    ["family", "cyclic", "--n=7", "--d=4", "--emit", "f"],
+    ["family", "cyclic", "--em", "f", "--d", "4", "--n", "7"],
 ])
 def test_argv_forms_of_one_request(capsys, argv):
-    # a space or =, a unique prefix, the last of a repeated option, a positional
-    # after options, and a -- around the positional all read the same
+    # a space or =, options in any order, the last of a repeated option and a
+    # unique prefix all read the same
     assert invoke(capsys, *argv) == (EXIT_OK, {"d": 4, "f": [7, 21, 28, 14]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--d", "4", "--from", "f", "--to", "h",
+     "--vec", "[7,21,28,14]", "--file", "v.json"],
+    ["check", "nonnegative", "--file", "v.json", "--vec", "[7,21,28,14]"],
+])
+def test_vec_and_file_together_are_refused(capsys, tmp_path, monkeypatch, argv):
+    # each answered from the file, dropping --vec
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.json").write_text("[7,21,28,14]")
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": "a vector is given once (--vec or --file, not both)"}
 
 
 ROOT = Path(__file__).parent.parent
@@ -583,12 +636,18 @@ ARGV_CORPUS = [
     # -- before the subcommand, before an option's value, and -h glued to a value
     ["--"], ["--", "family"], ["family", "cyclic", "--n", "7", "--d", "--", "4"],
     ["-hh"], ["-hx"], ["family", "-h=x"], ["family", "-hh=h"], ["family", "--he=h"], ["--help="],
+    # help and unknown options before and after a kind
+    ["family", "cyclic", "-h"], ["verify", "-h", "gv"], ["bounds", "-x", "--help"],
+    ["-x", "check", "-y", "nonnegative", "--vec", "[1]", "-z"], ["verify", "--he", "phi"],
+    # an option of no kind of the command, and a kind after the options
+    ["verify", "gv", "--d", "12"], ["verify", "gv", "--d", "12", "--max", "2"],
+    ["verify", "phi", "--order", "2", "--d", "3"], ["family", "--d", "4", "--n", "7", "cyclic"],
 ]
 
 
 def _reading(argv):
     """What cli reads from argv: (handler name, arguments), ("help", the
-    subcommand or None) or ("error", text)."""
+    command and kind it follows, or a prefix of them) or ("error", text)."""
     try:
         handler, args = cli._parse(list(argv))
     except ValueError as exc:
@@ -603,10 +662,9 @@ def _argparse_reading(argv):
             args = vars(ARGPARSE.parse_args(list(argv)))
     except ValueError as exc:
         return "error", str(exc)
-    except SystemExit as exc:  # help: its usage line names the subcommand
+    except SystemExit as exc:  # help: its usage line names the command and kind
         assert exc.code == 0
-        prog = out.getvalue().split()[2]
-        return "help", prog if prog in cli._COMMANDS else None
+        return "help", tuple(takewhile(lambda word: word != "[-h]", out.getvalue().split()[2:]))
     return f"_cmd_{args.pop('command')}", args
 
 

@@ -156,7 +156,7 @@ def test_M_implies_m_random():
     assert checked > 50  # the implication must actually get exercised
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=7))
 def test_M_implies_m_property(tail):
     v = (1, *tail)
