@@ -51,12 +51,10 @@ def _jsonable(obj):
 
 def _emit(doc, code):
     """Print doc, a dict or a report, as one JSON document; return code.
-    A report prints its fields in declared order, leaving out a field that
-    is None; a None nested deeper prints as null."""
-    if hasattr(doc, "_asdict"):
-        doc = {name: value for name, value in doc._asdict().items() if value is not None}
+    A report prints its fields in declared order.  A top-level None is left
+    out; a None nested deeper prints as null."""
     sys.set_int_max_str_digits(0)  # run() restores the cap
-    print(json.dumps(_jsonable(doc)))
+    print(json.dumps({key: value for key, value in _jsonable(doc).items() if value is not None}))
     return code
 
 
@@ -87,7 +85,7 @@ def _loads(text: str):
 def _parse_vec(args) -> list:
     if args.vec is not None and args.file is not None:
         raise ValueError("a vector is given once (--vec or --file, not both)")
-    if args.file:
+    if args.file is not None:
         with open(args.file) as fh:
             payload = _loads(fh.read())
     else:

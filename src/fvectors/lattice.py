@@ -24,8 +24,9 @@ dispatch, membership, and the anchor invariants that keep the cases apart.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
+from operator import eq
 from typing import NamedTuple
 
 from .exact import binom_det, int_entries
@@ -68,8 +69,8 @@ def _vertex_bit(x: int, y: int) -> int:
 def _paths_with_masks(start: tuple, end: tuple) -> dict:
     """Every monotone NE-path from start to end as {step word: vertex
     bitmask}, words in lexicographic order.  Two paths are vertex-disjoint
-    exactly when their masks share no bit.  The dict is shared by every
-    caller and must not be modified.  The words grow down a prefix tree,
+    exactly when their masks share no bit.  The dict is read by verify_phi
+    and must not be modified.  The words grow down a prefix tree,
     E before N, each mask its prefix's plus one bit from its level's table."""
     (x0, y0), (x1, y1) = start, end
     if x1 < x0 or y1 < y0:
@@ -89,14 +90,6 @@ def _paths_with_masks(start: tuple, end: tuple) -> dict:
                 grown_xs.append(x)
         words, masks, xs = grown_words, grown_masks, grown_xs
     return dict(zip(words, masks))
-
-
-def _family_paths(spec: PathFamilySpec):
-    """The P and Q path dicts of L(p, q, t, u)."""
-    return (
-        _paths_with_masks((0, -spec.p), (spec.t, -spec.t)),
-        _paths_with_masks((0, -spec.q), (spec.u, -spec.u)),
-    )
 
 
 def _count(p: int, q: int, t: int, u: int) -> int:
@@ -261,10 +254,16 @@ def phi(first: bool, p_word: str, q_word: str, d: int, a: int, r: int, s: int):
     check_rs(d, r, s, a)
     if not 0 <= a < delta(d):
         raise ValueError(f"need 0 <= a < delta, got a={a}, d={d}")
+    # P runs from (0, -low) to (t, -t): low steps, t of them E, and Q likewise;
+    # Q climbs alone to P's start level, then they share every level and meet
+    # where their running E counts agree
     low, high = (a, a + 1) if first else (a + 1, d + 1 - a)
-    p_paths, q_paths = _family_paths(PathFamilySpec(low, high, d - s, d - r))
-    p_mask, q_mask = p_paths.get(p_word), q_paths.get(q_word)
-    if p_mask is None or q_mask is None or p_mask & q_mask:
+    lead = high - low
+    xs_p = accumulate(map("E".__eq__, p_word), initial=0)
+    xs_q = accumulate(map("E".__eq__, q_word[lead:]), initial=q_word[:lead].count("E"))
+    shape = len(p_word), len(q_word), p_word.count("E"), q_word.count("E")
+    if (shape != (low, high, d - s, d - r) or not {*p_word, *q_word} <= {"E", "N"}
+            or any(map(eq, xs_p, xs_q))):
         raise ValueError(f"pair does not belong to the domain for a={a}, r={r}, s={s}, d={d}")
     return _phi_words(first, p_word, q_word, d, a, r, s)
 

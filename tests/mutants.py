@@ -91,7 +91,8 @@ MUTANTS = [
     ("cases-reversed", "lattice", "".join(_ROWS), "".join(_ROWS[::-1]),
      "equivalent: each domain pair matches exactly one row, so the order picks nothing"),
     ("anchor-flag-misspelt", "lattice", 'fail("anchors_ok", tag,', 'fail("anchor_ok", tag,', K),
-    ("phi-accepts-meeting-pair", "lattice", " or p_mask & q_mask:", ":", K),
+    ("phi-accepts-meeting-pair", "lattice", "any(map(eq, xs_p, xs_q))", "False", K),
+    ("phi-letter-check", "lattice", ' or not {*p_word, *q_word} <= {"E", "N"}', "", K),
     ("anchor-low", "lattice", "_vertex_bit(0, -a - 1)\n", "_vertex_bit(0, -a - 2)\n", K),
     ("count-check-one-sided", "lattice", "domain_size != minor:", "domain_size < minor:", K),
     ("width-margin", "minors", "// 2 + 2", "// 2 + 1", K),

@@ -588,6 +588,17 @@ def test_vec_and_file_together_are_refused(capsys, tmp_path, monkeypatch, argv):
     assert doc == {"error": "a vector is given once (--vec or --file, not both)"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "--d", "4", "--from", "f", "--to", "h", "--file", ""],
+    ["check", "nonnegative", "--file", ""],
+])
+def test_an_empty_file_name_is_opened_as_given(capsys, argv):
+    # --file '' was read as no file: "a vector is required (--vec or --file)"
+    code, doc = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert doc == {"error": "[Errno 2] No such file or directory: ''"}
+
+
 ROOT = Path(__file__).parent.parent
 ARGPARSE = build_parser()
 

@@ -11,7 +11,7 @@ from fvectors import lattice
 from fvectors.exact import binom_det, binomial
 from fvectors.lattice import (
     PathFamilySpec, count_disjoint_pairs, gv_identity_check, phi, verify_gv, verify_phi,
-    _family_paths, _head_2c, _paths_with_masks, _phi_words, _vertex_bit,
+    _head_2c, _paths_with_masks, _phi_words, _vertex_bit,
     CASE_1, CASE_2A, CASE_2B, CASE_2C,
 )
 from fvectors.minors import phi_minor
@@ -213,6 +213,23 @@ def test_phi_rejects_foreign_pairs():
         phi(False, "E", "EE", 4, 1, 2, 3)  # a pair of the other family
     with pytest.raises(ValueError, match="does not belong to the domain"):
         phi(True, "E", "EX", 4, 1, 2, 3)
+    # L(2, 4): both words have the right lengths and E counts
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(False, "EN", "EENX", 4, 1, 2, 3)  # a stray letter
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        phi(False, "EN", "NNEE", 4, 1, 2, 3)  # Q climbs through P's start (0,-2)
+
+
+def test_phi_reads_only_its_two_words():
+    # d=200, a=50, r=160, s=170: P runs from (0,-51) to (30,-30) and Q from
+    # (0,-151) to (40,-40); listing both families would take C(151, 40)
+    # words, and phi lists none
+    p_word, args = "N" * 21 + "E" * 30, (200, 50, 160, 170)
+    before = _paths_with_masks.cache_info().currsize
+    assert timed(phi, False, p_word, "E" * 40 + "N" * 111, *args, seconds=0.05)[0] == CASE_2B
+    with pytest.raises(ValueError, match="does not belong to the domain"):
+        timed(phi, False, p_word, "N" * 111 + "E" * 40, *args, seconds=0.05)
+    assert _paths_with_masks.cache_info().currsize == before
 
 
 def test_path_pair_rejects_intersecting():
@@ -488,11 +505,9 @@ def test_the_word_path_rests_on_shared_dicts_and_an_axis_through_the_anchor():
             assert stretch | anchor == _mask(*path_vertices((0, 1 - at), word + "N"))
             for r, s in combinations(range(d), 2):
                 t, u = d - s, d - r
-                p1, q1 = _family_paths(PathFamilySpec(a, a + 1, t, u))
-                p2, q2 = _family_paths(PathFamilySpec(a + 1, at, t, u))
-                low_p = _family_paths(PathFamilySpec(a, at - 1, t, u))[0]
-                high_q = _family_paths(PathFamilySpec(at - 1, at, t, u))[1]
-                assert p1 is low_p and q2 is high_q
+                p1 = _paths_with_masks((0, -a), (t, -t))  # also the P words of L(a, A-1)
+                p2, q1 = (_paths_with_masks((0, -a - 1), (x, -x)) for x in (t, u))
+                q2 = _paths_with_masks((0, -at), (u, -u))  # also the Q words of L(A-1, A)
                 assert not any(m & (stretch | anchor) for m in p1.values())
                 assert not any(m & (stretch | anchor) for w, m in q2.items() if w.startswith("E"))
                 assert all(m & anchor for m in (*p2.values(), *q1.values()))
@@ -551,8 +566,9 @@ def test_verify_phi_calls_its_seams_once_per_word_and_target(monkeypatch):
         for a in range(delta(d)):
             at = d + 1 - a
             for t in range(1, d):  # every t = d - s and u = t + 1 = d - r
-                q1 = _family_paths(PathFamilySpec(a, a + 1, t, t + 1))[1]
-                p2, q2 = _family_paths(PathFamilySpec(a + 1, at, t, t + 1))
+                q1 = _paths_with_masks((0, -a - 1), (t + 1, -t - 1))
+                p2 = _paths_with_masks((0, -a - 1), (t, -t))
+                q2 = _paths_with_masks((0, -at), (t + 1, -t - 1))
                 allowed[CASE_1, "q_map"].update((a, q) for q in q1)
                 allowed[CASE_2B, "p_map"].update((a, p) for p in p2)
                 allowed[CASE_2A, "p_map"].update((a, p) for p in p2 if p.startswith("N"))

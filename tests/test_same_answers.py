@@ -25,7 +25,7 @@ from pathlib import Path
 
 import fvectors as fv
 from fvectors.cli import run
-from fvectors.lattice import _family_paths
+from fvectors.lattice import _paths_with_masks
 
 DIGEST = "255d62da4064c74f964c8d31c804ea688d0705047bc9315e6931c5084877b1e1"
 ENGINE_DIGEST = "62f999767afc621bdc374925e1cb7a8c57cef4bc83e5b8ad7a1425837d9630da"
@@ -133,7 +133,8 @@ def _phi_pairs(d):
         for r, s in combinations(range(d), 2):
             for first in (True, False):
                 low, high = (a, a + 1) if first else (a + 1, d + 1 - a)
-                p_paths, q_paths = _family_paths(fv.PathFamilySpec(low, high, d - s, d - r))
+                p_paths = _paths_with_masks((0, -low), (d - s, s - d))
+                q_paths = _paths_with_masks((0, -high), (d - r, r - d))
                 pairs = [(p, q) for p, pm in p_paths.items() for q, qm in q_paths.items()
                          if not pm & qm]
                 for p, q in pairs[:1] + pairs[-1:]:
